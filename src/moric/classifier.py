@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import FeatureSet
+from .core import ByteReader, FeatureSet, FormatError
 from .features import KernelBank, deserialize_bank, serialize_bank
 
 MODEL_MAGIC = b"MORM"
@@ -479,15 +479,15 @@ def save_model(model: MoricModel, path) -> None:
 
 
 def load_model(path) -> MoricModel:
-    from .core import FormatError
-
+    """Inverse of save_model. Raises FormatError on a bad magic, version,
+    label, embedded bank or flag byte, and on any truncation."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if raw[:4] != MODEL_MAGIC:
         raise FormatError(f"{path}: bad magic {raw[:4]!r}")
-    header = struct.Struct("<IIIIIIIqB")
-    version, input_dim, n_heads, head_hidden, reduced_dim, cls_hidden, n_classes, seed, mask_gated = header.unpack_from(
-        raw, 4
+    r = ByteReader(raw, path, pos=4)
+    version, input_dim, n_heads, head_hidden, reduced_dim, cls_hidden, n_classes, seed, mask_gated = r.unpack(
+        "<IIIIIIIqB"
     )
     if version != MODEL_VERSION:
         raise FormatError(f"{path}: unsupported model version {version}")
@@ -499,39 +499,26 @@ def load_model(path) -> MoricModel:
         cls_hidden=cls_hidden,
         n_classes=n_classes,
     )
-    pos = 4 + header.size
     labels = []
     for _ in range(n_classes):
-        (length,) = struct.unpack_from("<H", raw, pos)
-        pos += 2
-        labels.append(raw[pos : pos + length].decode("utf-8"))
-        pos += length
+        (length,) = r.unpack("<H")
+        try:
+            labels.append(r.take(length).decode("utf-8"))
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path}: class label is not UTF-8: {exc}") from None
     shapes = _param_shapes(dims)
-    params = {}
-    for name in param_names(n_heads):
-        shape = shapes[name]
-        count = int(np.prod(shape))
-        if len(raw) < pos + 4 * count:
-            raise FormatError(f"{path}: truncated weights at {name}")
-        params[name] = (
-            np.frombuffer(raw, dtype="<f4", count=count, offset=pos).astype(np.float64).reshape(shape)
-        )
-        pos += 4 * count
+    params = {
+        name: r.array("<f4", int(np.prod(shapes[name]))).astype(np.float64).reshape(shapes[name])
+        for name in param_names(n_heads)
+    }
     bank = None
-    if raw[pos] == 1:
-        pos += 1
-        bank, used = deserialize_bank(raw, pos)
-        pos += used
-    else:
-        pos += 1
+    if _read_flag(r):
+        bank, used = deserialize_bank(raw, r.pos)
+        r.pos += used
     calibration = None
-    if raw[pos] == 1:
-        pos += 1
-        (temperature,) = struct.unpack_from("<d", raw, pos)
-        pos += 8
-        bias = np.frombuffer(raw, dtype="<f8", count=n_classes, offset=pos).copy()
-        pos += 8 * n_classes
-        calibration = Calibration(temperature=temperature, bias=bias)
+    if _read_flag(r):
+        (temperature,) = r.unpack("<d")
+        calibration = Calibration(temperature=temperature, bias=r.array("<f8", n_classes))
     return MoricModel(
         dims=dims,
         class_labels=tuple(labels),
@@ -541,3 +528,10 @@ def load_model(path) -> MoricModel:
         calibration=calibration,
         mask_gated=bool(mask_gated),
     )
+
+
+def _read_flag(r: ByteReader) -> bool:
+    (flag,) = r.take(1)
+    if flag not in (0, 1):
+        raise FormatError(f"{r.source}: bad flag byte {flag} at byte {r.pos - 1}")
+    return flag == 1

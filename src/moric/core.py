@@ -28,6 +28,31 @@ class FormatError(ValueError):
     """An on-disk file violates its declared format (magic, version, size)."""
 
 
+class ByteReader:
+    """Sequential reader over a byte string that raises FormatError, naming
+    `source`, instead of reading past the end."""
+
+    def __init__(self, raw: bytes, source, pos: int = 0):
+        self.raw = raw
+        self.source = source
+        self.pos = pos
+
+    def take(self, n: int) -> bytes:
+        if n > len(self.raw) - self.pos:
+            raise FormatError(f"{self.source}: truncated at byte {self.pos} (need {n} more)")
+        out = self.raw[self.pos : self.pos + n]
+        self.pos += n
+        return out
+
+    def unpack(self, fmt: str) -> tuple:
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
+
+    def array(self, dtype: str, count: int) -> np.ndarray:
+        """A writable copy of `count` items of `dtype`."""
+        dt = np.dtype(dtype)
+        return np.frombuffer(self.take(dt.itemsize * count), dtype=dt).copy()
+
+
 @dataclass(frozen=True)
 class RadioConfig:
     """Static radio parameters of one capture: carrier, subcarrier grid, frame rate."""

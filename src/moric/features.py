@@ -14,6 +14,8 @@ from typing import Tuple
 
 import numpy as np
 
+from .core import ByteReader, FormatError
+
 KERNEL_LENGTHS = (7, 9, 11)
 BANK_MAGIC = b"KBNK"
 
@@ -157,25 +159,21 @@ def serialize_bank(bank: KernelBank) -> bytes:
 
 
 def deserialize_bank(blob: bytes, offset: int = 0):
-    """Parse a serialized bank; returns (KernelBank, bytes_consumed)."""
-    if blob[offset : offset + 4] != BANK_MAGIC:
-        raise ValueError("bad kernel bank magic")
-    pos = offset + 4
-    seed, input_length, n_biases, n_kernels = struct.unpack_from("<qIII", blob, pos)
-    pos += struct.calcsize("<qIII")
+    """Parse a serialized bank; returns (KernelBank, bytes_consumed).
+
+    Raises FormatError on a bad magic or a truncated bank."""
+    r = ByteReader(blob, f"kernel bank at byte {offset}", offset)
+    if r.take(4) != BANK_MAGIC:
+        raise FormatError(f"{r.source}: bad magic")
+    seed, input_length, n_biases, n_kernels = r.unpack("<qIII")
     kernels = []
     for _ in range(n_kernels):
-        length, dilation, padded = struct.unpack_from("<IIB", blob, pos)
-        pos += struct.calcsize("<IIB")
-        weights = np.frombuffer(blob, dtype="<f8", count=length, offset=pos).copy()
-        pos += 8 * length
-        biases = np.frombuffer(blob, dtype="<f8", count=n_biases, offset=pos).copy()
-        pos += 8 * n_biases
+        length, dilation, padded = r.unpack("<IIB")
         kernels.append(
             Kernel(
                 length=length,
-                weights=weights,
-                biases=biases,
+                weights=r.array("<f8", length),
+                biases=r.array("<f8", n_biases),
                 dilation=dilation,
                 padded=bool(padded),
             )
@@ -183,4 +181,4 @@ def deserialize_bank(blob: bytes, offset: int = 0):
     bank = KernelBank(
         seed=seed, input_length=input_length, n_biases=n_biases, kernels=tuple(kernels)
     )
-    return bank, pos - offset
+    return bank, r.pos - offset

@@ -134,12 +134,6 @@ def velocity_set_for_frame(frame: CsiFrame, cfg: PipelineConfig):
     )
 
 
-def features_for_frame(frame: CsiFrame, cfg: PipelineConfig, bank: KernelBank) -> FeatureSet:
-    """CSI frame -> sanitized -> velocity set -> feature rows."""
-    vs = velocity_set_for_frame(frame, cfg)
-    return featurize_velocity_set(vs, bank, label=frame.meta.gesture if frame.meta else None)
-
-
 def featurize_velocity_set(vs, bank: KernelBank, label: Optional[str] = None) -> FeatureSet:
     series = np.stack([v.values for v in vs.vectors])
     mat = features.apply_batch(bank, series)
@@ -394,7 +388,8 @@ def run_calibration_sweep(
             cal_items = [(samples[i].feature_set, samples[i].label) for i in cal_idx]
             calibration = classifier.calibrate(model, cal_items)
             calibrated = model.with_calibration(calibration)
-            rest = [s for i, s in enumerate(samples) if i not in set(cal_idx)]
+            cal_set = set(cal_idx)
+            rest = [s for i, s in enumerate(samples) if i not in cal_set]
             acc, _ = evaluate_samples(calibrated, rest, use_calibration=True)
             draws.append(acc)
         results[count] = {"mean_accuracy": float(np.mean(draws)), "draws": draws}

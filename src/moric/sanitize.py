@@ -10,6 +10,7 @@ multipath structure and the motion information intact.
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import CsiFrame
 
@@ -68,23 +69,44 @@ def hampel(series, window: int = 11, n_sigmas: float = 3.0) -> np.ndarray:
     return hampel_batch(x[None, :], window, n_sigmas)[0]
 
 
+def _replace_outliers(
+    x: np.ndarray, out: np.ndarray, cols, med: np.ndarray, mad: np.ndarray, n_sigmas: float
+) -> None:
+    """Write x[:, cols] into out[:, cols], with the samples that lie beyond the
+    Hampel threshold replaced by their window median."""
+    thresh = n_sigmas * HAMPEL_MAD_SCALE * np.maximum(mad, HAMPEL_MAD_FLOOR)
+    xc = x[:, cols]
+    out[:, cols] = np.where(np.abs(xc - med) > thresh, med, xc)
+
+
 def hampel_batch(x: np.ndarray, window: int = 11, n_sigmas: float = 3.0) -> np.ndarray:
-    """Hampel filter applied independently to every row of a [rows, T] array."""
+    """Hampel filter applied independently to every row of a [rows, T] array.
+
+    Columns whose centered window fits inside the series are filtered in one
+    pass over a sliding-window view; only the truncated edge columns, whose
+    windows may have even length, are filtered one at a time. The result is
+    bitwise equal to applying the per-column definition with `np.median`.
+    """
     if window < 3 or window % 2 == 0:
         raise ValueError(f"window must be odd and >= 3, got {window}")
     x = np.asarray(x, dtype=np.float64)
     t = x.shape[1]
     half = window // 2
     out = x.copy()
-    for j in range(t):
-        lo = max(0, j - half)
-        hi = min(t, j + half + 1)
-        win = x[:, lo:hi]
+    if t >= window:
+        win = sliding_window_view(x, window, axis=1)  # [rows, t - 2 * half, window]
+        # for an odd window the middle order statistic is exactly np.median's value
+        med = np.partition(win, half, axis=-1)[..., half]
+        dev = win - med[..., None]
+        np.abs(dev, out=dev)
+        dev.partition(half, axis=-1)
+        _replace_outliers(x, out, slice(half, t - half), med, dev[..., half], n_sigmas)
+    # edge columns: [0, half) and [t - half, t), or every column when t < window
+    for j in [*range(min(half, t)), *range(max(half, t - half), t)]:
+        win = x[:, max(0, j - half) : min(t, j + half + 1)]
         med = np.median(win, axis=1)
         mad = np.median(np.abs(win - med[:, None]), axis=1)
-        thresh = n_sigmas * HAMPEL_MAD_SCALE * np.maximum(mad, HAMPEL_MAD_FLOOR)
-        outlier = np.abs(x[:, j] - med) > thresh
-        out[outlier, j] = med[outlier]
+        _replace_outliers(x, out, j, med, mad, n_sigmas)
     return out
 
 
@@ -92,9 +114,9 @@ def hampel_complex(series: np.ndarray, window: int = 11, n_sigmas: float = 3.0) 
     """Filter real and imaginary parts independently; accepts [rows, T] or 1-D."""
     z = np.asarray(series, dtype=np.complex128)
     batch = np.atleast_2d(z)
-    re = hampel_batch(batch.real, window, n_sigmas)
-    im = hampel_batch(batch.imag, window, n_sigmas)
-    filtered = re + 1j * im
+    rows = batch.shape[0]
+    parts = hampel_batch(np.concatenate([batch.real, batch.imag]), window, n_sigmas)
+    filtered = parts[:rows] + 1j * parts[rows:]
     return filtered[0] if z.ndim == 1 else filtered
 
 

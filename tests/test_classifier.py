@@ -357,8 +357,7 @@ def test_predict_calibrated_b0_same_argmax():
 # ---------------------------------------------------------------------------
 
 
-def test_model_save_load_round_trip(tmp_path):
-    rng = np.random.default_rng(73)
+def _model_with_bank_and_calibration():
     dims = ModelDims(input_dim=8, n_heads=2, head_hidden=6, reduced_dim=4, cls_hidden=5, n_classes=3)
     params = init_params(dims, 9)
     # force f32-representable weights so the round trip is exact
@@ -373,6 +372,11 @@ def test_model_save_load_round_trip(tmp_path):
         calibration=Calibration(temperature=1.5, bias=np.array([0.1, -0.2, 0.05])),
         mask_gated=True,
     )
+    return model, dims, bank
+
+
+def test_model_save_load_round_trip(tmp_path):
+    model, dims, bank = _model_with_bank_and_calibration()
     path = tmp_path / "model.morm"
     save_model(model, path)
     loaded = load_model(path)
@@ -400,6 +404,41 @@ def test_load_model_rejects_bad_magic(tmp_path):
     p.write_bytes(b"XXXX" + bytes(64))
     with pytest.raises(FormatError):
         load_model(p)
+
+
+def test_load_model_rejects_every_truncation(tmp_path):
+    from moric.core import FormatError
+
+    model, _, _ = _model_with_bank_and_calibration()
+    path = tmp_path / "model.morm"
+    save_model(model, path)
+    raw = path.read_bytes()
+    cut = tmp_path / "cut.morm"
+    for n in range(len(raw)):
+        cut.write_bytes(raw[:n])
+        with pytest.raises(FormatError):
+            load_model(cut)
+
+
+def test_load_model_rejects_bad_label_bank_magic_and_flag(tmp_path):
+    from moric.core import FormatError
+
+    model, _, _ = _model_with_bank_and_calibration()
+    path = tmp_path / "model.morm"
+    save_model(model, path)
+    raw = path.read_bytes()
+    label_at = raw.index(b"circle")
+    bank_at = raw.index(b"KBNK")
+    calibration_flag_at = len(raw) - 1 - 8 - 8 * 3
+    corruptions = {
+        "label": raw[:label_at] + b"\xff" + raw[label_at + 1 :],
+        "bank magic": raw[:bank_at] + b"XBNK" + raw[bank_at + 4 :],
+        "flag": raw[:calibration_flag_at] + b"\x02" + raw[calibration_flag_at + 1 :],
+    }
+    for blob in corruptions.values():
+        path.write_bytes(blob)
+        with pytest.raises(FormatError):
+            load_model(path)
 
 
 def test_train_aborts_on_divergent_loss():

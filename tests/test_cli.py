@@ -229,3 +229,18 @@ def test_calibrate_fit_requires_out(tmp_path):
     missing = main(["calibrate", "--model", str(tmp_path / "m.morm"),
                     "--manifest", str(tmp_path / "m.json")])
     assert missing == 3  # model file absent -> I/O error first
+
+
+def test_truncated_model_exits_3(tmp_path, capsys):
+    from moric.classifier import ModelDims, MoricModel, init_params, save_model
+
+    dims = ModelDims(input_dim=4, n_heads=1, head_hidden=3, reduced_dim=2, cls_hidden=3, n_classes=2)
+    model = MoricModel(dims=dims, class_labels=("a", "b"), params=init_params(dims, 0))
+    full = tmp_path / "model.morm"
+    save_model(model, full)
+    prefix = tmp_path / "prefix.morm"
+    prefix.write_bytes(full.read_bytes()[:4])
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"entries": []}))
+    assert main(["eval", "--model", str(prefix), "--manifest", str(manifest)]) == 3
+    assert "truncated" in capsys.readouterr().err

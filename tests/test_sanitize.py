@@ -2,7 +2,16 @@ import numpy as np
 import pytest
 
 from moric.core import CsiFrame
-from moric.sanitize import compensate_phase, hampel, hampel_complex, sanitize_frame, unwrap_phase
+from moric.sanitize import (
+    HAMPEL_MAD_FLOOR,
+    HAMPEL_MAD_SCALE,
+    compensate_phase,
+    hampel,
+    hampel_batch,
+    hampel_complex,
+    sanitize_frame,
+    unwrap_phase,
+)
 from moric.simulator import NoiseParams, Scene, Trajectory, synthesize_csi
 
 from conftest import make_radio
@@ -167,6 +176,47 @@ def test_hampel_complex_filters_parts_independently():
     assert out[3].real == 0.0
     assert out[6].imag == 1.0
     assert np.array_equal(out.real[[0, 1, 2, 4, 5, 6]], re[[0, 1, 2, 4, 5, 6]])
+
+
+def _reference_hampel(x, window, n_sigmas):
+    """The per-column definition: median and MAD of each centered window,
+    truncated at the edges, computed with np.median."""
+    t = x.shape[1]
+    half = window // 2
+    out = x.copy()
+    for j in range(t):
+        win = x[:, max(0, j - half) : min(t, j + half + 1)]
+        med = np.median(win, axis=1)
+        mad = np.median(np.abs(win - med[:, None]), axis=1)
+        thresh = n_sigmas * HAMPEL_MAD_SCALE * np.maximum(mad, HAMPEL_MAD_FLOOR)
+        outlier = np.abs(x[:, j] - med) > thresh
+        out[outlier, j] = med[outlier]
+    return out
+
+
+def _spiky_rows(rng, rows, t):
+    x = rng.normal(size=(rows, t))
+    spikes = rng.random(size=(rows, t)) < 0.05
+    x[spikes] += rng.normal(scale=25.0, size=spikes.sum())
+    x[0] = 2.0  # constant row: MAD is 0 everywhere and the floor applies
+    x[1, : t // 2] = -1.0  # constant run next to noise
+    return x
+
+
+@pytest.mark.parametrize("window", [3, 5, 11])
+def test_hampel_batch_matches_per_column_reference_bitwise(window):
+    rng = np.random.default_rng(window)
+    for t in (1, window - 1, window, window + 1, 1000):
+        x = _spiky_rows(rng, 4, t)
+        assert np.array_equal(hampel_batch(x, window, 3.0), _reference_hampel(x, window, 3.0)), t
+
+
+def test_hampel_complex_equals_filtering_parts_separately():
+    rng = np.random.default_rng(5)
+    z = _spiky_rows(rng, 6, 300) + 1j * _spiky_rows(rng, 6, 300)
+    out = hampel_complex(z, window=11, n_sigmas=3.0)
+    assert out.real.tobytes() == hampel_batch(z.real, 11, 3.0).tobytes()
+    assert out.imag.tobytes() == hampel_batch(z.imag, 11, 3.0).tobytes()
 
 
 def test_sanitize_frame_round_trips_through_delay_domain(radio):
