@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import ByteReader, FeatureSet, FormatError
+from .core import ByteReader, FeatureSet, FormatError, format_errors
 from .features import KernelBank, deserialize_bank, serialize_bank
 
 MODEL_MAGIC = b"MORM"
@@ -480,7 +480,8 @@ def save_model(model: MoricModel, path) -> None:
 
 def load_model(path) -> MoricModel:
     """Inverse of save_model. Raises FormatError on a bad magic, version,
-    label, embedded bank or flag byte, and on any truncation."""
+    label, embedded bank or flag byte, on any truncation, and on a decoded
+    field that ModelDims, Calibration or MoricModel rejects."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if raw[:4] != MODEL_MAGIC:
@@ -491,43 +492,41 @@ def load_model(path) -> MoricModel:
     )
     if version != MODEL_VERSION:
         raise FormatError(f"{path}: unsupported model version {version}")
-    dims = ModelDims(
-        input_dim=input_dim,
-        n_heads=n_heads,
-        head_hidden=head_hidden,
-        reduced_dim=reduced_dim,
-        cls_hidden=cls_hidden,
-        n_classes=n_classes,
-    )
-    labels = []
-    for _ in range(n_classes):
-        (length,) = r.unpack("<H")
-        try:
-            labels.append(r.take(length).decode("utf-8"))
-        except UnicodeDecodeError as exc:
-            raise FormatError(f"{path}: class label is not UTF-8: {exc}") from None
-    shapes = _param_shapes(dims)
-    params = {
-        name: r.array("<f4", int(np.prod(shapes[name]))).astype(np.float64).reshape(shapes[name])
-        for name in param_names(n_heads)
-    }
-    bank = None
-    if _read_flag(r):
-        bank, used = deserialize_bank(raw, r.pos)
-        r.pos += used
-    calibration = None
-    if _read_flag(r):
-        (temperature,) = r.unpack("<d")
-        calibration = Calibration(temperature=temperature, bias=r.array("<f8", n_classes))
-    return MoricModel(
-        dims=dims,
-        class_labels=tuple(labels),
-        params=params,
-        seed=seed,
-        kernel_bank=bank,
-        calibration=calibration,
-        mask_gated=bool(mask_gated),
-    )
+    with format_errors(path):
+        dims = ModelDims(
+            input_dim=input_dim,
+            n_heads=n_heads,
+            head_hidden=head_hidden,
+            reduced_dim=reduced_dim,
+            cls_hidden=cls_hidden,
+            n_classes=n_classes,
+        )
+        labels = []
+        for _ in range(n_classes):
+            (length,) = r.unpack("<H")
+            labels.append(r.take(length).decode("utf-8"))  # UnicodeDecodeError is a ValueError
+        shapes = _param_shapes(dims)
+        params = {
+            name: r.array("<f4", int(np.prod(shapes[name]))).astype(np.float64).reshape(shapes[name])
+            for name in param_names(n_heads)
+        }
+        bank = None
+        if _read_flag(r):
+            bank, used = deserialize_bank(raw, r.pos)
+            r.pos += used
+        calibration = None
+        if _read_flag(r):
+            (temperature,) = r.unpack("<d")
+            calibration = Calibration(temperature=temperature, bias=r.array("<f8", n_classes))
+        return MoricModel(
+            dims=dims,
+            class_labels=tuple(labels),
+            params=params,
+            seed=seed,
+            kernel_bank=bank,
+            calibration=calibration,
+            mask_gated=bool(mask_gated),
+        )
 
 
 def _read_flag(r: ByteReader) -> bool:

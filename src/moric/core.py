@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Optional
 
@@ -51,6 +52,18 @@ class ByteReader:
         """A writable copy of `count` items of `dtype`."""
         dt = np.dtype(dtype)
         return np.frombuffer(self.take(dt.itemsize * count), dtype=dt).copy()
+
+
+@contextmanager
+def format_errors(source):
+    """Re-raise a ValueError from the enclosed parse, such as a constructor
+    rejecting a decoded field, as a FormatError naming `source`."""
+    try:
+        yield
+    except FormatError:
+        raise
+    except ValueError as exc:
+        raise FormatError(f"{source}: {exc}") from None
 
 
 @dataclass(frozen=True)

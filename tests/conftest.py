@@ -173,3 +173,39 @@ def write_synthetic_manifest(
     manifest_path = out_dir / "manifest.json"
     manifest.save(manifest_path)
     return manifest, manifest_path
+
+
+def two_kernel_bank():
+    """A 40-sample bank: an unpadded 9-tap kernel at dilation 2 and a padded
+    7-tap kernel at dilation 3, two biases each."""
+    from moric.features import Kernel, KernelBank
+
+    rng = np.random.default_rng(4)
+    kernels = tuple(
+        Kernel(length=n, weights=rng.normal(size=n), biases=rng.uniform(-1, 1, 2), dilation=d, padded=p)
+        for n, d, p in ((9, 2, False), (7, 3, True))
+    )
+    return KernelBank(seed=4, input_length=40, n_biases=2, kernels=kernels)
+
+
+def bank_field_patches(raw: bytes, at: int):
+    """Copies of `raw` with one field of the `two_kernel_bank` serialized at
+    byte `at` set to a value a bank may not hold: {field: (bytes, message)},
+    where `message`, if not None, is a pattern the FormatError must match."""
+    import struct
+
+    second = 24 + 9 + 9 * 8 + 2 * 8  # header of the second kernel record
+    fields = {
+        "input_length": (12, "<I", 16, "dilation 2 does not fit"),  # 8 * 2 >= 16
+        # with no biases the records misparse, so any rejection will do
+        "n_biases": (16, "<I", 0, None),
+        "length": (24, "<I", 8, "kernel length 8"),
+        "dilation": (28, "<I", 0, "dilation must be >= 1"),
+        "padded": (32, "<B", 2, "bad padding flag 2"),
+        "padded dilation": (second + 4, "<I", 7, "dilation 7 does not fit"),  # 6 * 7 >= 40
+    }
+    out = {}
+    for name, (offset, fmt, value, message) in fields.items():
+        pos = at + offset
+        out[name] = (raw[:pos] + struct.pack(fmt, value) + raw[pos + struct.calcsize(fmt) :], message)
+    return out

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -439,6 +441,29 @@ def test_load_model_rejects_bad_label_bank_magic_and_flag(tmp_path):
         path.write_bytes(blob)
         with pytest.raises(FormatError):
             load_model(path)
+
+
+def test_load_model_rejects_fields_its_constructors_reject(tmp_path):
+    """A complete file whose header, weights or calibration break a model
+    invariant is a bad file (FormatError naming the path), not bad input."""
+    from moric.core import FormatError
+
+    model, _, _ = _model_with_bank_and_calibration()
+    path = tmp_path / "model.morm"
+    save_model(model, path)
+    raw = path.read_bytes()
+    first_weight_at = raw.index(b"up_down") + len(b"up_down")
+    temperature_at = len(raw) - 8 - 8 * 3
+    corruptions = {
+        "n_heads must be >= 1": (12, struct.pack("<I", 0)),
+        "non-finite": (first_weight_at, struct.pack("<f", np.nan)),
+        "temperature must be positive": (temperature_at, struct.pack("<d", 0.0)),
+    }
+    for message, (at, value) in corruptions.items():
+        path.write_bytes(raw[:at] + value + raw[at + len(value) :])
+        with pytest.raises(FormatError, match=message) as exc:
+            load_model(path)
+        assert str(path) in str(exc.value)
 
 
 def test_train_aborts_on_divergent_loss():

@@ -7,7 +7,13 @@ from moric.cli import main
 from moric.core import read_csit, read_dvel, read_feat
 from moric.simulator import Scene
 
-from conftest import make_gesture_scene, make_radio, write_synthetic_manifest
+from conftest import (
+    bank_field_patches,
+    make_gesture_scene,
+    make_radio,
+    two_kernel_bank,
+    write_synthetic_manifest,
+)
 
 
 @pytest.fixture(scope="module")
@@ -244,3 +250,25 @@ def test_truncated_model_exits_3(tmp_path, capsys):
     manifest.write_text(json.dumps({"entries": []}))
     assert main(["eval", "--model", str(prefix), "--manifest", str(manifest)]) == 3
     assert "truncated" in capsys.readouterr().err
+
+
+def test_model_with_corrupt_header_or_bank_exits_3(tmp_path, capsys):
+    import struct
+
+    from moric.classifier import ModelDims, MoricModel, init_params, save_model
+
+    bank = two_kernel_bank()
+    dims = ModelDims(input_dim=bank.dim, n_heads=1, head_hidden=3, reduced_dim=2, cls_hidden=3, n_classes=2)
+    model = MoricModel(dims=dims, class_labels=("a", "b"), params=init_params(dims, 0), kernel_bank=bank)
+    path = tmp_path / "model.morm"
+    save_model(model, path)
+    raw = path.read_bytes()
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"entries": []}))
+    corrupt = {"n_heads": (raw[:12] + struct.pack("<I", 0) + raw[16:], "n_heads must be >= 1")}
+    corrupt.update(bank_field_patches(raw, raw.index(b"KBNK")))
+    for name, (blob, message) in corrupt.items():
+        path.write_bytes(blob)
+        assert main(["eval", "--model", str(path), "--manifest", str(manifest)]) == 3, name
+        err = capsys.readouterr().err
+        assert message is None or message in err, name

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from moric.features import (
+    BLOCK_SAMPLES,
     Kernel,
     KernelBank,
     apply,
@@ -10,6 +11,9 @@ from moric.features import (
     deserialize_bank,
     serialize_bank,
 )
+from moric.core import FormatError
+
+from conftest import bank_field_patches, two_kernel_bank
 
 
 def brute_force_features(kernel: Kernel, x: np.ndarray):
@@ -28,6 +32,23 @@ def brute_force_features(kernel: Kernel, x: np.ndarray):
     for b in kernel.biases:
         feats.append(np.mean(z + b > 0))
     return np.array(feats)
+
+
+def per_kernel_reference(bank: KernelBank, x: np.ndarray) -> np.ndarray:
+    """The transform as one dilated convolution per kernel, one pass per tap."""
+    out = np.empty((x.shape[0], bank.dim))
+    for k, kernel in enumerate(bank.kernels):
+        xp = np.pad(x, ((0, 0), (kernel.padding, kernel.padding)))
+        out_len = xp.shape[1] - (kernel.length - 1) * kernel.dilation
+        z = np.zeros((x.shape[0], out_len))
+        for j in range(kernel.length):
+            off = j * kernel.dilation
+            z += kernel.weights[j] * xp[:, off : off + out_len]
+        col = k * bank.features_per_kernel
+        out[:, col] = z.max(axis=1) + kernel.biases[0]
+        for j, b in enumerate(kernel.biases):
+            out[:, col + 1 + j] = np.mean(z > -b, axis=1)
+    return out
 
 
 def test_same_seed_same_bank():
@@ -170,3 +191,73 @@ def test_bank_serialization_round_trip_bitwise():
         assert np.array_equal(a.weights, b.weights)
         assert np.array_equal(a.biases, b.biases)
         assert (a.length, a.dilation, a.padded) == (b.length, b.dilation, b.padded)
+
+
+@pytest.mark.parametrize("input_length", [12, 13, 64, 400, 1000])
+def test_grouped_transform_matches_per_kernel_reference(input_length):
+    bank = build_bank(input_length, 120, 3, input_length)
+    assert {(k.length, k.padded) for k in bank.kernels} == {
+        (n, p) for n in (7, 9, 11) for p in (False, True)
+    }
+    if input_length <= 13:
+        assert {k.dilation for k in bank.kernels} == {1}
+    # enough rows for two full row blocks and a partial one
+    n_rows = 2 * max(1, BLOCK_SAMPLES // input_length) + 3
+    x = np.random.default_rng(input_length).normal(size=(n_rows, input_length))
+    got = apply_batch(bank, x)
+    expected = per_kernel_reference(bank, x)
+    is_max = np.arange(bank.dim) % bank.features_per_kernel == 0
+    assert np.allclose(got[:, is_max], expected[:, is_max], atol=1e-12, rtol=0)
+    assert np.array_equal(got[:, ~is_max], expected[:, ~is_max])
+
+
+def test_zero_rows_are_not_convolved_and_match_row_by_row():
+    bank = build_bank(8, 60, 3, 1000)
+    rng = np.random.default_rng(8)
+    x = rng.normal(size=(21, 1000))  # spans three row blocks
+    zero_rows = [0, 3, 4, 9, 20]
+    x[zero_rows] = 0.0
+    x[4] = -0.0
+    feats = apply_batch(bank, x)
+    one_by_one = np.stack([apply(bank, row) for row in x])
+    assert np.allclose(feats, one_by_one, atol=1e-12, rtol=0)
+    zero = np.concatenate([np.concatenate([k.biases[:1], k.biases > 0]) for k in bank.kernels])
+    for r in zero_rows:
+        assert np.array_equal(feats[r], zero)
+    assert np.array_equal(apply_batch(bank, np.zeros((2, 1000))), np.stack([zero, zero]))
+
+
+def test_empty_batch_keeps_feature_width():
+    bank = build_bank(2, 30, 3, 50)
+    assert apply_batch(bank, np.zeros((0, 50))).shape == (0, bank.dim)
+
+
+def test_every_kernel_in_exactly_one_group():
+    bank = build_bank(3, 250, 3, 1000)
+    index = np.concatenate([g.index for g in bank.groups])
+    assert np.array_equal(np.sort(index), np.arange(bank.n_kernels))
+    for g in bank.groups:
+        assert len({(bank.kernels[i].dilation, bank.kernels[i].padded) for i in g.index}) == 1
+
+
+def test_kernel_and_bank_invariants():
+    bank = two_kernel_bank()
+    k = bank.kernels[0]
+    with pytest.raises(ValueError, match="kernel length 8"):
+        Kernel(length=8, weights=np.zeros(8), biases=k.biases, dilation=1, padded=False)
+    with pytest.raises(ValueError, match="dilation must be >= 1"):
+        Kernel(length=k.length, weights=k.weights, biases=k.biases, dilation=0, padded=False)
+    for padded in (False, True):
+        wide = Kernel(length=9, weights=k.weights, biases=k.biases, dilation=5, padded=padded)
+        with pytest.raises(ValueError, match="does not fit"):  # 8 * 5 >= 40
+            KernelBank(seed=0, input_length=40, n_biases=2, kernels=(wide,))
+    with pytest.raises(ValueError, match="biases"):
+        KernelBank(seed=0, input_length=40, n_biases=3, kernels=(k,))
+
+
+def test_deserialize_rejects_every_patched_bank_field():
+    blob = serialize_bank(two_kernel_bank())
+    assert serialize_bank(deserialize_bank(blob)[0]) == blob
+    for name, (patched, message) in bank_field_patches(blob, 0).items():
+        with pytest.raises(FormatError, match=message):
+            deserialize_bank(patched)
