@@ -1,13 +1,14 @@
 """Set classifier over per-delay-bin feature vectors.
 
 Shared MLP heads reduce every feature row independently; an elementwise max
-over rows pools each head's outputs into a fixed-size vector, which makes the
-prediction invariant (bitwise) to the ordering and repetition of rows. A
-second MLP maps the concatenated pooled vectors to class logits. Training is
-plain mini-batch backprop with an adaptive-moment optimizer using decoupled
-weight decay, cross-entropy with label smoothing, and early stopping on
-validation loss. A post-hoc temperature + per-class-bias calibration can be
-fitted on a handful of held-out samples.
+over rows pools each head's outputs into a fixed-size vector, and a second MLP
+maps the concatenated pooled vectors to class logits. Training and inference
+run one batched kernel; inference first deduplicates and sorts a set's rows by
+their bytes, making the prediction bitwise invariant to row order and
+repetition. Training is plain mini-batch backprop with an adaptive-moment
+optimizer using decoupled weight decay, cross-entropy with label smoothing,
+and early stopping on validation loss. A post-hoc temperature + per-class-bias
+calibration can be fitted on a handful of held-out samples.
 """
 
 from __future__ import annotations
@@ -152,9 +153,10 @@ def _select_rows(fs: FeatureSet, mask_gated: bool) -> np.ndarray:
 def forward(model: MoricModel, fs: FeatureSet) -> Tuple[np.ndarray, np.ndarray]:
     """Class logits and probabilities for one feature set.
 
-    Every row is transformed independently (row-by-row vector products, so the
-    result is bitwise independent of row order and repetition), max-pooled per
-    head, and classified.
+    The rows are deduplicated and sorted by their raw bytes (so a row and its
+    signed-zero twin stay apart), then run through the training kernel as one
+    set: any permutation or repetition of the rows reaches the matrix products
+    as the same matrix, so the result is bitwise invariant to both.
     """
     rows = _select_rows(fs, model.mask_gated)
     if rows.shape[0] == 0:
@@ -163,21 +165,11 @@ def forward(model: MoricModel, fs: FeatureSet) -> Tuple[np.ndarray, np.ndarray]:
         raise ValueError(
             f"feature dimension {rows.shape[1]} does not match model D={model.dims.input_dim}"
         )
-    p = model.params
-    pooled = []
-    for k in range(model.dims.n_heads):
-        w1, b1 = p[f"head{k}_w1"], p[f"head{k}_b1"]
-        w2, b2 = p[f"head{k}_w2"], p[f"head{k}_b2"]
-        fmax = None
-        for row in rows:
-            z1 = np.maximum(np.dot(row, w1) + b1, 0.0)
-            f_red = np.dot(z1, w2) + b2
-            fmax = f_red if fmax is None else np.maximum(fmax, f_red)
-        pooled.append(fmax)
-    u = np.concatenate(pooled)
-    h = np.maximum(np.dot(u, p["cls_w1"]) + p["cls_b1"], 0.0)
-    logits = np.dot(h, p["cls_w2"]) + p["cls_b2"]
-    return logits, softmax(logits)
+    rows = np.ascontiguousarray(rows)
+    keys = np.unique(rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))))
+    rows = keys.view(rows.dtype).reshape(-1, model.dims.input_dim)
+    logits, _ = _batch_forward(model.params, model.dims, rows, np.array([0, rows.shape[0]]))
+    return logits[0], softmax(logits[0])
 
 
 def predict(model: MoricModel, fs: FeatureSet, use_calibration: bool = False):
@@ -193,7 +185,7 @@ def predict(model: MoricModel, fs: FeatureSet, use_calibration: bool = False):
 
 
 # ---------------------------------------------------------------------------
-# Batched forward/backward for training
+# Batched forward/backward, shared by training and inference
 # ---------------------------------------------------------------------------
 
 
@@ -505,6 +497,11 @@ def load_model(path) -> MoricModel:
         for _ in range(n_classes):
             (length,) = r.unpack("<H")
             labels.append(r.take(length).decode("utf-8"))  # UnicodeDecodeError is a ValueError
+        # bound the header by the bytes left before building per-parameter state
+        head = head_hidden * (input_dim + 1) + reduced_dim * (head_hidden + 1 + cls_hidden)
+        n_weights = n_heads * head + cls_hidden * (1 + n_classes) + n_classes
+        if 4 * n_weights > len(raw) - r.pos:
+            raise FormatError(f"{path}: truncated at byte {r.pos} (header needs {4 * n_weights} weight bytes)")
         shapes = _param_shapes(dims)
         params = {
             name: r.array("<f4", int(np.prod(shapes[name]))).astype(np.float64).reshape(shapes[name])

@@ -315,12 +315,13 @@ def read_csit(path) -> CsiFrame:
 def _read_json_trailer(raw: bytes, offset: int, path) -> Optional[dict]:
     if offset == len(raw):
         return None
-    if len(raw) < offset + 4:
-        raise FormatError(f"{path}: truncated metadata trailer")
-    (blob_len,) = struct.unpack_from("<I", raw, offset)
-    if len(raw) < offset + 4 + blob_len:
-        raise FormatError(f"{path}: truncated metadata trailer")
-    return json.loads(raw[offset + 4 : offset + 4 + blob_len].decode("utf-8"))
+    r = ByteReader(raw, path, pos=offset)
+    (blob_len,) = r.unpack("<I")
+    with format_errors(path):  # JSONDecodeError and UnicodeDecodeError are ValueErrors
+        trailer = json.loads(r.take(blob_len).decode("utf-8"))
+    if not isinstance(trailer, dict):
+        raise FormatError(f"{path}: metadata trailer is not a JSON object")
+    return trailer
 
 
 # ---------------------------------------------------------------------------

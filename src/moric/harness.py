@@ -151,6 +151,8 @@ def build_feature_table(
 ) -> List[PipelineSample]:
     """Run the per-sample pipeline over a manifest (optionally with a thread
     pool); output order follows the manifest."""
+    if not manifest.entries:
+        raise ValueError("manifest has no entries")
     first = read_csit(manifest.entries[0].path)
     bank = features.build_bank(
         cfg.kernel_seed, cfg.n_kernels, cfg.n_biases, first.n_time

@@ -1,4 +1,6 @@
 import struct
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -52,9 +54,76 @@ def small_model(rng_seed=0, dim=12, n_classes=3):
     )
 
 
+def _reference_forward(model, fs):
+    """Row-by-row forward pass: one vector product per row per head, a running
+    max per head, then the classifier MLP."""
+    rows = fs.features
+    if model.mask_gated and not np.all(fs.gated):
+        rows = rows[~fs.gated]
+    p = model.params
+    pooled = []
+    for k in range(model.dims.n_heads):
+        w1, b1 = p[f"head{k}_w1"], p[f"head{k}_b1"]
+        w2, b2 = p[f"head{k}_w2"], p[f"head{k}_b2"]
+        fmax = None
+        for row in rows:
+            z1 = np.maximum(np.dot(row, w1) + b1, 0.0)
+            f_red = np.dot(z1, w2) + b2
+            fmax = f_red if fmax is None else np.maximum(fmax, f_red)
+        pooled.append(fmax)
+    u = np.concatenate(pooled)
+    h = np.maximum(np.dot(u, p["cls_w1"]) + p["cls_b1"], 0.0)
+    return np.dot(h, p["cls_w2"]) + p["cls_b2"]
+
+
+def _signed_zero_twins(rng, dim=12):
+    """A row and its copy with one 0.0 flipped to -0.0: equal as floats, not
+    as bytes."""
+    row = rng.normal(size=dim)
+    row[3] = 0.0
+    twin = row.copy()
+    twin[3] = -0.0
+    return make_feature_set(rng, rows=np.stack([row, twin]))
+
+
+def _rows_subset(fs, idx):
+    return FeatureSet(
+        features=fs.features[idx],
+        delay_bins=fs.delay_bins[idx],
+        streams=fs.streams[idx],
+        gated=fs.gated[idx],
+    )
+
+
 # ---------------------------------------------------------------------------
 # Set invariance
 # ---------------------------------------------------------------------------
+
+
+def test_forward_matches_row_by_row_reference():
+    rng = np.random.default_rng(7)
+    dims = ModelDims(input_dim=1000, n_classes=4)
+    plain = MoricModel(
+        dims=dims, class_labels=("a", "b", "c", "d"), params=init_params(dims, 3), seed=3
+    )
+    for mask_gated in (False, True):
+        model = replace(plain, mask_gated=mask_gated)
+        for n_rows in (1, 16, 156):
+            feats = rng.normal(size=(n_rows, 1000))
+            gated = np.zeros(n_rows, dtype=bool)
+            gated[1::4] = True
+            feats[gated] = 0.0
+            fs = FeatureSet(
+                features=feats,
+                delay_bins=np.arange(n_rows),
+                streams=np.zeros(n_rows, dtype=int),
+                gated=gated,
+            )
+            logits, probs = forward(model, fs)
+            want = _reference_forward(model, fs)
+            scale = np.maximum(1.0, np.abs(want))
+            assert np.all(np.abs(logits - want) <= 1e-12 * scale), (mask_gated, n_rows)
+            assert np.allclose(probs, softmax(want), rtol=0, atol=1e-12)
 
 
 def test_forward_permutation_invariant_bitwise():
@@ -73,6 +142,11 @@ def test_forward_permutation_invariant_bitwise():
         logits_p, probs_p = forward(model, shuffled)
         assert np.array_equal(logits, logits_p)
         assert np.array_equal(probs, probs_p)
+    twins = _signed_zero_twins(rng)
+    logits, probs = forward(model, twins)
+    logits_p, probs_p = forward(model, _rows_subset(twins, [1, 0]))
+    assert np.array_equal(logits, logits_p)
+    assert np.array_equal(probs, probs_p)
 
 
 def test_forward_duplication_invariant_bitwise():
@@ -89,6 +163,11 @@ def test_forward_duplication_invariant_bitwise():
             gated=np.concatenate([fs.gated, fs.gated[dup : dup + 1]]),
         )
         logits_d, _ = forward(model, stacked)
+        assert np.array_equal(logits, logits_d)
+    twins = _signed_zero_twins(rng)
+    logits, _ = forward(model, twins)
+    for idx in ([0, 1, 0], [1, 0, 1], [1, 1, 0, 0]):
+        logits_d, _ = forward(model, _rows_subset(twins, idx))
         assert np.array_equal(logits, logits_d)
 
 
@@ -420,6 +499,38 @@ def test_load_model_rejects_every_truncation(tmp_path):
         cut.write_bytes(raw[:n])
         with pytest.raises(FormatError):
             load_model(cut)
+
+
+def test_load_model_bounds_header_by_file_size(tmp_path):
+    """A header whose dims imply more weight bytes than the file holds is
+    rejected before any per-parameter state is built."""
+    from moric.core import FormatError
+
+    header = struct.pack("<IIIIIIIqB", 1, 8, 400_000, 6, 4, 5, 2, 0, 0)
+    path = tmp_path / "huge.morm"
+    path.write_bytes(b"MORM" + header + b"\x01\x00a\x01\x00b")
+    assert path.stat().st_size == 47
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError, match="weight bytes"):
+            load_model(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+    # the bound is exact: one byte short of the weights trips it, and a file
+    # ending right after them fails later, at the bank flag
+    model, dims, _ = _model_with_bank_and_calibration()
+    save_model(model, path)
+    raw = path.read_bytes()
+    weights_end = raw.index(b"KBNK") - 1
+    path.write_bytes(raw[: weights_end - 1])
+    with pytest.raises(FormatError, match="weight bytes"):
+        load_model(path)
+    path.write_bytes(raw[:weights_end])
+    with pytest.raises(FormatError, match="need 1 more"):
+        load_model(path)
 
 
 def test_load_model_rejects_bad_label_bank_magic_and_flag(tmp_path):

@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -78,10 +79,32 @@ def test_missing_input_exits_3(tmp_path):
     assert main(["sanitize", "--in", str(tmp_path / "nope.csit"), "--out", str(tmp_path / "y")]) == 3
 
 
-def test_corrupt_input_exits_3(tmp_path):
+def test_corrupt_input_exits_3(tmp_path, scene_file):
     bad = tmp_path / "bad.csit"
     bad.write_bytes(b"not a csit file at all")
     assert main(["sanitize", "--in", str(bad), "--out", str(tmp_path / "y")]) == 3
+    # a metadata trailer that is not JSON
+    csit = tmp_path / "x.csit"
+    assert main(["simulate", "--scene", str(scene_file), "--out", str(csit)]) == 0
+    bad.write_bytes(csit.read_bytes() + struct.pack("<I", 9) + b"{not json")
+    assert main(["sanitize", "--in", str(bad), "--out", str(tmp_path / "y")]) == 3
+
+
+def test_empty_manifest_exits_2(tmp_path, capsys):
+    from moric.classifier import ModelDims, MoricModel, init_params, save_model
+
+    dims = ModelDims(input_dim=4, n_heads=1, head_hidden=3, reduced_dim=2, cls_hidden=3, n_classes=2)
+    model = tmp_path / "model.morm"
+    save_model(MoricModel(dims=dims, class_labels=("a", "b"), params=init_params(dims, 0)), model)
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"entries": []}))
+    for argv in (
+        ["train", "--manifest", str(manifest), "--out", str(tmp_path / "out.morm")],
+        ["eval", "--model", str(model), "--manifest", str(manifest)],
+        ["calibrate", "--model", str(model), "--manifest", str(manifest), "--out", str(tmp_path / "c")],
+    ):
+        assert main(argv) == 2, argv[0]
+        assert "manifest has no entries" in capsys.readouterr().err
 
 
 def test_validation_error_exits_2(tmp_path, scene_file):

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -107,6 +109,12 @@ def test_csit_rejects_bad_magic_version_truncation(tmp_path):
     bad.write_bytes(bytes(raw[:-7]))
     with pytest.raises(FormatError):
         read_csit(bad)
+
+    # a metadata trailer that is not a UTF-8 JSON object
+    for blob in (b"{not json", b"\xff", b"[1]"):
+        bad.write_bytes(bytes(raw) + struct.pack("<I", len(blob)) + blob)
+        with pytest.raises(FormatError):
+            read_csit(bad)
 
 
 def _velocity_set(rng, n_vectors=3, t=30, source="sample-1"):
