@@ -6,7 +6,6 @@ from .core import (
     RadioConfig,
     SampleMeta,
     VelocitySet,
-    VelocityVector,
     read_csit,
     read_dvel,
     read_feat,
@@ -38,7 +37,6 @@ __all__ = [
     "TrainConfig",
     "Trajectory",
     "VelocitySet",
-    "VelocityVector",
     "apply",
     "build_bank",
     "calibrate",

@@ -118,9 +118,8 @@ def cmd_decompose(args) -> int:
         apply_normalize=not args.no_normalize,
     )
     write_dvel(vs, args.out)
-    kept = sum(1 for v in vs.vectors if not v.gated)
-    print(f"wrote {args.out}: {len(vs.vectors)} vectors ({kept} kept, "
-          f"{len(vs.vectors) - kept} gated)")
+    gated = int(vs.gated.sum())
+    print(f"wrote {args.out}: {len(vs)} rows ({len(vs) - gated} kept, {gated} gated)")
     return 0
 
 

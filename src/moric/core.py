@@ -48,7 +48,7 @@ class ByteReader:
     def unpack(self, fmt: str) -> tuple:
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
-    def array(self, dtype: str, count: int) -> np.ndarray:
+    def array(self, dtype, count: int) -> np.ndarray:
         """A writable copy of `count` items of `dtype`."""
         dt = np.dtype(dtype)
         return np.frombuffer(self.take(dt.itemsize * count), dtype=dt).copy()
@@ -119,13 +119,17 @@ class SampleMeta:
 
     @staticmethod
     def from_dict(d: dict) -> "SampleMeta":
-        return SampleMeta(
-            sample_id=str(d["sample_id"]),
-            subject=str(d["subject"]),
-            orientation_deg=int(d["orientation_deg"]),
-            gesture=str(d["gesture"]),
-            access_point=str(d["access_point"]),
-        )
+        """Raises ValueError for a missing key or a field of the wrong type."""
+        try:
+            return SampleMeta(
+                sample_id=str(d["sample_id"]),
+                subject=str(d["subject"]),
+                orientation_deg=int(d["orientation_deg"]),
+                gesture=str(d["gesture"]),
+                access_point=str(d["access_point"]),
+            )
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"bad sample metadata: {exc!r}") from None
 
 
 @dataclass(frozen=True)
@@ -164,56 +168,59 @@ class CsiFrame:
         return self.data.shape[2]
 
 
-@dataclass(frozen=True)
-class VelocityVector:
-    """One per-delay-bin Doppler velocity time series with its gating state."""
-
-    values: np.ndarray
-    delay_bin: int
-    stream: int
-    snr_db: float
-    gated: bool
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
-        if values.ndim != 1:
-            raise ValueError("velocity values must be a 1-D series")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("velocity values contain non-finite entries")
-        if self.gated and np.any(values != 0.0):
-            raise ValueError("gated velocity vector must be all zeros")
-        values.flags.writeable = False
-        object.__setattr__(self, "values", values)
+def _frozen_rows(obj, n: int, **dtypes) -> None:
+    """Cast the named per-row fields of a frozen dataclass to read-only 1-D
+    arrays of `n` entries of the given dtypes and store them back."""
+    for name, dtype in dtypes.items():
+        arr = np.asarray(getattr(obj, name), dtype=dtype)
+        if arr.shape != (n,):
+            raise ValueError(f"{name}: per-row metadata must have one entry per row ({n})")
+        arr.flags.writeable = False
+        object.__setattr__(obj, name, arr)
 
 
 @dataclass(frozen=True)
 class VelocitySet:
-    """Multiset of per-delay-bin velocity series extracted from one capture.
+    """Multiset of per-delay-bin velocity series extracted from one capture:
+    `values` [row, time], one row per (stream, delay bin), with each row's
+    metadata and gating state.
 
-    List order carries no semantic meaning; downstream classification must be
-    invariant to it.
+    Row order carries no semantic meaning; downstream classification must be
+    invariant to it. Gated rows are all zero.
     """
 
-    vectors: tuple
-    n_time: int
+    values: np.ndarray
+    delay_bins: np.ndarray
+    streams: np.ndarray
+    snr_db: np.ndarray
+    gated: np.ndarray
     source: str = ""
 
     def __post_init__(self):
-        vectors = tuple(self.vectors)
-        for v in vectors:
-            if len(v.values) != self.n_time:
-                raise ValueError(
-                    f"vector length {len(v.values)} does not match set length {self.n_time}"
-                )
-        object.__setattr__(self, "vectors", vectors)
+        values = np.asarray(self.values, dtype=np.float64)
+        if values.ndim != 2:
+            raise ValueError("velocity values must be [row, time]")
+        if not np.all(np.isfinite(values)):
+            raise ValueError("velocity values contain non-finite entries")
+        _frozen_rows(
+            self, values.shape[0], delay_bins=np.int64, streams=np.int64, snr_db=np.float64, gated=bool
+        )
+        if np.any(values[self.gated] != 0.0):
+            raise ValueError("gated velocity rows must be all zeros")
+        values.flags.writeable = False
+        object.__setattr__(self, "values", values)
 
     def __len__(self) -> int:
-        return len(self.vectors)
+        return self.values.shape[0]
+
+    @property
+    def n_time(self) -> int:
+        return self.values.shape[1]
 
 
 @dataclass(frozen=True)
 class FeatureSet:
-    """Fixed-dimension feature rows, one per velocity vector of a capture."""
+    """Fixed-dimension feature rows, one per velocity row of a capture."""
 
     features: np.ndarray
     delay_bins: np.ndarray
@@ -225,18 +232,9 @@ class FeatureSet:
         features = np.asarray(self.features, dtype=np.float64)
         if features.ndim != 2:
             raise ValueError("feature matrix must be [row, feature]")
-        n = features.shape[0]
-        bins = np.asarray(self.delay_bins, dtype=np.int64)
-        streams = np.asarray(self.streams, dtype=np.int64)
-        gated = np.asarray(self.gated, dtype=bool)
-        if bins.shape != (n,) or streams.shape != (n,) or gated.shape != (n,):
-            raise ValueError("per-row metadata must match the number of feature rows")
-        for arr, name in ((features, "features"), (bins, "b"), (streams, "s"), (gated, "g")):
-            arr.flags.writeable = False
+        _frozen_rows(self, features.shape[0], delay_bins=np.int64, streams=np.int64, gated=bool)
+        features.flags.writeable = False
         object.__setattr__(self, "features", features)
-        object.__setattr__(self, "delay_bins", bins)
-        object.__setattr__(self, "streams", streams)
-        object.__setattr__(self, "gated", gated)
 
     @property
     def n_rows(self) -> int:
@@ -278,148 +276,124 @@ def write_csit(frame: CsiFrame, path) -> None:
         fh.write(header)
         fh.write(payload.tobytes())
         if frame.meta is not None:
-            blob = json.dumps(frame.meta.to_dict(), sort_keys=True).encode("utf-8")
-            fh.write(struct.pack("<I", len(blob)))
-            fh.write(blob)
+            fh.write(_json_trailer(frame.meta.to_dict()))
 
 
 def read_csit(path) -> CsiFrame:
-    """Inverse of write_csit. Raises FormatError on bad magic/version/truncation."""
+    """Inverse of write_csit. Raises FormatError on bad magic/version/truncation
+    and on a header, payload or metadata trailer the constructors reject."""
     with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < _CSIT_HEADER.size:
-        raise FormatError(f"{path}: file shorter than CSIT header")
-    magic, version, s, n, t, fs, fc, df = _CSIT_HEADER.unpack_from(raw, 0)
-    if magic != CSIT_MAGIC:
+        r = ByteReader(fh.read(), path)
+    magic, version, s, n, t, fs, fc, df = r.unpack(_CSIT_HEADER.format)
+    _check_magic_version(path, CSIT_MAGIC, magic, version)
+    pairs = r.array("<f4", s * n * t * 2).reshape(s, n, t, 2).astype(np.float64)
+    trailer = _read_json_trailer(r)
+    with format_errors(path):
+        config = RadioConfig(
+            carrier_hz=fc, subcarrier_spacing_hz=df, n_subcarriers=n, sample_rate_hz=fs
+        )
+        meta = SampleMeta.from_dict(trailer) if trailer is not None else None
+        return CsiFrame(config=config, data=pairs[..., 0] + 1j * pairs[..., 1], meta=meta)
+
+
+def _check_magic_version(path, expected: bytes, magic: bytes, version: int) -> None:
+    if magic != expected:
         raise FormatError(f"{path}: bad magic {magic!r}")
     if version != FORMAT_VERSION:
-        raise FormatError(f"{path}: unsupported CSIT version {version}")
-    n_payload = s * n * t * 2
-    offset = _CSIT_HEADER.size
-    if len(raw) < offset + n_payload * 4:
-        raise FormatError(f"{path}: truncated payload")
-    flat = np.frombuffer(raw, dtype="<f4", count=n_payload, offset=offset)
-    pairs = flat.reshape(s, n, t, 2).astype(np.float64)
-    data = pairs[..., 0] + 1j * pairs[..., 1]
-    meta = _read_json_trailer(raw, offset + n_payload * 4, path)
-    config = RadioConfig(
-        carrier_hz=fc, subcarrier_spacing_hz=df, n_subcarriers=n, sample_rate_hz=fs
-    )
-    return CsiFrame(
-        config=config,
-        data=data,
-        meta=SampleMeta.from_dict(meta) if meta else None,
-    )
+        raise FormatError(f"{path}: unsupported {expected.decode()} version {version}")
 
 
-def _read_json_trailer(raw: bytes, offset: int, path) -> Optional[dict]:
-    if offset == len(raw):
+def _json_trailer(doc: dict) -> bytes:
+    blob = json.dumps(doc, sort_keys=True).encode("utf-8")
+    return struct.pack("<I", len(blob)) + blob
+
+
+def _read_json_trailer(r: ByteReader) -> Optional[dict]:
+    """The optional `u32 length, UTF-8 JSON object` trailer, which must end the file."""
+    if r.pos == len(r.raw):
         return None
-    r = ByteReader(raw, path, pos=offset)
     (blob_len,) = r.unpack("<I")
-    with format_errors(path):  # JSONDecodeError and UnicodeDecodeError are ValueErrors
+    with format_errors(r.source):  # JSONDecodeError and UnicodeDecodeError are ValueErrors
         trailer = json.loads(r.take(blob_len).decode("utf-8"))
     if not isinstance(trailer, dict):
-        raise FormatError(f"{path}: metadata trailer is not a JSON object")
+        raise FormatError(f"{r.source}: metadata trailer is not a JSON object")
+    if r.pos != len(r.raw):
+        raise FormatError(f"{r.source}: {len(r.raw) - r.pos} bytes after the trailer")
     return trailer
 
 
 # ---------------------------------------------------------------------------
-# DVEL format
+# DVEL and FEAT: fixed-size records
 # ---------------------------------------------------------------------------
+# Both are a header (magic, u32 version, u32 rows, u32 width) followed by one
+# packed record per row, whose last field holds `width` f32 values, then the
+# optional JSON trailer.
 
-_DVEL_HEADER = struct.Struct("<4sIII")
-_DVEL_VEC = struct.Struct("<IIfB")
+_RECORD_HEADER = struct.Struct("<4sIII")
+
+
+def _dvel_record(n_time: int) -> np.dtype:
+    return np.dtype(
+        [("bin", "<u4"), ("stream", "<u4"), ("snr", "<f4"), ("gated", "u1"), ("values", "<f4", (n_time,))]
+    )
+
+
+def _feat_record(dim: int) -> np.dtype:
+    return np.dtype([("bin", "<u4"), ("stream", "<u4"), ("gated", "u1"), ("features", "<f4", (dim,))])
+
+
+def _write_records(path, magic: bytes, record: np.dtype, columns: tuple, trailer: Optional[dict]):
+    """Write one record per row; `columns` are the per-row arrays in field order."""
+    records = np.empty(len(columns[0]), dtype=record)
+    for name, column in zip(record.names, columns):
+        records[name] = column
+    (width,) = record[-1].shape
+    with open(path, "wb") as fh:
+        fh.write(_RECORD_HEADER.pack(magic, FORMAT_VERSION, len(records), width))
+        fh.write(records.tobytes())
+        if trailer is not None:
+            fh.write(_json_trailer(trailer))
+
+
+def _read_records(path, magic: bytes, record) -> tuple:
+    """Inverse of _write_records: (the per-row columns in field order, the
+    trailer or None). `record` maps the header's width to the record dtype."""
+    with open(path, "rb") as fh:
+        r = ByteReader(fh.read(), path)
+    got, version, rows, width = r.unpack(_RECORD_HEADER.format)
+    _check_magic_version(path, magic, got, version)
+    with format_errors(path):  # numpy rejects a record wider than 2 GiB
+        dtype = record(width)
+    records = r.array(dtype, rows)
+    return [records[name] for name in dtype.names], _read_json_trailer(r)
 
 
 def write_dvel(vs: VelocitySet, path) -> None:
-    with open(path, "wb") as fh:
-        fh.write(_DVEL_HEADER.pack(DVEL_MAGIC, FORMAT_VERSION, len(vs.vectors), vs.n_time))
-        for v in vs.vectors:
-            fh.write(_DVEL_VEC.pack(v.delay_bin, v.stream, v.snr_db, int(v.gated)))
-            fh.write(np.asarray(v.values, dtype="<f4").tobytes())
-        if vs.source:
-            blob = json.dumps({"source": vs.source}, sort_keys=True).encode("utf-8")
-            fh.write(struct.pack("<I", len(blob)))
-            fh.write(blob)
+    columns = (vs.delay_bins, vs.streams, vs.snr_db, vs.gated, vs.values)
+    trailer = {"source": vs.source} if vs.source else None
+    _write_records(path, DVEL_MAGIC, _dvel_record(vs.n_time), columns, trailer)
 
 
 def read_dvel(path) -> VelocitySet:
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < _DVEL_HEADER.size:
-        raise FormatError(f"{path}: file shorter than DVEL header")
-    magic, version, n_vectors, n_time = _DVEL_HEADER.unpack_from(raw, 0)
-    if magic != DVEL_MAGIC:
-        raise FormatError(f"{path}: bad magic {magic!r}")
-    if version != FORMAT_VERSION:
-        raise FormatError(f"{path}: unsupported DVEL version {version}")
-    offset = _DVEL_HEADER.size
-    rec_size = _DVEL_VEC.size + 4 * n_time
-    if len(raw) < offset + n_vectors * rec_size:
-        raise FormatError(f"{path}: truncated payload")
-    vectors = []
-    for _ in range(n_vectors):
-        delay_bin, stream, snr_db, gated = _DVEL_VEC.unpack_from(raw, offset)
-        offset += _DVEL_VEC.size
-        values = np.frombuffer(raw, dtype="<f4", count=n_time, offset=offset).astype(np.float64)
-        offset += 4 * n_time
-        vectors.append(
-            VelocityVector(
-                values=values,
-                delay_bin=delay_bin,
-                stream=stream,
-                snr_db=float(snr_db),
-                gated=bool(gated),
-            )
+    (bins, streams, snr_db, gated, values), trailer = _read_records(path, DVEL_MAGIC, _dvel_record)
+    with format_errors(path):
+        return VelocitySet(
+            values=values,
+            delay_bins=bins,
+            streams=streams,
+            snr_db=snr_db,
+            gated=gated,
+            source=trailer.get("source", "") if trailer else "",
         )
-    trailer = _read_json_trailer(raw, offset, path)
-    source = trailer.get("source", "") if trailer else ""
-    return VelocitySet(vectors=tuple(vectors), n_time=n_time, source=source)
-
-
-# ---------------------------------------------------------------------------
-# FEAT format
-# ---------------------------------------------------------------------------
-
-_FEAT_HEADER = struct.Struct("<4sII")
-_FEAT_ROW = struct.Struct("<IIB")
 
 
 def write_feat(fs: FeatureSet, path) -> None:
-    with open(path, "wb") as fh:
-        fh.write(_FEAT_HEADER.pack(FEAT_MAGIC, fs.n_rows, fs.dim))
-        for i in range(fs.n_rows):
-            fh.write(_FEAT_ROW.pack(int(fs.delay_bins[i]), int(fs.streams[i]), int(fs.gated[i])))
-            fh.write(np.asarray(fs.features[i], dtype="<f4").tobytes())
-        if fs.label is not None:
-            blob = json.dumps({"label": fs.label}, sort_keys=True).encode("utf-8")
-            fh.write(struct.pack("<I", len(blob)))
-            fh.write(blob)
+    columns = (fs.delay_bins, fs.streams, fs.gated, fs.features)
+    trailer = {"label": fs.label} if fs.label is not None else None
+    _write_records(path, FEAT_MAGIC, _feat_record(fs.dim), columns, trailer)
 
 
 def read_feat(path) -> FeatureSet:
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < _FEAT_HEADER.size:
-        raise FormatError(f"{path}: file shorter than FEAT header")
-    magic, n_rows, dim = _FEAT_HEADER.unpack_from(raw, 0)
-    if magic != FEAT_MAGIC:
-        raise FormatError(f"{path}: bad magic {magic!r}")
-    offset = _FEAT_HEADER.size
-    rec_size = _FEAT_ROW.size + 4 * dim
-    if len(raw) < offset + n_rows * rec_size:
-        raise FormatError(f"{path}: truncated payload")
-    features = np.empty((n_rows, dim), dtype=np.float64)
-    bins = np.empty(n_rows, dtype=np.int64)
-    streams = np.empty(n_rows, dtype=np.int64)
-    gated = np.empty(n_rows, dtype=bool)
-    for i in range(n_rows):
-        delay_bin, stream, g = _FEAT_ROW.unpack_from(raw, offset)
-        offset += _FEAT_ROW.size
-        features[i] = np.frombuffer(raw, dtype="<f4", count=dim, offset=offset)
-        offset += 4 * dim
-        bins[i], streams[i], gated[i] = delay_bin, stream, bool(g)
-    trailer = _read_json_trailer(raw, offset, path)
+    (bins, streams, gated, features), trailer = _read_records(path, FEAT_MAGIC, _feat_record)
     label = trailer.get("label") if trailer else None
     return FeatureSet(features=features, delay_bins=bins, streams=streams, gated=gated, label=label)

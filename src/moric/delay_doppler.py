@@ -3,18 +3,18 @@
 The IDFT over the subcarrier axis splits the channel into N delay bins at
 tau_i = i / (N * df); each bin's complex time series is turned into a Doppler
 velocity series either by a sliding-window PSD argmax (robust default) or by
-the instantaneous phase derivative Im{h'/h}. Velocity vectors are then SNR
-gated and z-normalized.
+the instantaneous phase derivative Im{h'/h}. The [stream x bin, time] velocity
+rows are then SNR gated and z-normalized.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .core import SPEED_OF_LIGHT, CsiFrame, RadioConfig, VelocitySet, VelocityVector
+from .core import SPEED_OF_LIGHT, CsiFrame, RadioConfig, VelocitySet
 
 VAR_FLOOR = 1e-12
 STD_FLOOR = 1e-9
@@ -161,54 +161,41 @@ def estimate_velocity_phase(bin_series: np.ndarray, radio: RadioConfig) -> np.nd
 
 
 def snr_gate(
-    vec: VelocityVector,
+    values: np.ndarray,
     threshold_db: float = SNR_THRESHOLD_DB,
     static_frac: float = 0.10,
     motion_frac: float = 0.60,
-) -> VelocityVector:
-    """Gate a velocity vector on its motion-to-static variance ratio.
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gate each row of `values` [rows, T] on its motion-to-static variance ratio.
 
     The static segments are the first and last `static_frac` of the window,
-    the motion segment is the central `motion_frac`. Vectors at or below the
-    threshold are zeroed and marked gated.
+    the motion segment is the central `motion_frac`. Returns (values, snr_db,
+    gated): rows at or below the threshold are zeroed and marked gated.
     """
-    values = vec.values
-    t = len(values)
+    values = np.asarray(values, dtype=np.float64)
+    t = values.shape[1]
     if t < 20:
         raise ValueError(f"need at least 20 samples to gate, got {t}")
     n_edge = max(1, int(round(static_frac * t)))
     lo = int(round((1.0 - motion_frac) / 2.0 * t))
-    static = np.concatenate([values[:n_edge], values[t - n_edge :]])
-    motion = values[lo : t - lo]
+    static = np.concatenate([values[:, :n_edge], values[:, t - n_edge :]], axis=1)
+    motion = values[:, lo : t - lo]
     snr_db = 10.0 * np.log10(
-        max(float(np.var(motion)), VAR_FLOOR) / max(float(np.var(static)), VAR_FLOOR)
+        np.maximum(motion.var(axis=1), VAR_FLOOR) / np.maximum(static.var(axis=1), VAR_FLOOR)
     )
-    if snr_db <= threshold_db:
-        return VelocityVector(
-            values=np.zeros(t),
-            delay_bin=vec.delay_bin,
-            stream=vec.stream,
-            snr_db=snr_db,
-            gated=True,
-        )
-    return VelocityVector(
-        values=values, delay_bin=vec.delay_bin, stream=vec.stream, snr_db=snr_db, gated=False
-    )
+    gated = snr_db <= threshold_db
+    return np.where(gated[:, None], 0.0, values), snr_db, gated
 
 
-def normalize(vec: VelocityVector) -> VelocityVector:
-    """Zero-mean unit-variance scaling; gated vectors pass through as zeros."""
-    if vec.gated:
-        return vec
-    values = vec.values
-    scaled = (values - values.mean()) / max(float(values.std()), STD_FLOOR)
-    return VelocityVector(
-        values=scaled,
-        delay_bin=vec.delay_bin,
-        stream=vec.stream,
-        snr_db=vec.snr_db,
-        gated=False,
-    )
+def normalize(values: np.ndarray) -> np.ndarray:
+    """Zero-mean unit-variance scaling of each row of `values` [rows, T].
+
+    The standard deviation is floored at STD_FLOOR, so constant rows, and
+    the all-zero gated rows among them, map to zeros.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    std = np.maximum(values.std(axis=1, keepdims=True), STD_FLOOR)
+    return (values - values.mean(axis=1, keepdims=True)) / std
 
 
 def extract_velocity_set(
@@ -217,24 +204,26 @@ def extract_velocity_set(
     snr_threshold_db: float = SNR_THRESHOLD_DB,
     apply_normalize: bool = True,
 ) -> VelocitySet:
-    """Decompose a (sanitized) frame and estimate one velocity vector per
-    (stream, delay bin), gated and normalized."""
+    """Decompose a (sanitized) frame and estimate one velocity row per
+    (stream, delay bin), stream-major, gated and normalized."""
     params = params or DopplerParams()
     radio = frame.config
-    vectors = []
-    for profile in decompose(frame, remove_static=True):
-        for i in range(profile.bins.shape[0]):
-            series = profile.bins[i]
-            if params.estimator == "psd_argmax":
-                v = estimate_velocity_psd(series, radio, params)
-            else:
-                v = estimate_velocity_phase(series, radio)
-            vec = VelocityVector(
-                values=v, delay_bin=i, stream=profile.stream, snr_db=0.0, gated=False
-            )
-            vec = snr_gate(vec, threshold_db=snr_threshold_db)
-            if apply_normalize:
-                vec = normalize(vec)
-            vectors.append(vec)
-    source = frame.meta.sample_id if frame.meta is not None else ""
-    return VelocitySet(vectors=tuple(vectors), n_time=frame.n_time, source=source)
+    n_bins = radio.n_subcarriers
+    series = np.concatenate([p.bins for p in decompose(frame, remove_static=True)])
+    values = np.empty(series.shape)
+    for row, x in enumerate(series):
+        if params.estimator == "psd_argmax":
+            values[row] = estimate_velocity_psd(x, radio, params)
+        else:
+            values[row] = estimate_velocity_phase(x, radio)
+    values, snr_db, gated = snr_gate(values, threshold_db=snr_threshold_db)
+    if apply_normalize:
+        values = normalize(values)
+    return VelocitySet(
+        values=values,
+        delay_bins=np.tile(np.arange(n_bins), frame.n_streams),
+        streams=np.repeat(np.arange(frame.n_streams), n_bins),
+        snr_db=snr_db,
+        gated=gated,
+        source=frame.meta.sample_id if frame.meta is not None else "",
+    )

@@ -1,7 +1,7 @@
 """Random convolutional kernel transform for velocity time series.
 
 A bank of random dilated kernels is frozen from a seed and applied to every
-velocity vector; each kernel contributes its biased maximum response plus one
+velocity row; each kernel contributes its biased maximum response plus one
 proportion-of-positive-values (PPV) feature per bias. The bank stays fixed
 across all inputs so the transform is a deterministic embedding.
 """
@@ -180,7 +180,7 @@ def apply_batch(bank: KernelBank, x: np.ndarray) -> np.ndarray:
 
     Per kernel the features are [max(z) + b_1, PPV(z + b_1), ..,
     PPV(z + b_B)] with PPV(y) = mean(y > 0). An all-zero row (an SNR-gated
-    velocity vector) convolves to z = 0, so its features are [b_1, b_1 > 0,
+    velocity row) convolves to z = 0, so its features are [b_1, b_1 > 0,
     .., b_B > 0] and it is not convolved. The other rows are convolved in
     blocks of BLOCK_SAMPLES samples, one GEMM per kernel group and block.
     """

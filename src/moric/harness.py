@@ -88,8 +88,13 @@ class Manifest:
     def load(path) -> "Manifest":
         path = Path(path)
         doc = json.loads(path.read_text())
+        items = doc.get("entries") if isinstance(doc, dict) else None
+        if not isinstance(items, list):
+            raise ValueError(f"{path}: a manifest is an object with an 'entries' list")
         entries = []
-        for item in doc["entries"]:
+        for i, item in enumerate(items):
+            if not (isinstance(item, dict) and isinstance(item.get("path"), str) and "meta" in item):
+                raise ValueError(f"{path}: manifest entry {i} needs a 'path' string and a 'meta'")
             p = Path(item["path"])
             if not p.is_absolute():
                 p = path.parent / p
@@ -135,13 +140,11 @@ def velocity_set_for_frame(frame: CsiFrame, cfg: PipelineConfig):
 
 
 def featurize_velocity_set(vs, bank: KernelBank, label: Optional[str] = None) -> FeatureSet:
-    series = np.stack([v.values for v in vs.vectors])
-    mat = features.apply_batch(bank, series)
     return FeatureSet(
-        features=mat,
-        delay_bins=np.array([v.delay_bin for v in vs.vectors]),
-        streams=np.array([v.stream for v in vs.vectors]),
-        gated=np.array([v.gated for v in vs.vectors]),
+        features=features.apply_batch(bank, vs.values),
+        delay_bins=vs.delay_bins,
+        streams=vs.streams,
+        gated=vs.gated,
         label=label,
     )
 
@@ -167,15 +170,12 @@ def build_feature_table(
             )
         vs = velocity_set_for_frame(frame, cfg)
         fset = featurize_velocity_set(vs, bank, label=entry.meta.gesture)
-        snr: Dict[int, list] = {}
-        for v in vs.vectors:
-            snr.setdefault(v.stream, []).append(v.snr_db)
         return PipelineSample(
             feature_set=fset,
             label=entry.meta.gesture,
             subject=entry.meta.subject,
             sample_id=entry.meta.sample_id,
-            snr_by_stream={k: np.asarray(v) for k, v in snr.items()},
+            snr_by_stream={int(k): vs.snr_db[vs.streams == k] for k in np.unique(vs.streams)},
         )
 
     if threads > 1:

@@ -44,7 +44,7 @@ def test_stage_composition(tmp_path, scene_file):
         ["decompose", "--in", str(clean), "--out", str(dvel), "--window", "64", "--hop", "4"]
     ) == 0
     vs = read_dvel(dvel)
-    assert len(vs.vectors) == 16
+    assert len(vs) == 16
 
     assert main(
         ["features", "--in", str(dvel), "--out", str(feat), "--kernels", "20", "--biases", "2"]
@@ -88,6 +88,12 @@ def test_corrupt_input_exits_3(tmp_path, scene_file):
     assert main(["simulate", "--scene", str(scene_file), "--out", str(csit)]) == 0
     bad.write_bytes(csit.read_bytes() + struct.pack("<I", 9) + b"{not json")
     assert main(["sanitize", "--in", str(bad), "--out", str(tmp_path / "y")]) == 3
+    # a JSON-object trailer that is not sample metadata
+    meta = {"sample_id": "a", "subject": "s", "orientation_deg": 0, "gesture": "g", "access_point": "p"}
+    for trailer in ({"a": 1}, {**meta, "orientation_deg": "zz"}, {**meta, "orientation_deg": [1]}):
+        blob = json.dumps(trailer).encode()
+        bad.write_bytes(csit.read_bytes() + struct.pack("<I", len(blob)) + blob)
+        assert main(["sanitize", "--in", str(bad), "--out", str(tmp_path / "y")]) == 3, trailer
 
 
 def test_empty_manifest_exits_2(tmp_path, capsys):
@@ -97,14 +103,25 @@ def test_empty_manifest_exits_2(tmp_path, capsys):
     model = tmp_path / "model.morm"
     save_model(MoricModel(dims=dims, class_labels=("a", "b"), params=init_params(dims, 0)), model)
     manifest = tmp_path / "manifest.json"
-    manifest.write_text(json.dumps({"entries": []}))
-    for argv in (
-        ["train", "--manifest", str(manifest), "--out", str(tmp_path / "out.morm")],
-        ["eval", "--model", str(model), "--manifest", str(manifest)],
-        ["calibrate", "--model", str(model), "--manifest", str(manifest), "--out", str(tmp_path / "c")],
-    ):
-        assert main(argv) == 2, argv[0]
-        assert "manifest has no entries" in capsys.readouterr().err
+    meta = {"sample_id": "a", "subject": "s", "orientation_deg": 0, "gesture": "g", "access_point": "p"}
+    malformed = [
+        ({"entries": []}, "manifest has no entries"),
+        ([], "'entries' list"),
+        ({}, "'entries' list"),
+        ({"entries": [1]}, "entry 0 needs"),
+        ({"entries": [{"meta": meta}]}, "entry 0 needs"),
+        ({"entries": [{"path": str(model)}]}, "entry 0 needs"),
+        ({"entries": [{"path": str(model), "meta": {"a": 1}}]}, "bad sample metadata"),
+    ]
+    for doc, message in malformed:
+        manifest.write_text(json.dumps(doc))
+        for argv in (
+            ["train", "--manifest", str(manifest), "--out", str(tmp_path / "out.morm")],
+            ["eval", "--model", str(model), "--manifest", str(manifest)],
+            ["calibrate", "--model", str(model), "--manifest", str(manifest), "--out", str(tmp_path / "c")],
+        ):
+            assert main(argv) == 2, (argv[0], doc)
+            assert message in capsys.readouterr().err, (argv[0], doc)
 
 
 def test_validation_error_exits_2(tmp_path, scene_file):

@@ -1,3 +1,4 @@
+import json
 import struct
 
 import numpy as np
@@ -11,7 +12,6 @@ from moric.core import (
     SampleMeta,
     SPEED_OF_LIGHT,
     VelocitySet,
-    VelocityVector,
     read_csit,
     read_dvel,
     read_feat,
@@ -117,19 +117,51 @@ def test_csit_rejects_bad_magic_version_truncation(tmp_path):
             read_csit(bad)
 
 
-def _velocity_set(rng, n_vectors=3, t=30, source="sample-1"):
-    vectors = []
-    for i in range(n_vectors):
-        vectors.append(
-            VelocityVector(
-                values=rng.normal(size=t).astype(np.float32).astype(np.float64),
-                delay_bin=i,
-                stream=i % 2,
-                snr_db=float(np.float32(rng.normal())),
-                gated=False,
-            )
-        )
-    return VelocitySet(vectors=tuple(vectors), n_time=t, source=source)
+def _velocity_set(rng, n_rows=3, t=30, source="sample-1"):
+    return VelocitySet(
+        values=rng.normal(size=(n_rows, t)).astype(np.float32).astype(np.float64),
+        delay_bins=np.arange(n_rows),
+        streams=np.arange(n_rows) % 2,
+        snr_db=rng.normal(size=n_rows).astype(np.float32).astype(np.float64),
+        gated=np.zeros(n_rows, dtype=bool),
+        source=source,
+    )
+
+
+def _feature_set(rng, label="circle"):
+    return FeatureSet(
+        features=rng.normal(size=(4, 6)).astype(np.float32).astype(np.float64),
+        delay_bins=np.arange(4),
+        streams=np.zeros(4, dtype=int),
+        gated=np.array([False, True, False, False]),
+        label=label,
+    )
+
+
+def _struct_dvel(vs):
+    """Byte reference: the per-row `struct` writer DVEL had before its rows
+    became one packed record array."""
+    out = [struct.pack("<4sIII", b"DVEL", 1, len(vs), vs.n_time)]
+    for r in range(len(vs)):
+        out.append(struct.pack("<IIfB", vs.delay_bins[r], vs.streams[r], vs.snr_db[r], int(vs.gated[r])))
+        out.append(np.asarray(vs.values[r], dtype="<f4").tobytes())
+    if vs.source:
+        blob = json.dumps({"source": vs.source}, sort_keys=True).encode("utf-8")
+        out += [struct.pack("<I", len(blob)), blob]
+    return b"".join(out)
+
+
+def _struct_feat(fs):
+    """Byte reference: the per-row `struct` writer of FEAT, with the version
+    field after the magic."""
+    out = [struct.pack("<4sIII", b"FEAT", 1, fs.n_rows, fs.dim)]
+    for i in range(fs.n_rows):
+        out.append(struct.pack("<IIB", int(fs.delay_bins[i]), int(fs.streams[i]), int(fs.gated[i])))
+        out.append(np.asarray(fs.features[i], dtype="<f4").tobytes())
+    if fs.label is not None:
+        blob = json.dumps({"label": fs.label}, sort_keys=True).encode("utf-8")
+        out += [struct.pack("<I", len(blob)), blob]
+    return b"".join(out)
 
 
 def test_dvel_round_trip_bitwise(tmp_path):
@@ -141,13 +173,36 @@ def test_dvel_round_trip_bitwise(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
     assert loaded.source == "sample-1"
     assert len(loaded) == 3
-    for orig, back in zip(vs.vectors, loaded.vectors):
-        assert np.array_equal(orig.values, back.values)
-        assert (orig.delay_bin, orig.stream, orig.gated) == (back.delay_bin, back.stream, back.gated)
+    assert np.array_equal(loaded.values, vs.values)
+    for name in ("delay_bins", "streams", "gated"):
+        assert np.array_equal(getattr(loaded, name), getattr(vs, name)), name
+
+
+def test_dvel_and_feat_writers_match_struct_reference(tmp_path):
+    rng = np.random.default_rng(6)
+    gated = _velocity_set(rng, n_rows=5, t=40)
+    values = gated.values.copy()
+    values[[1, 3]] = 0.0
+    gated = VelocitySet(
+        values=values,
+        delay_bins=np.arange(5) + 7,
+        streams=np.array([0, 0, 1, 2, 2]),
+        snr_db=rng.normal(scale=10.0, size=5),  # not f32-representable: the writer rounds
+        gated=np.array([False, True, False, True, False]),
+        source="",
+    )
+    for vs in (_velocity_set(rng), gated, _velocity_set(rng, n_rows=0, t=25)):
+        write_dvel(vs, tmp_path / "v.dvel")
+        assert (tmp_path / "v.dvel").read_bytes() == _struct_dvel(vs)
+    for fs in (_feature_set(rng), _feature_set(rng, label=None)):
+        write_feat(fs, tmp_path / "f.feat")
+        assert (tmp_path / "f.feat").read_bytes() == _struct_feat(fs)
 
 
 def test_dvel_empty_set_legal(tmp_path):
-    vs = VelocitySet(vectors=(), n_time=10, source="")
+    vs = VelocitySet(
+        values=np.zeros((0, 10)), delay_bins=[], streams=[], snr_db=[], gated=[], source=""
+    )
     path = tmp_path / "empty.dvel"
     write_dvel(vs, path)
     loaded = read_dvel(path)
@@ -156,10 +211,16 @@ def test_dvel_empty_set_legal(tmp_path):
 
 
 def test_gated_vector_must_be_zero():
+    def one_row(values, gated):
+        return VelocitySet(
+            values=np.asarray(values)[None], delay_bins=[0], streams=[0], snr_db=[-3.0], gated=[gated]
+        )
+
     with pytest.raises(ValueError):
-        VelocityVector(values=np.array([0.0, 1.0]), delay_bin=0, stream=0, snr_db=0.0, gated=True)
-    v = VelocityVector(values=np.zeros(5), delay_bin=0, stream=0, snr_db=-3.0, gated=True)
+        one_row([0.0, 1.0], gated=True)
+    v = one_row(np.zeros(5), gated=True)
     assert np.all(v.values == 0)
+    assert one_row([0.0, 1.0], gated=False).values[0, 1] == 1.0
 
 
 def test_dvel_truncation_detected(tmp_path):
@@ -172,17 +233,14 @@ def test_dvel_truncation_detected(tmp_path):
     bad.write_bytes(raw[:40])
     with pytest.raises(FormatError):
         read_dvel(bad)
+    # bytes after the trailer
+    bad.write_bytes(raw + b"garbage")
+    with pytest.raises(FormatError, match="after the trailer"):
+        read_dvel(bad)
 
 
 def test_feat_round_trip(tmp_path):
-    rng = np.random.default_rng(5)
-    fs = FeatureSet(
-        features=rng.normal(size=(4, 6)).astype(np.float32).astype(np.float64),
-        delay_bins=np.arange(4),
-        streams=np.zeros(4, dtype=int),
-        gated=np.array([False, True, False, False]),
-        label="circle",
-    )
+    fs = _feature_set(np.random.default_rng(5))
     p1, p2 = tmp_path / "a.feat", tmp_path / "b.feat"
     write_feat(fs, p1)
     loaded = read_feat(p1)
@@ -193,8 +251,71 @@ def test_feat_round_trip(tmp_path):
     assert np.array_equal(loaded.gated, fs.gated)
 
 
+def test_feat_rejects_trailing_bytes_and_versionless_layout(tmp_path):
+    rng = np.random.default_rng(8)
+    path = tmp_path / "f.feat"
+    write_feat(_feature_set(rng), path)
+    raw = path.read_bytes()
+    bad = tmp_path / "bad.feat"
+    bad.write_bytes(raw + b"garbage")
+    with pytest.raises(FormatError, match="after the trailer"):
+        read_feat(bad)
+    # a 1-row file of the layout before FEAT had a version: magic, rows, dim
+    one = FeatureSet(
+        features=rng.normal(size=(1, 6)), delay_bins=[3], streams=[0], gated=[False], label="push_pull"
+    )
+    write_feat(one, path)
+    raw = path.read_bytes()
+    bad.write_bytes(raw[:4] + raw[8:])
+    with pytest.raises(FormatError):
+        read_feat(bad)
+
+
+def _csit_with_trailer(path):
+    frame = random_frame(np.random.default_rng(2), n_streams=1, n_subcarriers=4, n_time=3)
+    meta = SampleMeta("s1", "alice", 90, "circle", "ap1")
+    write_csit(CsiFrame(config=frame.config, data=frame.data, meta=meta), path)
+    return read_csit
+
+
+def _dvel_with_trailer(path):
+    write_dvel(_velocity_set(np.random.default_rng(9), n_rows=2, t=5), path)
+    return read_dvel
+
+
+def _feat_with_trailer(path):
+    write_feat(_feature_set(np.random.default_rng(10)), path)
+    return read_feat
+
+
+@pytest.mark.parametrize("make", [_csit_with_trailer, _dvel_with_trailer, _feat_with_trailer])
+def test_every_proper_prefix_raises_format_error(tmp_path, make):
+    path = tmp_path / "full"
+    read = make(path)
+    raw = path.read_bytes()
+    (blob_len,) = struct.unpack_from("<I", raw, raw.rindex(b"{") - 4)
+    payload_end = len(raw) - 4 - blob_len
+    prefix = tmp_path / "prefix"
+    accepted = []
+    for n in range(len(raw)):
+        prefix.write_bytes(raw[:n])
+        try:
+            read(prefix)
+        except FormatError:
+            continue
+        accepted.append(n)
+    assert accepted == [payload_end]
+
+
 def test_velocity_set_rejects_mismatched_lengths():
-    v1 = VelocityVector(values=np.zeros(5), delay_bin=0, stream=0, snr_db=0.0, gated=False)
-    v2 = VelocityVector(values=np.zeros(6), delay_bin=1, stream=0, snr_db=0.0, gated=False)
+    # the array form of "every row has the set's length": one metadata entry per row
     with pytest.raises(ValueError):
-        VelocitySet(vectors=(v1, v2), n_time=5)
+        VelocitySet(values=np.zeros((2, 5)), delay_bins=[0], streams=[0, 0], snr_db=[0, 0], gated=[0, 0])
+    with pytest.raises(ValueError):
+        VelocitySet(values=np.zeros(5), delay_bins=[0], streams=[0], snr_db=[0], gated=[0])
+    with pytest.raises(ValueError):
+        VelocitySet(values=[[0.0, np.nan]], delay_bins=[0], streams=[0], snr_db=[0], gated=[0])
+    vs = VelocitySet(values=np.zeros((2, 5)), delay_bins=[0, 1], streams=[0, 0], snr_db=[0, 0], gated=[0, 0])
+    assert vs.n_time == 5
+    with pytest.raises(ValueError):
+        vs.values[0, 0] = 1.0  # read-only

@@ -1,8 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from moric.core import CsiFrame, SPEED_OF_LIGHT, VelocityVector
+from moric.core import CsiFrame, SPEED_OF_LIGHT
 from moric.delay_doppler import (
+    STD_FLOOR,
+    VAR_FLOOR,
     DopplerParams,
     decompose,
     estimate_velocity_phase,
@@ -12,9 +16,10 @@ from moric.delay_doppler import (
     periodic_sinc,
     snr_gate,
 )
+from moric.sanitize import sanitize_frame
 from moric.simulator import NoiseParams, Scene, ScatterCluster, Trajectory, synthesize_csi
 
-from conftest import make_radio
+from conftest import make_gesture_scene, make_radio
 
 
 def _frame(data, sample_rate_hz=100.0):
@@ -247,29 +252,18 @@ def test_phase_and_psd_agree_on_clean_tone(radio):
 # ---------------------------------------------------------------------------
 
 
-def _vec(values, delay_bin=0, stream=0):
-    return VelocityVector(
-        values=np.asarray(values, dtype=float),
-        delay_bin=delay_bin,
-        stream=stream,
-        snr_db=0.0,
-        gated=False,
-    )
+def _rows(values):
+    return np.atleast_2d(np.asarray(values, dtype=float))
 
 
 def test_gate_iid_noise_is_discarded():
-    # equal-variance segments: SNR concentrates near 0 dB, so vectors gate
+    # equal-variance segments: SNR concentrates near 0 dB, so rows gate
     rng = np.random.default_rng(29)
-    snrs = []
-    gated = []
-    for _ in range(50):
-        v = snr_gate(_vec(rng.normal(size=500)))
-        snrs.append(v.snr_db)
-        gated.append(v.gated)
+    _, snrs, gated = snr_gate(rng.normal(size=(50, 500)))
     snrs = np.abs(snrs)
     assert np.median(snrs) < 1.0  # |SNR| concentrates well below the gate
     assert np.mean(snrs < 1.0) >= 0.75
-    assert all(gated)  # every draw sits at or below the 2 dB threshold
+    assert np.all(gated)  # every draw sits at or below the 2 dB threshold
 
 
 def test_gate_keeps_100x_motion_variance():
@@ -280,51 +274,112 @@ def test_gate_keeps_100x_motion_variance():
     values[-10:] = edge
     center = np.tile([10.0, -10.0], 30)
     values[20:80] = center
-    v = snr_gate(_vec(values))
-    assert v.snr_db == pytest.approx(20.0, abs=1e-9)
-    assert not v.gated
+    out, snr_db, gated = snr_gate(_rows(values))
+    assert snr_db[0] == pytest.approx(20.0, abs=1e-9)
+    assert not gated[0]
+    assert np.array_equal(out[0], values)
 
 
 def test_gate_all_zero_vector():
-    v = snr_gate(_vec(np.zeros(100)))
-    assert v.snr_db == pytest.approx(0.0)
-    assert v.gated
-    assert np.all(v.values == 0)
+    out, snr_db, gated = snr_gate(_rows(np.zeros(100)))
+    assert snr_db[0] == pytest.approx(0.0)
+    assert gated[0]
+    assert np.all(out == 0)
 
 
 def test_gate_requires_minimum_length():
     with pytest.raises(ValueError):
-        snr_gate(_vec(np.zeros(10)))
+        snr_gate(_rows(np.zeros(10)))
 
 
 def test_normalize_constant_vector_to_zeros():
-    v = normalize(_vec(np.full(50, 2.5)))
-    assert np.allclose(v.values, 0.0)
+    assert np.allclose(normalize(_rows(np.full(50, 2.5))), 0.0)
 
 
 def test_normalize_affine_invariance():
     rng = np.random.default_rng(31)
     x = rng.normal(size=64)
     a, b = 3.7, -1.2
-    v1 = normalize(_vec(x))
-    v2 = normalize(_vec(a * x + b))
-    assert np.allclose(v1.values, v2.values, atol=1e-12)
+    v1 = normalize(_rows(x))
+    v2 = normalize(_rows(a * x + b))
+    assert np.allclose(v1, v2, atol=1e-12)
 
 
 def test_normalize_moments():
     rng = np.random.default_rng(32)
-    v = normalize(_vec(rng.normal(loc=4.0, scale=2.0, size=256)))
-    assert abs(v.values.mean()) < 1e-12
-    assert abs(v.values.std() - 1.0) < 1e-9
+    v = normalize(_rows(rng.normal(loc=4.0, scale=2.0, size=256)))[0]
+    assert abs(v.mean()) < 1e-12
+    assert abs(v.std() - 1.0) < 1e-9
 
 
 def test_normalize_passes_gated_through():
-    gated = VelocityVector(
-        values=np.zeros(50), delay_bin=1, stream=0, snr_db=-5.0, gated=True
+    rng = np.random.default_rng(33)
+    values, _, gated = snr_gate(np.vstack([np.zeros(50), rng.normal(size=50)]))
+    out = normalize(values)
+    assert gated[0]
+    assert np.all(out[0] == 0)
+
+
+# Per-row reference: the gate and normalization as they ran on one velocity
+# series at a time before velocity sets became arrays.
+
+
+def _reference_gate(values, threshold_db=2.0, static_frac=0.10, motion_frac=0.60):
+    t = len(values)
+    n_edge = max(1, int(round(static_frac * t)))
+    lo = int(round((1.0 - motion_frac) / 2.0 * t))
+    static = np.concatenate([values[:n_edge], values[t - n_edge :]])
+    motion = values[lo : t - lo]
+    snr_db = 10.0 * np.log10(
+        max(float(np.var(motion)), VAR_FLOOR) / max(float(np.var(static)), VAR_FLOOR)
     )
-    out = normalize(gated)
-    assert out.gated
-    assert np.all(out.values == 0)
+    if snr_db <= threshold_db:
+        return np.zeros(t), snr_db, True
+    return values, snr_db, False
+
+
+def _reference_normalize(values, gated):
+    if gated:
+        return values
+    return (values - values.mean()) / max(float(values.std()), STD_FLOOR)
+
+
+def _reference_velocity_rows(frame, params, apply_normalize):
+    rows = []
+    for profile in decompose(frame, remove_static=True):
+        for i in range(profile.bins.shape[0]):
+            v = estimate_velocity_psd(profile.bins[i], frame.config, params)
+            v, snr_db, gated = _reference_gate(v)
+            if apply_normalize:
+                v = _reference_normalize(v, gated)
+            rows.append((v, i, profile.stream, snr_db, gated))
+    values, bins, streams, snr_db, gated = zip(*rows)
+    return np.stack(values), np.array(bins), np.array(streams), np.array(snr_db), np.array(gated)
+
+
+def test_extract_velocity_set_matches_per_row_reference_bitwise():
+    rng = np.random.default_rng(34)
+    radio = make_radio(n_subcarriers=16)
+    impaired = NoiseParams(csd_delay_s=(0.0, 50e-9, 100e-9), sto_walk_std_s=5e-9, awgn_snr_db=15.0)
+    frames = []
+    for gesture, streams, noise in (("circle", 1, None), ("push_pull", 3, impaired)):
+        scene = make_gesture_scene(rng, gesture, radio, duration_s=4.0)
+        scene = dataclasses.replace(scene, n_streams=streams, noise=noise or scene.noise)
+        frames.append(sanitize_frame(synthesize_csi(scene, seed=streams)[0]))
+    n_gated = n_rows = 0
+    for frame in frames:
+        for apply_normalize in (True, False):
+            vs = extract_velocity_set(frame, DopplerParams(), apply_normalize=apply_normalize)
+            values, bins, streams, snr_db, gated = _reference_velocity_rows(
+                frame, DopplerParams(), apply_normalize
+            )
+            assert vs.values.tobytes() == values.tobytes()
+            assert vs.snr_db.tobytes() == snr_db.tobytes()
+            assert np.array_equal(vs.gated, gated)
+            assert np.array_equal(vs.delay_bins, bins) and np.array_equal(vs.streams, streams)
+            n_gated += int(gated.sum())
+            n_rows += len(gated)
+    assert 0 < n_gated < n_rows
 
 
 # ---------------------------------------------------------------------------
@@ -358,11 +413,10 @@ def test_extract_velocity_set_keeps_motion_bin(radio):
     )
     frame, truth = synthesize_csi(scene, seed=51)
     vs = extract_velocity_set(frame, DopplerParams(), apply_normalize=False)
-    by_bin = {(v.stream, v.delay_bin): v for v in vs.vectors}
-    target = by_bin[(0, 5)]
-    assert not target.gated
+    (target,) = np.flatnonzero((vs.streams == 0) & (vs.delay_bins == 5))
+    assert not vs.gated[target]
     truth_series = truth.projected_velocity[0]
-    corr = np.corrcoef(target.values, truth_series)[0, 1]
+    corr = np.corrcoef(vs.values[target], truth_series)[0, 1]
     assert corr > 0.7
     assert vs.n_time == frame.n_time
 
