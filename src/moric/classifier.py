@@ -9,11 +9,17 @@ repetition. Training is plain mini-batch backprop with an adaptive-moment
 optimizer using decoupled weight decay, cross-entropy with label smoothing,
 and early stopping on validation loss. A post-hoc temperature + per-class-bias
 calibration can be fitted on a handful of held-out samples.
+
+The parameters live in one flat vector, packed in `param_names` order (the
+MORM weight layout); the named arrays are views of it. Training runs in
+float32: weights, optimizer state, gradients and every matrix product, with
+only the softmax and the loss taken in float64. The returned model is float64,
+and inference runs in float64.
 """
 
 from __future__ import annotations
 
-import copy
+import math
 import struct
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -29,6 +35,7 @@ MODEL_VERSION = 1
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+ADAM_BLOCK = 1 << 16  # elements per optimizer block: ~256 KiB of float32 per vector
 
 
 @dataclass(frozen=True)
@@ -110,31 +117,47 @@ def param_names(n_heads: int) -> List[str]:
     return names
 
 
-def _param_shapes(dims: ModelDims) -> Dict[str, Tuple[int, ...]]:
-    shapes: Dict[str, Tuple[int, ...]] = {}
-    for k in range(dims.n_heads):
-        shapes[f"head{k}_w1"] = (dims.input_dim, dims.head_hidden)
-        shapes[f"head{k}_b1"] = (dims.head_hidden,)
-        shapes[f"head{k}_w2"] = (dims.head_hidden, dims.reduced_dim)
-        shapes[f"head{k}_b2"] = (dims.reduced_dim,)
-    shapes["cls_w1"] = (dims.n_heads * dims.reduced_dim, dims.cls_hidden)
-    shapes["cls_b1"] = (dims.cls_hidden,)
-    shapes["cls_w2"] = (dims.cls_hidden, dims.n_classes)
-    shapes["cls_b2"] = (dims.n_classes,)
-    return shapes
+def _part_shapes(dims: ModelDims):
+    """Shapes of (w1, b1, w2, b2) for one head and for the classifier MLP."""
+    hid, red, ch, nc = dims.head_hidden, dims.reduced_dim, dims.cls_hidden, dims.n_classes
+    head = ((dims.input_dim, hid), (hid,), (hid, red), (red,))
+    cls = ((dims.n_heads * red, ch), (ch,), (ch, nc), (nc,))
+    return head, cls
+
+
+def _weight_count(dims: ModelDims) -> int:
+    head, cls = _part_shapes(dims)
+    return dims.n_heads * sum(map(math.prod, head)) + sum(map(math.prod, cls))
+
+
+def _param_views(dims: ModelDims, flat: np.ndarray) -> Dict[str, np.ndarray]:
+    """The named parameters as views of `flat` [_weight_count(dims)], packed
+    in param_names order: the MORM weight layout."""
+    head, cls = _part_shapes(dims)
+    views, pos = {}, 0
+    for name, shape in zip(param_names(dims.n_heads), head * dims.n_heads + cls):
+        size = math.prod(shape)
+        views[name] = flat[pos : pos + size].reshape(shape)
+        pos += size
+    return views
+
+
+def _init_weights(dims: ModelDims, seed: int) -> np.ndarray:
+    """Uniform fan-in initialization of the flat weight vector, drawn in
+    param_names order."""
+    rng = np.random.default_rng(seed)
+    flat = np.empty(_weight_count(dims))
+    params = _param_views(dims, flat)
+    for name, p in params.items():
+        bound = 1.0 / np.sqrt(params[name.replace("_b", "_w")].shape[0])
+        p[...] = rng.uniform(-bound, bound, p.shape)
+    return flat
 
 
 def init_params(dims: ModelDims, seed: int) -> Dict[str, np.ndarray]:
-    """Uniform fan-in initialization, drawn in a fixed parameter order."""
-    rng = np.random.default_rng(seed)
-    shapes = _param_shapes(dims)
-    params = {}
-    for name in param_names(dims.n_heads):
-        shape = shapes[name]
-        fan_in = shape[0] if len(shape) == 2 else shapes[name.replace("_b", "_w")][0]
-        bound = 1.0 / np.sqrt(fan_in)
-        params[name] = rng.uniform(-bound, bound, shape)
-    return params
+    """Uniform fan-in initialization, drawn in a fixed parameter order; the
+    arrays are views of one float64 buffer."""
+    return _param_views(dims, _init_weights(dims, seed))
 
 
 def softmax(z: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -202,20 +225,21 @@ def _batch_forward(params, dims: ModelDims, rows: np.ndarray, offsets: np.ndarra
     for backprop."""
     n_sets = len(offsets) - 1
     cache = {"rows": rows, "offsets": offsets, "heads": []}
-    pooled = np.empty((n_sets, dims.n_heads * dims.reduced_dim))
+    pooled = np.empty((n_sets, dims.n_heads * dims.reduced_dim), dtype=rows.dtype)
+    dr_idx = np.arange(dims.reduced_dim)
     for k in range(dims.n_heads):
         w1, b1 = params[f"head{k}_w1"], params[f"head{k}_b1"]
         w2, b2 = params[f"head{k}_w2"], params[f"head{k}_b2"]
-        z1 = np.maximum(rows @ w1 + b1, 0.0)
+        z1 = rows @ w1
+        z1 += b1
+        np.maximum(z1, 0.0, out=z1)
         f_red = z1 @ w2 + b2  # [total_rows, Dr]
         amax = np.empty((n_sets, dims.reduced_dim), dtype=np.int64)
         for b in range(n_sets):
-            seg = f_red[offsets[b] : offsets[b + 1]]
-            idx = np.argmax(seg, axis=0)  # first max: ties route to lowest row
-            amax[b] = offsets[b] + idx
-            pooled[b, k * dims.reduced_dim : (k + 1) * dims.reduced_dim] = seg[
-                idx, np.arange(dims.reduced_dim)
-            ]
+            # first max: ties route to the lowest row
+            amax[b] = np.argmax(f_red[offsets[b] : offsets[b + 1]], axis=0)
+        amax += offsets[:-1, None]
+        pooled[:, k * dims.reduced_dim : (k + 1) * dims.reduced_dim] = f_red[amax, dr_idx]
         cache["heads"].append({"z1": z1, "amax": amax})
     h = np.maximum(pooled @ params["cls_w1"] + params["cls_b1"], 0.0)
     logits = h @ params["cls_w2"] + params["cls_b2"]
@@ -231,41 +255,50 @@ def smoothed_targets(labels_idx: np.ndarray, n_classes: int, smoothing: float) -
 
 
 def loss_and_grads(params, dims: ModelDims, rows, offsets, labels_idx, smoothing: float):
-    """Mean smoothed cross-entropy over the batch plus analytic gradients.
+    """Mean smoothed cross-entropy over the batch plus analytic gradients,
+    named views of one flat vector of `rows.dtype` in param_names order.
 
     The max-pool subgradient routes to exactly one argmax row per pooled
     dimension (the first maximum).
     """
+    loss, grad = _loss_and_flat_grad(params, dims, rows, offsets, labels_idx, smoothing)
+    return loss, _param_views(dims, grad)
+
+
+def _loss_and_flat_grad(params, dims: ModelDims, rows, offsets, labels_idx, smoothing: float):
+    """loss_and_grads with the gradient as the flat vector itself."""
     logits, cache = _batch_forward(params, dims, rows, offsets)
     n = logits.shape[0]
-    probs = softmax(logits, axis=1)
+    # float64 softmax: a float32 probability can underflow to 0 and the loss to inf
+    probs = softmax(logits.astype(np.float64), axis=1)
     q = smoothed_targets(labels_idx, dims.n_classes, smoothing)
     loss = float(-np.sum(q * np.log(np.maximum(probs, 1e-300))) / n)
 
-    grads = {}
-    dz = (probs - q) / n
-    grads["cls_w2"] = cache["h"].T @ dz
-    grads["cls_b2"] = dz.sum(axis=0)
+    grad = np.empty(_weight_count(dims), dtype=rows.dtype)
+    grads = _param_views(dims, grad)
+    dz = ((probs - q) / n).astype(rows.dtype)
+    np.matmul(cache["h"].T, dz, out=grads["cls_w2"])
+    grads["cls_b2"][...] = dz.sum(axis=0)
     dh = dz @ params["cls_w2"].T
     da = dh * (cache["h"] > 0)
-    grads["cls_w1"] = cache["pooled"].T @ da
-    grads["cls_b1"] = da.sum(axis=0)
+    np.matmul(cache["pooled"].T, da, out=grads["cls_w1"])
+    grads["cls_b1"][...] = da.sum(axis=0)
     du = da @ params["cls_w1"].T  # [n_sets, K*Dr]
     dr_idx = np.arange(dims.reduced_dim)
     for k in range(dims.n_heads):
         head = cache["heads"][k]
         d_fmax = du[:, k * dims.reduced_dim : (k + 1) * dims.reduced_dim]
-        d_fred = np.zeros((rows.shape[0], dims.reduced_dim))
-        for b in range(n):
-            # (row, dim) pairs are unique within a set, so indexed add is exact
-            d_fred[head["amax"][b], dr_idx] += d_fmax[b]
-        grads[f"head{k}_w2"] = head["z1"].T @ d_fred
-        grads[f"head{k}_b2"] = d_fred.sum(axis=0)
+        d_fred = np.zeros((rows.shape[0], dims.reduced_dim), dtype=rows.dtype)
+        # each row belongs to one set, so the (row, dim) pairs are unique and
+        # the indexed add is exact
+        d_fred[head["amax"], dr_idx] += d_fmax
+        np.matmul(head["z1"].T, d_fred, out=grads[f"head{k}_w2"])
+        grads[f"head{k}_b2"][...] = d_fred.sum(axis=0)
         dz1 = d_fred @ params[f"head{k}_w2"].T
         da1 = dz1 * (head["z1"] > 0)
-        grads[f"head{k}_w1"] = rows.T @ da1
-        grads[f"head{k}_b1"] = da1.sum(axis=0)
-    return loss, grads
+        np.matmul(rows.T, da1, out=grads[f"head{k}_w1"])
+        grads[f"head{k}_b1"][...] = da1.sum(axis=0)
+    return loss, grad
 
 
 def _batch_loss(params, dims, row_matrices, labels_idx, smoothing, batch_size=256):
@@ -274,7 +307,7 @@ def _batch_loss(params, dims, row_matrices, labels_idx, smoothing, batch_size=25
         chunk = row_matrices[start : start + batch_size]
         rows, offsets = _pack_sets(chunk)
         logits, _ = _batch_forward(params, dims, rows, offsets)
-        probs = softmax(logits, axis=1)
+        probs = softmax(logits.astype(np.float64), axis=1)
         q = smoothed_targets(labels_idx[start : start + batch_size], dims.n_classes, smoothing)
         total += float(-np.sum(q * np.log(np.maximum(probs, 1e-300))))
     return total / len(row_matrices)
@@ -322,17 +355,18 @@ def train(
     stacked = np.concatenate(train_rows, axis=0)
     feat_mean = stacked.mean(axis=0)
     feat_scale = np.maximum(stacked.std(axis=0), 1e-9)
-    train_rows = [(r - feat_mean) / feat_scale for r in train_rows]
-    val_rows = [(r - feat_mean) / feat_scale for r in val_rows]
+    train_rows = [((r - feat_mean) / feat_scale).astype(np.float32) for r in train_rows]
+    val_rows = [((r - feat_mean) / feat_scale).astype(np.float32) for r in val_rows]
 
-    params = init_params(dims, cfg.seed)
-    m_state = {k: np.zeros_like(v) for k, v in params.items()}
-    v_state = {k: np.zeros_like(v) for k, v in params.items()}
+    flat = _init_weights(dims, cfg.seed).astype(np.float32)
+    params = _param_views(dims, flat)
+    m_state = np.zeros_like(flat)
+    v_state = np.zeros_like(flat)
     step = 0
 
     rng = np.random.default_rng([cfg.seed, 0xBA7C])
     best_loss = np.inf
-    best_params = copy.deepcopy(params)
+    best = flat.copy()
     stale = 0
 
     for epoch in range(cfg.max_epochs):
@@ -340,7 +374,7 @@ def train(
         for start in range(0, len(order), cfg.batch_size):
             batch = order[start : start + cfg.batch_size]
             rows, offsets = _pack_sets([train_rows[i] for i in batch])
-            loss, grads = loss_and_grads(
+            loss, grad = _loss_and_flat_grad(
                 params, dims, rows, offsets, train_labels[batch], cfg.label_smoothing
             )
             if not np.isfinite(loss):
@@ -348,13 +382,7 @@ def train(
                     f"non-finite training loss at epoch {epoch}, batch starting {start}"
                 )
             step += 1
-            bc1 = 1.0 - ADAM_BETA1**step
-            bc2 = 1.0 - ADAM_BETA2**step
-            for name, g in grads.items():
-                m_state[name] = ADAM_BETA1 * m_state[name] + (1 - ADAM_BETA1) * g
-                v_state[name] = ADAM_BETA2 * v_state[name] + (1 - ADAM_BETA2) * g * g
-                update = (m_state[name] / bc1) / (np.sqrt(v_state[name] / bc2) + ADAM_EPS)
-                params[name] -= cfg.lr * (update + cfg.weight_decay * params[name])
+            _adam_step(flat, grad, m_state, v_state, step, cfg)
 
         if val_rows:
             val_loss = _batch_loss(params, dims, val_rows, val_labels, cfg.label_smoothing)
@@ -362,7 +390,7 @@ def train(
             val_loss = _batch_loss(params, dims, train_rows, train_labels, cfg.label_smoothing)
         if val_loss < best_loss:
             best_loss = val_loss
-            best_params = copy.deepcopy(params)
+            np.copyto(best, flat)
             stale = 0
         else:
             stale += 1
@@ -371,10 +399,11 @@ def train(
 
     # fold the feature standardization into the first layer:
     # ((x - mu) / sd) @ w1 + b1  ==  x @ (w1 / sd) + (b1 - (mu / sd) @ w1)
+    best_params = _param_views(dims, best.astype(np.float64))
     for k in range(n_heads):
         w1 = best_params[f"head{k}_w1"]
-        best_params[f"head{k}_b1"] = best_params[f"head{k}_b1"] - (feat_mean / feat_scale) @ w1
-        best_params[f"head{k}_w1"] = w1 / feat_scale[:, None]
+        best_params[f"head{k}_b1"] -= (feat_mean / feat_scale) @ w1
+        w1 /= feat_scale[:, None]
 
     return MoricModel(
         dims=dims,
@@ -384,6 +413,23 @@ def train(
         kernel_bank=kernel_bank,
         mask_gated=mask_gated,
     )
+
+
+def _adam_step(flat, grad, m, v, step: int, cfg: TrainConfig) -> None:
+    """One AdamW update of the flat weights and moment vectors, in place,
+    block by block so that each block's temporaries stay in cache."""
+    bc1 = 1.0 - ADAM_BETA1**step
+    bc2 = 1.0 - ADAM_BETA2**step
+    for i in range(0, flat.size, ADAM_BLOCK):
+        w, g, mb, vb = (a[i : i + ADAM_BLOCK] for a in (flat, grad, m, v))
+        mb += (1 - ADAM_BETA1) * (g - mb)
+        vb += (1 - ADAM_BETA2) * (g * g - vb)
+        update = np.sqrt(vb / bc2)
+        update += ADAM_EPS
+        np.divide(mb / bc1, update, out=update)
+        update += cfg.weight_decay * w
+        update *= cfg.lr
+        w -= update
 
 
 # ---------------------------------------------------------------------------
@@ -453,8 +499,8 @@ def save_model(model: MoricModel, path) -> None:
         blob = label.encode("utf-8")
         parts.append(struct.pack("<H", len(blob)))
         parts.append(blob)
-    for name in param_names(d.n_heads):
-        parts.append(np.ascontiguousarray(model.params[name], dtype="<f4").tobytes())
+    weights = [np.ravel(model.params[name]) for name in param_names(d.n_heads)]
+    parts.append(np.concatenate(weights, dtype="<f4").tobytes())
     if model.kernel_bank is not None:
         parts.append(b"\x01")
         parts.append(serialize_bank(model.kernel_bank))
@@ -498,15 +544,10 @@ def load_model(path) -> MoricModel:
             (length,) = r.unpack("<H")
             labels.append(r.take(length).decode("utf-8"))  # UnicodeDecodeError is a ValueError
         # bound the header by the bytes left before building per-parameter state
-        head = head_hidden * (input_dim + 1) + reduced_dim * (head_hidden + 1 + cls_hidden)
-        n_weights = n_heads * head + cls_hidden * (1 + n_classes) + n_classes
+        n_weights = _weight_count(dims)
         if 4 * n_weights > len(raw) - r.pos:
             raise FormatError(f"{path}: truncated at byte {r.pos} (header needs {4 * n_weights} weight bytes)")
-        shapes = _param_shapes(dims)
-        params = {
-            name: r.array("<f4", int(np.prod(shapes[name]))).astype(np.float64).reshape(shapes[name])
-            for name in param_names(n_heads)
-        }
+        params = _param_views(dims, r.array("<f4", n_weights).astype(np.float64))
         bank = None
         if _read_flag(r):
             bank, used = deserialize_bank(raw, r.pos)

@@ -365,6 +365,9 @@ def _read_records(path, magic: bytes, record) -> tuple:
     with format_errors(path):  # numpy rejects a record wider than 2 GiB
         dtype = record(width)
     records = r.array(dtype, rows)
+    bad = np.flatnonzero(records["gated"] > 1)
+    if bad.size:
+        raise FormatError(f"{path}: gated flag other than 0/1 in row {bad[0]}")
     return [records[name] for name in dtype.names], _read_json_trailer(r)
 
 

@@ -289,6 +289,16 @@ def run_loso(
     subjects = manifest.subjects()
     if len(subjects) < 2:
         raise ValueError(f"LOSO needs at least 2 subjects, got {subjects}")
+    # a gesture only one subject has is missing from that subject's fold model
+    owners: Dict[str, set] = {}
+    for e in manifest.entries:
+        owners.setdefault(e.meta.gesture, set()).add(e.meta.subject)
+    for gesture, who in sorted(owners.items()):
+        if len(who) < 2:
+            raise ValueError(
+                f"gesture {gesture!r} occurs only for subject {min(who)!r}; "
+                "LOSO needs every gesture in at least 2 subjects"
+            )
     if samples is None:
         samples = build_feature_table(manifest, pipeline_cfg, threads=threads)
     per_subject: Dict[str, List[PipelineSample]] = {s: [] for s in subjects}

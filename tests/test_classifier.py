@@ -22,6 +22,7 @@ from moric.classifier import (
     smoothed_targets,
     softmax,
     train,
+    _batch_forward,
     _batch_loss,
     _pack_sets,
 )
@@ -247,6 +248,73 @@ def test_analytic_gradients_match_finite_differences():
             assert abs(fd - an) / denom < 1e-4, f"{name}[{index}]: fd={fd}, analytic={an}"
 
 
+def _reference_loss_and_grads(params, dims, rows, offsets, labels_idx, smoothing):
+    """The per-name float64 backward pass, one new array per gradient."""
+    logits, cache = _batch_forward(params, dims, rows, offsets)
+    n = logits.shape[0]
+    probs = softmax(logits, axis=1)
+    q = smoothed_targets(labels_idx, dims.n_classes, smoothing)
+    loss = float(-np.sum(q * np.log(np.maximum(probs, 1e-300))) / n)
+    grads = {}
+    dz = (probs - q) / n
+    grads["cls_w2"] = cache["h"].T @ dz
+    grads["cls_b2"] = dz.sum(axis=0)
+    da = (dz @ params["cls_w2"].T) * (cache["h"] > 0)
+    grads["cls_w1"] = cache["pooled"].T @ da
+    grads["cls_b1"] = da.sum(axis=0)
+    du = da @ params["cls_w1"].T
+    dr_idx = np.arange(dims.reduced_dim)
+    for k in range(dims.n_heads):
+        head = cache["heads"][k]
+        d_fmax = du[:, k * dims.reduced_dim : (k + 1) * dims.reduced_dim]
+        d_fred = np.zeros((rows.shape[0], dims.reduced_dim))
+        for b in range(n):
+            d_fred[head["amax"][b], dr_idx] += d_fmax[b]
+        grads[f"head{k}_w2"] = head["z1"].T @ d_fred
+        grads[f"head{k}_b2"] = d_fred.sum(axis=0)
+        da1 = (d_fred @ params[f"head{k}_w2"].T) * (head["z1"] > 0)
+        grads[f"head{k}_w1"] = rows.T @ da1
+        grads[f"head{k}_b1"] = da1.sum(axis=0)
+    return loss, grads
+
+
+def test_gradients_follow_row_dtype():
+    rng = np.random.default_rng(19)
+    dims = ModelDims(input_dim=30, n_heads=2, head_hidden=12, reduced_dim=6, cls_hidden=7, n_classes=3)
+    params = {k: v.astype(np.float32).astype(np.float64) for k, v in init_params(dims, 5).items()}
+    rows, offsets = _pack_sets([rng.normal(size=(int(rng.integers(1, 9)), 30)) for _ in range(6)])
+    rows = rows.astype(np.float32).astype(np.float64)
+    labels = np.array([0, 1, 2, 2, 1, 0])
+    want_loss, want = _reference_loss_and_grads(params, dims, rows, offsets, labels, 0.1)
+
+    loss, grads = loss_and_grads(params, dims, rows, offsets, labels, 0.1)
+    assert loss == pytest.approx(want_loss, rel=1e-12)
+    for name in param_names(dims.n_heads):
+        assert grads[name].dtype == np.float64
+        assert np.allclose(grads[name], want[name], rtol=1e-12, atol=1e-15), name
+
+    params32 = {k: v.astype(np.float32) for k, v in params.items()}
+    loss, grads = loss_and_grads(params32, dims, rows.astype(np.float32), offsets, labels, 0.1)
+    assert loss == pytest.approx(want_loss, rel=1e-5)
+    for name in param_names(dims.n_heads):
+        assert grads[name].dtype == np.float32
+        scale = np.max(np.abs(want[name]))
+        assert np.allclose(grads[name], want[name], rtol=0, atol=1e-4 * scale), name
+
+
+def test_float32_loss_stays_finite_when_a_probability_underflows():
+    # exp(-300) is 0 in float32 but a normal float64
+    dims = ModelDims(input_dim=4, n_heads=1, head_hidden=3, reduced_dim=2, cls_hidden=3, n_classes=2)
+    params = {k: v.astype(np.float32) for k, v in init_params(dims, 2).items()}
+    params["cls_w2"][...] = 0.0
+    params["cls_b2"][...] = [0.0, -300.0]
+    rows, offsets = _pack_sets([np.ones((2, 4), dtype=np.float32)])
+    loss, grads = loss_and_grads(params, dims, rows, offsets, np.array([0]), 0.1)
+    assert np.isfinite(loss) and loss > 0
+    assert _batch_loss(params, dims, [rows], np.array([0]), 0.1) == pytest.approx(loss, rel=1e-12)
+    assert all(np.all(np.isfinite(g)) for g in grads.values())
+
+
 def _passthrough_params(dims):
     """Head parameters that make f_red equal the input row (for x > -10)."""
     params = init_params(dims, 1)
@@ -359,6 +427,68 @@ def test_training_is_seed_repeatable():
     m2 = train(data, data[:4], cfg, head_hidden=8, reduced_dim=4, cls_hidden=4)
     for name in param_names(m1.dims.n_heads):
         assert np.array_equal(m1.params[name], m2.params[name])
+
+
+def _assert_views_of_one_buffer(params, names):
+    """The arrays are float64 views packed back to back in `names` order."""
+    base = params[names[0]].base
+    addr = params[names[0]].__array_interface__["data"][0]
+    for name in names:
+        p = params[name]
+        assert p.dtype == np.float64 and p.flags.c_contiguous and p.base is base, name
+        assert p.__array_interface__["data"][0] == addr, name
+        addr += p.nbytes
+    assert base.nbytes == addr - base.__array_interface__["data"][0]
+
+
+def test_trained_and_loaded_params_are_views_of_one_buffer(tmp_path):
+    rng = np.random.default_rng(44)
+    data = separable_dataset(rng, n_per_class=4)
+    cfg = TrainConfig(lr=1e-2, batch_size=8, max_epochs=3, patience=3, seed=2)
+    model = train(data, data[:2], cfg, n_heads=3, head_hidden=8, reduced_dim=4, cls_hidden=4)
+    names = param_names(3)
+    _assert_views_of_one_buffer(model.params, names)
+    first, second = tmp_path / "a.morm", tmp_path / "b.morm"
+    save_model(model, first)
+    loaded = load_model(first)
+    _assert_views_of_one_buffer(loaded.params, names)
+    save_model(loaded, second)
+    assert first.read_bytes() == second.read_bytes()
+
+
+def _reference_init_params(dims, seed):
+    """One array per parameter, drawn name by name in param_names order."""
+    shapes = {}
+    for k in range(dims.n_heads):
+        shapes[f"head{k}_w1"] = (dims.input_dim, dims.head_hidden)
+        shapes[f"head{k}_b1"] = (dims.head_hidden,)
+        shapes[f"head{k}_w2"] = (dims.head_hidden, dims.reduced_dim)
+        shapes[f"head{k}_b2"] = (dims.reduced_dim,)
+    shapes["cls_w1"] = (dims.n_heads * dims.reduced_dim, dims.cls_hidden)
+    shapes["cls_b1"] = (dims.cls_hidden,)
+    shapes["cls_w2"] = (dims.cls_hidden, dims.n_classes)
+    shapes["cls_b2"] = (dims.n_classes,)
+    rng = np.random.default_rng(seed)
+    params = {}
+    for name in param_names(dims.n_heads):
+        shape = shapes[name]
+        fan_in = shape[0] if len(shape) == 2 else shapes[name.replace("_b", "_w")][0]
+        bound = 1.0 / np.sqrt(fan_in)
+        params[name] = rng.uniform(-bound, bound, shape)
+    return params
+
+
+def test_init_params_matches_per_name_draw_bitwise():
+    for n_heads, seed in ((1, 0), (2, 7), (3, 123)):
+        dims = ModelDims(
+            input_dim=20, n_heads=n_heads, head_hidden=9, reduced_dim=5, cls_hidden=6, n_classes=4
+        )
+        got = init_params(dims, seed)
+        want = _reference_init_params(dims, seed)
+        assert list(got) == list(want)
+        for name in want:
+            assert got[name].shape == want[name].shape and np.array_equal(got[name], want[name]), name
+        _assert_views_of_one_buffer(got, param_names(n_heads))
 
 
 def test_training_rejects_single_class():

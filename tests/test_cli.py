@@ -124,6 +124,21 @@ def test_empty_manifest_exits_2(tmp_path, capsys):
             assert message in capsys.readouterr().err, (argv[0], doc)
 
 
+def test_loso_gesture_of_one_subject_exits_2(tmp_path, capsys):
+    # checked before any file is read, so the entries need not be captures
+    data = tmp_path / "x.csit"
+    data.write_bytes(b"")
+    meta = {"orientation_deg": 0, "access_point": "p"}
+    entries = [
+        {"path": str(data), "meta": dict(meta, sample_id=sid, subject=subj, gesture=g)}
+        for sid, subj, g in (("1", "s1", "a"), ("2", "s2", "a"), ("3", "s2", "c"))
+    ]
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"entries": entries}))
+    assert main(["loso", "--manifest", str(manifest), "--report", str(tmp_path / "r")]) == 2
+    assert "gesture 'c' occurs only for subject 's2'" in capsys.readouterr().err
+
+
 def test_validation_error_exits_2(tmp_path, scene_file):
     csit = tmp_path / "x.csit"
     assert main(["simulate", "--scene", str(scene_file), "--out", str(csit)]) == 0

@@ -237,6 +237,14 @@ def test_dvel_truncation_detected(tmp_path):
     bad.write_bytes(raw + b"garbage")
     with pytest.raises(FormatError, match="after the trailer"):
         read_dvel(bad)
+    # a gated flag byte other than 0/1 on an all-zero row (header 16 bytes,
+    # then bin, stream and snr)
+    zero = VelocitySet(values=np.zeros((1, 5)), delay_bins=[2], streams=[0], snr_db=[1.0], gated=[False])
+    write_dvel(zero, path)
+    raw = path.read_bytes()
+    bad.write_bytes(raw[:28] + b"\x07" + raw[29:])
+    with pytest.raises(FormatError, match="gated flag"):
+        read_dvel(bad)
 
 
 def test_feat_round_trip(tmp_path):
@@ -268,6 +276,10 @@ def test_feat_rejects_trailing_bytes_and_versionless_layout(tmp_path):
     raw = path.read_bytes()
     bad.write_bytes(raw[:4] + raw[8:])
     with pytest.raises(FormatError):
+        read_feat(bad)
+    # a gated flag byte other than 0/1 (header 16 bytes, then bin and stream)
+    bad.write_bytes(raw[:24] + b"\x02" + raw[25:])
+    with pytest.raises(FormatError, match="gated flag"):
         read_feat(bad)
 
 

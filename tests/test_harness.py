@@ -145,6 +145,15 @@ def test_loso_rejects_single_subject(corpus):
         run_loso(solo, SMALL_PIPELINE, FAST_TRAIN)
 
 
+def test_loso_rejects_gesture_of_one_subject(corpus, corpus_samples):
+    manifest, _ = corpus
+    keep = [e for e in manifest.entries if not (e.meta.subject == "s1" and e.meta.gesture == "push_pull")]
+    ids = {e.meta.sample_id for e in keep}
+    samples = [s for s in corpus_samples if s.sample_id in ids]
+    with pytest.raises(ValueError, match="gesture 'push_pull' occurs only for subject 's2'"):
+        run_loso(Manifest(entries=tuple(keep)), SMALL_PIPELINE, FAST_TRAIN, samples=samples)
+
+
 def test_loso_determinism_excluding_runtime(corpus, corpus_samples):
     manifest, _ = corpus
     r1 = run_loso(manifest, SMALL_PIPELINE, FAST_TRAIN, samples=corpus_samples)
