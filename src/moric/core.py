@@ -232,6 +232,8 @@ class FeatureSet:
         features = np.asarray(self.features, dtype=np.float64)
         if features.ndim != 2:
             raise ValueError("feature matrix must be [row, feature]")
+        if not np.all(np.isfinite(features)):
+            raise ValueError("features contain non-finite entries")
         _frozen_rows(self, features.shape[0], delay_bins=np.int64, streams=np.int64, gated=bool)
         features.flags.writeable = False
         object.__setattr__(self, "features", features)
@@ -399,4 +401,7 @@ def write_feat(fs: FeatureSet, path) -> None:
 def read_feat(path) -> FeatureSet:
     (bins, streams, gated, features), trailer = _read_records(path, FEAT_MAGIC, _feat_record)
     label = trailer.get("label") if trailer else None
-    return FeatureSet(features=features, delay_bins=bins, streams=streams, gated=gated, label=label)
+    with format_errors(path):
+        return FeatureSet(
+            features=features, delay_bins=bins, streams=streams, gated=gated, label=label
+        )

@@ -5,6 +5,9 @@ tau_i = i / (N * df); each bin's complex time series is turned into a Doppler
 velocity series either by a sliding-window PSD argmax (robust default) or by
 the instantaneous phase derivative Im{h'/h}. The [stream x bin, time] velocity
 rows are then SNR gated and z-normalized.
+
+The PSD estimator is planned once per velocity set: the window, gather index,
+speed table and one zero-padded FFT buffer serve every row.
 """
 
 from __future__ import annotations
@@ -115,20 +118,40 @@ def estimate_velocity_psd(
     the input length.
     """
     x = np.asarray(bin_series, dtype=np.complex128)
-    t = len(x)
+    return _psd_velocity_rows(x[None, :], radio, params)[0]
+
+
+def _psd_velocity_rows(series: np.ndarray, radio: RadioConfig, params: DopplerParams) -> np.ndarray:
+    """estimate_velocity_psd for every row of a complex [rows, T] array.
+
+    The gather index, window, speed table, window centres and interpolation
+    grid are built once, and every row's windows are written into one
+    zero-padded [windows, fft_pad] buffer: an FFT of the padded buffer is
+    bitwise the FFT with n=fft_pad, and faster. Buffers are per call, so
+    threads may run this concurrently.
+    """
+    t = series.shape[1]
     w = params.window_len
     if w > t:
         raise ValueError(f"window_len {w} exceeds series length {t}")
     fs = radio.sample_rate_hz
-    lam = radio.wavelength_m
     starts = np.arange(0, t - w + 1, params.hop)
-    segments = x[starts[:, None] + np.arange(w)[None, :]] * np.hanning(w)[None, :]
-    spectra = np.abs(np.fft.fft(segments, n=params.fft_pad, axis=1)) ** 2
+    index = starts[:, None] + np.arange(w)[None, :]
+    window = np.hanning(w)[None, :]
     freqs = np.fft.fftfreq(params.fft_pad, d=1.0 / fs)
     freqs = np.where(freqs == -fs / 2.0, fs / 2.0, freqs)  # grid is (-fs/2, fs/2]
-    peak_v = lam * freqs[np.argmax(spectra, axis=1)]
+    speeds = radio.wavelength_m * freqs
     centers = starts + (w - 1) / 2.0
-    return np.interp(np.arange(t, dtype=np.float64), centers, peak_v)
+    grid = np.arange(t, dtype=np.float64)
+    padded = np.zeros((len(starts), params.fft_pad), dtype=np.complex128)
+    power = np.empty(padded.shape)
+    out = np.empty(series.shape)
+    for row, x in enumerate(series):
+        np.multiply(x[index], window, out=padded[:, :w])
+        np.abs(np.fft.fft(padded, axis=1), out=power)
+        np.square(power, out=power)
+        out[row] = np.interp(grid, centers, speeds[np.argmax(power, axis=1)])
+    return out
 
 
 def estimate_velocity_phase(bin_series: np.ndarray, radio: RadioConfig) -> np.ndarray:
@@ -210,12 +233,10 @@ def extract_velocity_set(
     radio = frame.config
     n_bins = radio.n_subcarriers
     series = np.concatenate([p.bins for p in decompose(frame, remove_static=True)])
-    values = np.empty(series.shape)
-    for row, x in enumerate(series):
-        if params.estimator == "psd_argmax":
-            values[row] = estimate_velocity_psd(x, radio, params)
-        else:
-            values[row] = estimate_velocity_phase(x, radio)
+    if params.estimator == "psd_argmax":
+        values = _psd_velocity_rows(series, radio, params)
+    else:
+        values = np.stack([estimate_velocity_phase(x, radio) for x in series])
     values, snr_db, gated = snr_gate(values, threshold_db=snr_threshold_db)
     if apply_normalize:
         values = normalize(values)

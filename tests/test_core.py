@@ -283,6 +283,23 @@ def test_feat_rejects_trailing_bytes_and_versionless_layout(tmp_path):
         read_feat(bad)
 
 
+def test_feature_set_and_feat_reader_reject_non_finite_features(tmp_path):
+    rng = np.random.default_rng(11)
+    for bad_value in (np.nan, np.inf, -np.inf):
+        features = rng.normal(size=(3, 4))
+        features[1, 2] = bad_value
+        with pytest.raises(ValueError, match="non-finite"):
+            FeatureSet(features=features, delay_bins=[0, 1, 2], streams=[0, 0, 0], gated=[0, 0, 0])
+    path = tmp_path / "f.feat"
+    write_feat(_feature_set(rng), path)
+    raw = path.read_bytes()
+    # first feature of the first row: 16-byte header, then bin, stream, gated
+    bad = tmp_path / "nan.feat"
+    bad.write_bytes(raw[:25] + struct.pack("<f", np.nan) + raw[29:])
+    with pytest.raises(FormatError, match="non-finite"):
+        read_feat(bad)
+
+
 def _csit_with_trailer(path):
     frame = random_frame(np.random.default_rng(2), n_streams=1, n_subcarriers=4, n_time=3)
     meta = SampleMeta("s1", "alice", 90, "circle", "ap1")

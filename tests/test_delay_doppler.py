@@ -344,11 +344,29 @@ def _reference_normalize(values, gated):
     return (values - values.mean()) / max(float(values.std()), STD_FLOOR)
 
 
+def _reference_psd(bin_series, radio, params):
+    """estimate_velocity_psd as it ran one series at a time, each window
+    zero-padded by the FFT call itself."""
+    x = np.asarray(bin_series, dtype=np.complex128)
+    t = len(x)
+    w = params.window_len
+    fs = radio.sample_rate_hz
+    lam = radio.wavelength_m
+    starts = np.arange(0, t - w + 1, params.hop)
+    segments = x[starts[:, None] + np.arange(w)[None, :]] * np.hanning(w)[None, :]
+    spectra = np.abs(np.fft.fft(segments, n=params.fft_pad, axis=1)) ** 2
+    freqs = np.fft.fftfreq(params.fft_pad, d=1.0 / fs)
+    freqs = np.where(freqs == -fs / 2.0, fs / 2.0, freqs)
+    peak_v = lam * freqs[np.argmax(spectra, axis=1)]
+    centers = starts + (w - 1) / 2.0
+    return np.interp(np.arange(t, dtype=np.float64), centers, peak_v)
+
+
 def _reference_velocity_rows(frame, params, apply_normalize):
     rows = []
     for profile in decompose(frame, remove_static=True):
         for i in range(profile.bins.shape[0]):
-            v = estimate_velocity_psd(profile.bins[i], frame.config, params)
+            v = _reference_psd(profile.bins[i], frame.config, params)
             v, snr_db, gated = _reference_gate(v)
             if apply_normalize:
                 v = _reference_normalize(v, gated)
@@ -357,29 +375,57 @@ def _reference_velocity_rows(frame, params, apply_normalize):
     return np.stack(values), np.array(bins), np.array(streams), np.array(snr_db), np.array(gated)
 
 
-def test_extract_velocity_set_matches_per_row_reference_bitwise():
+def _sanitized_frames():
+    """A clean 1-stream and an impaired 3-stream capture of 400 frames, and an
+    impaired 3-stream capture of 1000 frames, all 16 subcarriers."""
     rng = np.random.default_rng(34)
     radio = make_radio(n_subcarriers=16)
     impaired = NoiseParams(csd_delay_s=(0.0, 50e-9, 100e-9), sto_walk_std_s=5e-9, awgn_snr_db=15.0)
     frames = []
-    for gesture, streams, noise in (("circle", 1, None), ("push_pull", 3, impaired)):
-        scene = make_gesture_scene(rng, gesture, radio, duration_s=4.0)
+    for gesture, streams, noise, duration_s in (
+        ("circle", 1, None, 4.0),
+        ("push_pull", 3, impaired, 4.0),
+        ("left_right", 3, impaired, 10.0),
+    ):
+        scene = make_gesture_scene(rng, gesture, radio, duration_s=duration_s)
         scene = dataclasses.replace(scene, n_streams=streams, noise=noise or scene.noise)
         frames.append(sanitize_frame(synthesize_csi(scene, seed=streams)[0]))
+    return frames
+
+
+_PARAM_SETS = (DopplerParams(), DopplerParams(window_len=40, hop=3, fft_pad=256))
+
+
+def test_extract_velocity_set_matches_per_row_reference_bitwise():
     n_gated = n_rows = 0
-    for frame in frames:
-        for apply_normalize in (True, False):
-            vs = extract_velocity_set(frame, DopplerParams(), apply_normalize=apply_normalize)
-            values, bins, streams, snr_db, gated = _reference_velocity_rows(
-                frame, DopplerParams(), apply_normalize
-            )
-            assert vs.values.tobytes() == values.tobytes()
-            assert vs.snr_db.tobytes() == snr_db.tobytes()
-            assert np.array_equal(vs.gated, gated)
-            assert np.array_equal(vs.delay_bins, bins) and np.array_equal(vs.streams, streams)
-            n_gated += int(gated.sum())
-            n_rows += len(gated)
+    for frame in _sanitized_frames():
+        for params in _PARAM_SETS:
+            for apply_normalize in (True, False):
+                vs = extract_velocity_set(frame, params, apply_normalize=apply_normalize)
+                values, bins, streams, snr_db, gated = _reference_velocity_rows(
+                    frame, params, apply_normalize
+                )
+                assert vs.values.tobytes() == values.tobytes()
+                assert vs.snr_db.tobytes() == snr_db.tobytes()
+                assert np.array_equal(vs.gated, gated)
+                assert np.array_equal(vs.delay_bins, bins) and np.array_equal(vs.streams, streams)
+                n_gated += int(gated.sum())
+                n_rows += len(gated)
     assert 0 < n_gated < n_rows
+
+
+def test_estimate_velocity_psd_is_one_row_of_the_set():
+    # the single-series estimator and the set's rows before gating agree bitwise
+    for frame in _sanitized_frames()[1:]:
+        for params in _PARAM_SETS:
+            vs = extract_velocity_set(frame, params, apply_normalize=False)
+            series = np.concatenate([p.bins for p in decompose(frame, remove_static=True)])
+            kept = np.flatnonzero(~vs.gated)
+            assert kept.size > 0
+            for row in kept:
+                v = estimate_velocity_psd(series[row], frame.config, params)
+                assert v.tobytes() == vs.values[row].tobytes()
+                assert v.tobytes() == _reference_psd(series[row], frame.config, params).tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,9 @@ from moric.core import CsiFrame
 from moric.sanitize import (
     HAMPEL_MAD_FLOOR,
     HAMPEL_MAD_SCALE,
+    MEDIAN_BLOCK_SAMPLES,
+    _median_network,
+    _select_median,
     compensate_phase,
     hampel,
     hampel_batch,
@@ -209,6 +212,30 @@ def test_hampel_batch_matches_per_column_reference_bitwise(window):
     for t in (1, window - 1, window, window + 1, 1000):
         x = _spiky_rows(rng, 4, t)
         assert np.array_equal(hampel_batch(x, window, 3.0), _reference_hampel(x, window, 3.0)), t
+    # rows spanning several median-network row blocks, and tie-heavy
+    # integer-valued rows where many window values equal the median
+    many = _spiky_rows(rng, 40, 1000)
+    assert 40 * (1000 - 2 * (window // 2)) > 2 * MEDIAN_BLOCK_SAMPLES
+    ties = rng.integers(-2, 3, size=(40, 300)).astype(np.float64)
+    ties[rng.random(size=ties.shape) < 0.05] *= 40.0
+    for x in (many, ties):
+        assert hampel_batch(x, window, 3.0).tobytes() == _reference_hampel(x, window, 3.0).tobytes()
+
+
+@pytest.mark.parametrize("n", range(3, 16, 2))
+def test_median_network_selects_the_median_of_every_zero_one_input(n):
+    # by the 0-1 principle a comparator network that selects the median of
+    # every 0/1 input selects the median of every input
+    bits = (np.arange(2**n)[:, None] >> np.arange(n)[None, :]) & 1
+    values = [bits[:, k].astype(np.float64) for k in range(n)]
+    median = _select_median(values, np.empty(2**n))
+    assert np.array_equal(median, (bits.sum(axis=1) > n // 2).astype(np.float64))
+    network = _median_network(n)
+    assert all(0 <= i < j < n and (lo or hi) for i, j, lo, hi in network)
+
+
+def test_median_network_keeps_31_of_37_comparators_for_11_inputs():
+    assert len(_median_network(11)) == 31
 
 
 def test_hampel_complex_equals_filtering_parts_separately():
