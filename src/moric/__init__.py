@@ -2,7 +2,9 @@
 
 from .core import (
     CsiFrame,
+    DopplerParams,
     FeatureSet,
+    PipelineConfig,
     RadioConfig,
     SampleMeta,
     VelocitySet,
@@ -14,9 +16,9 @@ from .core import (
     write_feat,
 )
 from .classifier import Calibration, MoricModel, TrainConfig, calibrate, forward, predict, train
-from .delay_doppler import DopplerParams, decompose, extract_velocity_set
+from .delay_doppler import decompose, extract_velocity_set
 from .features import KernelBank, apply, build_bank
-from .harness import Manifest, PipelineConfig, Report, run_calibration_sweep, run_loso
+from .harness import Manifest, Report, run_calibration_sweep, run_loso
 from .simulator import NoiseParams, ScatterCluster, Scene, Trajectory, synthesize_csi
 
 __all__ = [

@@ -10,6 +10,9 @@ optimizer using decoupled weight decay, cross-entropy with label smoothing,
 and early stopping on validation loss. A post-hoc temperature + per-class-bias
 calibration can be fitted on a handful of held-out samples.
 
+A model file (MORM, version 2) also holds the kernel bank, the calibration
+and, in a closing JSON trailer, the `PipelineConfig` that made the features.
+
 The parameters live in one flat vector, packed in `param_names` order (the
 MORM weight layout); the named arrays are views of it. Training runs in
 float32: weights, optimizer state, gradients and every matrix product, with
@@ -26,11 +29,13 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import ByteReader, FeatureSet, FormatError, format_errors
+from .core import ByteReader, FeatureSet, FormatError, PipelineConfig, format_errors
+from .core import _json_trailer, _read_json_trailer
 from .features import KernelBank, deserialize_bank, serialize_bank
 
 MODEL_MAGIC = b"MORM"
-MODEL_VERSION = 1
+MODEL_VERSION = 2
+_MODEL_HEADER = "<IIIIIIIq"
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -96,11 +101,16 @@ class MoricModel:
     seed: int = 0
     kernel_bank: Optional[KernelBank] = None
     calibration: Optional[Calibration] = None
-    mask_gated: bool = False
+    pipeline: Optional[PipelineConfig] = None
 
     def __post_init__(self):
         if len(self.class_labels) != self.dims.n_classes:
             raise ValueError("class label count must match n_classes")
+        p, bank = self.pipeline, self.kernel_bank
+        if p is not None and bank is not None:
+            want, got = (p.kernel_seed, p.n_kernels, p.n_biases), (bank.seed, bank.n_kernels, bank.n_biases)
+            if want != got:
+                raise ValueError(f"pipeline kernel_seed, n_kernels, n_biases {want} differ from the bank's {got}")
         for name, value in self.params.items():
             if not np.all(np.isfinite(value)):
                 raise ValueError(f"parameter {name} contains non-finite values")
@@ -166,13 +176,6 @@ def softmax(z: np.ndarray, axis: int = -1) -> np.ndarray:
     return e / np.sum(e, axis=axis, keepdims=True)
 
 
-def _select_rows(fs: FeatureSet, mask_gated: bool) -> np.ndarray:
-    rows = fs.features
-    if mask_gated and not np.all(fs.gated):
-        rows = rows[~fs.gated]
-    return rows
-
-
 def forward(model: MoricModel, fs: FeatureSet) -> Tuple[np.ndarray, np.ndarray]:
     """Class logits and probabilities for one feature set.
 
@@ -181,7 +184,7 @@ def forward(model: MoricModel, fs: FeatureSet) -> Tuple[np.ndarray, np.ndarray]:
     set: any permutation or repetition of the rows reaches the matrix products
     as the same matrix, so the result is bitwise invariant to both.
     """
-    rows = _select_rows(fs, model.mask_gated)
+    rows = fs.features
     if rows.shape[0] == 0:
         raise ValueError("empty feature set")
     if rows.shape[1] != model.dims.input_dim:
@@ -322,7 +325,6 @@ def train(
     reduced_dim: int = 128,
     cls_hidden: int = 128,
     kernel_bank: Optional[KernelBank] = None,
-    mask_gated: bool = False,
 ) -> MoricModel:
     """Train a set classifier, returning the checkpoint with the lowest
     validation loss. Deterministic for a fixed config seed and input order.
@@ -347,9 +349,9 @@ def train(
         n_classes=len(labels),
     )
 
-    train_rows = [_select_rows(fs, mask_gated) for fs, _ in train_set]
+    train_rows = [fs.features for fs, _ in train_set]
     train_labels = np.array([label_to_idx[lbl] for _, lbl in train_set])
-    val_rows = [_select_rows(fs, mask_gated) for fs, _ in val_set]
+    val_rows = [fs.features for fs, _ in val_set]
     val_labels = np.array([label_to_idx[lbl] for _, lbl in val_set])
 
     stacked = np.concatenate(train_rows, axis=0)
@@ -411,7 +413,6 @@ def train(
         params=best_params,
         seed=cfg.seed,
         kernel_bank=kernel_bank,
-        mask_gated=mask_gated,
     )
 
 
@@ -437,6 +438,18 @@ def _adam_step(flat, grad, m, v, step: int, cfg: TrainConfig) -> None:
 # ---------------------------------------------------------------------------
 
 
+def label_indices(model: MoricModel, labels: Sequence[str]) -> np.ndarray:
+    """Class indices of `labels`; raises ValueError naming a label that is
+    not one of the model's classes."""
+    index = {lbl: i for i, lbl in enumerate(model.class_labels)}
+    unknown = sorted(set(labels) - index.keys())
+    if unknown:
+        raise ValueError(
+            f"gesture {unknown[0]!r} is not a class of the model {list(model.class_labels)}"
+        )
+    return np.array([index[lbl] for lbl in labels], dtype=np.int64)
+
+
 def calibrated_probs(calibration: Calibration, logits: np.ndarray) -> np.ndarray:
     z = np.asarray(logits, dtype=np.float64)
     return softmax(z / calibration.temperature + calibration.bias, axis=-1)
@@ -453,9 +466,8 @@ def calibrate(
     parameterized as exp(log T) so it stays positive."""
     if not cal_set:
         raise ValueError("empty calibration set")
-    label_to_idx = {lbl: i for i, lbl in enumerate(model.class_labels)}
+    y = label_indices(model, [lbl for _, lbl in cal_set])
     logits = np.stack([forward(model, fs)[0] for fs, _ in cal_set])
-    y = np.array([label_to_idx[lbl] for _, lbl in cal_set])
     n, c = logits.shape
     onehot = np.zeros((n, c))
     onehot[np.arange(n), y] = 1.0
@@ -483,7 +495,7 @@ def save_model(model: MoricModel, path) -> None:
     parts = [
         MODEL_MAGIC,
         struct.pack(
-            "<IIIIIIIqB",
+            _MODEL_HEADER,
             MODEL_VERSION,
             d.input_dim,
             d.n_heads,
@@ -492,7 +504,6 @@ def save_model(model: MoricModel, path) -> None:
             d.cls_hidden,
             d.n_classes,
             model.seed,
-            int(model.mask_gated),
         ),
     ]
     for label in model.class_labels:
@@ -512,21 +523,24 @@ def save_model(model: MoricModel, path) -> None:
         parts.append(np.asarray(model.calibration.bias, dtype="<f8").tobytes())
     else:
         parts.append(b"\x00")
+    pipeline = model.pipeline.to_dict() if model.pipeline is not None else None
+    parts.append(_json_trailer({"pipeline": pipeline}))
     with open(path, "wb") as fh:
         fh.write(b"".join(parts))
 
 
 def load_model(path) -> MoricModel:
     """Inverse of save_model. Raises FormatError on a bad magic, version,
-    label, embedded bank or flag byte, on any truncation, and on a decoded
-    field that ModelDims, Calibration or MoricModel rejects."""
+    label, embedded bank, flag byte or trailer, on any truncation or trailing
+    bytes, and on a decoded field that ModelDims, Calibration,
+    PipelineConfig.from_dict or MoricModel rejects."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if raw[:4] != MODEL_MAGIC:
         raise FormatError(f"{path}: bad magic {raw[:4]!r}")
     r = ByteReader(raw, path, pos=4)
-    version, input_dim, n_heads, head_hidden, reduced_dim, cls_hidden, n_classes, seed, mask_gated = r.unpack(
-        "<IIIIIIIqB"
+    version, input_dim, n_heads, head_hidden, reduced_dim, cls_hidden, n_classes, seed = r.unpack(
+        _MODEL_HEADER
     )
     if version != MODEL_VERSION:
         raise FormatError(f"{path}: unsupported model version {version}")
@@ -556,6 +570,10 @@ def load_model(path) -> MoricModel:
         if _read_flag(r):
             (temperature,) = r.unpack("<d")
             calibration = Calibration(temperature=temperature, bias=r.array("<f8", n_classes))
+        trailer = _read_json_trailer(r)
+        if trailer is None or trailer.keys() != {"pipeline"}:
+            raise FormatError(f"{path}: the trailer must be a JSON object with one key, 'pipeline'")
+        doc = trailer["pipeline"]
         return MoricModel(
             dims=dims,
             class_labels=tuple(labels),
@@ -563,7 +581,7 @@ def load_model(path) -> MoricModel:
             seed=seed,
             kernel_bank=bank,
             calibration=calibration,
-            mask_gated=bool(mask_gated),
+            pipeline=PipelineConfig.from_dict(doc) if doc is not None else None,
         )
 
 

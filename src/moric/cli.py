@@ -2,8 +2,9 @@
 
 Subcommands cover every stage file-to-file (simulate, sanitize, decompose,
 features), model lifecycle (train, eval, calibrate), and full experiments
-(loso, report). Exit codes: 0 success, 2 validation error, 3 I/O or format
-error.
+(loso, report). `train` and `loso` take the pipeline flags; `eval` and
+`calibrate` featurize with the pipeline and kernel bank stored in the model.
+Exit codes: 0 success, 2 validation error, 3 I/O or format error.
 """
 
 from __future__ import annotations
@@ -11,23 +12,35 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 
 from . import classifier, features, harness, sanitize, simulator
-from .core import FormatError, read_csit, read_dvel, write_csit, write_dvel, write_feat
-from .delay_doppler import DopplerParams, extract_velocity_set
-from .harness import Manifest, PipelineConfig, Report, derive_seed
+from .core import DopplerParams, FormatError, PipelineConfig, read_csit, read_dvel
+from .core import write_csit, write_dvel, write_feat
+from .delay_doppler import extract_velocity_set
+from .harness import Manifest, Report, derive_seed
+
+ESTIMATORS = {"psd": "psd_argmax", "phase": "phase_derivative"}
 
 
-def _add_pipeline_args(p: argparse.ArgumentParser) -> None:
+def _add_doppler_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--window", type=int, default=64, help="Doppler window length (frames)")
     p.add_argument("--hop", type=int, default=4, help="Doppler window hop (frames)")
     p.add_argument("--pad", type=int, default=512, help="FFT length for the PSD")
-    p.add_argument(
-        "--estimator", choices=["psd", "phase"], default="psd", help="velocity estimator"
-    )
+    p.add_argument("--estimator", choices=list(ESTIMATORS), default="psd", help="velocity estimator")
     p.add_argument("--snr-db", type=float, default=2.0, help="SNR gating threshold (dB)")
+
+
+def _doppler_params(args) -> DopplerParams:
+    return DopplerParams(
+        window_len=args.window, hop=args.hop, fft_pad=args.pad, estimator=ESTIMATORS[args.estimator]
+    )
+
+
+def _add_pipeline_args(p: argparse.ArgumentParser) -> None:
+    _add_doppler_args(p)
     p.add_argument("--skip-hampel", action="store_true", help="disable outlier filtering")
     p.add_argument("--kernel-seed", type=int, default=42)
     p.add_argument("--kernels", type=int, default=250, help="number of random kernels")
@@ -36,12 +49,7 @@ def _add_pipeline_args(p: argparse.ArgumentParser) -> None:
 
 def _pipeline_config(args) -> PipelineConfig:
     return PipelineConfig(
-        doppler=DopplerParams(
-            window_len=args.window,
-            hop=args.hop,
-            fft_pad=args.pad,
-            estimator="psd_argmax" if args.estimator == "psd" else "phase_derivative",
-        ),
+        doppler=_doppler_params(args),
         snr_threshold_db=args.snr_db,
         use_hampel=not args.skip_hampel,
         kernel_seed=args.kernel_seed,
@@ -105,15 +113,9 @@ def cmd_sanitize(args) -> int:
 
 def cmd_decompose(args) -> int:
     frame = read_csit(args.infile)
-    params = DopplerParams(
-        window_len=args.window,
-        hop=args.hop,
-        fft_pad=args.pad,
-        estimator="psd_argmax" if args.estimator == "psd" else "phase_derivative",
-    )
     vs = extract_velocity_set(
         frame,
-        params=params,
+        params=_doppler_params(args),
         snr_threshold_db=args.snr_db,
         apply_normalize=not args.no_normalize,
     )
@@ -136,28 +138,35 @@ def cmd_train(args) -> int:
     manifest = Manifest.load(args.manifest)
     pcfg = _pipeline_config(args)
     tcfg = _train_config(args)
-    samples = harness.build_feature_table(manifest, pcfg, threads=args.threads)
+    bank = harness.kernel_bank(manifest, pcfg)
+    samples = harness.featurize_manifest(manifest, pcfg, bank, threads=args.threads)
     labels = [s.label for s in samples]
     tr_idx, va_idx = harness.stratified_split(
         labels, tcfg.val_fraction, derive_seed(tcfg.seed, "split")
     )
     train_items = [(samples[i].feature_set, samples[i].label) for i in tr_idx]
     val_items = [(samples[i].feature_set, samples[i].label) for i in va_idx]
-    bank = harness.get_kernel_bank(manifest, pcfg)
-    model = classifier.train(
-        train_items, val_items, tcfg, n_heads=args.heads, kernel_bank=bank
-    )
+    model = classifier.train(train_items, val_items, tcfg, n_heads=args.heads, kernel_bank=bank)
+    model = replace(model, pipeline=pcfg)
     classifier.save_model(model, args.out)
     acc, _ = harness.evaluate_samples(model, [samples[i] for i in tr_idx])
     print(f"wrote {args.out}: train accuracy {acc:.3f} over {len(tr_idx)} samples")
     return 0
 
 
+def _model_feature_table(model: classifier.MoricModel, args):
+    """The manifest featurized by the pipeline and kernel bank stored in the
+    model; a model without either is a FormatError."""
+    manifest = Manifest.load(args.manifest)
+    for what, value in (("kernel bank", model.kernel_bank), ("pipeline config", model.pipeline)):
+        if value is None:
+            raise FormatError(f"{args.model}: the model carries no {what}; train it with `moric train`")
+    return harness.featurize_manifest(manifest, model.pipeline, model.kernel_bank, threads=args.threads)
+
+
 def cmd_eval(args) -> int:
     model = classifier.load_model(args.model)
-    manifest = Manifest.load(args.manifest)
-    pcfg = _pipeline_config(args)
-    samples = harness.build_feature_table(manifest, pcfg, threads=args.threads)
+    samples = _model_feature_table(model, args)
     acc, counts = harness.evaluate_samples(model, samples, use_calibration=args.calibrated)
     print(f"accuracy {acc:.4f} over {len(samples)} samples")
     if args.report:
@@ -181,11 +190,12 @@ def cmd_eval(args) -> int:
 
 def cmd_calibrate(args) -> int:
     model = classifier.load_model(args.model)
-    manifest = Manifest.load(args.manifest)
-    pcfg = _pipeline_config(args)
-    samples = harness.build_feature_table(manifest, pcfg, threads=args.threads)
     if args.sweep:
-        counts = [int(x) for x in args.sweep.split(",")]
+        counts = [int(x) for x in args.sweep.split(",")]  # a ValueError exits 2
+    elif not args.out:
+        raise ValueError("--out is required when fitting a calibration")
+    samples = _model_feature_table(model, args)
+    if args.sweep:
         results = harness.run_calibration_sweep(
             samples, model, counts, n_draws=args.draws, seed=args.seed
         )
@@ -194,8 +204,6 @@ def cmd_calibrate(args) -> int:
             Path(args.out).write_text(text)
         print(text)
         return 0
-    if not args.out:
-        raise ValueError("--out is required when fitting a calibration")
     items = [(s.feature_set, s.label) for s in samples]
     calibration = classifier.calibrate(model, items, steps=args.steps, lr=args.lr)
     calibrated = model.with_calibration(calibration)
@@ -255,11 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decompose", help="delay decomposition and velocity estimation")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--window", type=int, default=64)
-    p.add_argument("--hop", type=int, default=4)
-    p.add_argument("--pad", type=int, default=512)
-    p.add_argument("--estimator", choices=["psd", "phase"], default="psd")
-    p.add_argument("--snr-db", type=float, default=2.0)
+    _add_doppler_args(p)
     p.add_argument("--no-normalize", action="store_true")
     p.set_defaults(func=cmd_decompose)
 
@@ -284,7 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True)
     p.add_argument("--report", help="optional output directory")
     p.add_argument("--calibrated", action="store_true")
-    _add_pipeline_args(p)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("calibrate", help="fit (or sweep) post-hoc calibration")
@@ -295,7 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lr", type=float, default=0.01)
     p.add_argument("--sweep", help="comma-separated samples-per-class counts")
     p.add_argument("--draws", type=int, default=10)
-    _add_pipeline_args(p)
     p.set_defaults(func=cmd_calibrate)
 
     p = sub.add_parser("loso", help="leave-one-subject-out evaluation")

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import struct
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from typing import Optional
 
 import numpy as np
@@ -96,6 +96,72 @@ class RadioConfig:
     def subcarrier_hz(self, n) -> float:
         """Absolute frequency of subcarrier n on the centered grid."""
         return self.carrier_hz - (np.asarray(n) - self.n_subcarriers / 2.0) * self.subcarrier_spacing_hz
+
+
+@dataclass(frozen=True)
+class DopplerParams:
+    """Sliding-window Doppler estimation parameters; the window is Hann.
+    Captures should satisfy T >= ~5x window_len, so that the SNR gate's
+    static edges span several window estimates."""
+
+    window_len: int = 64
+    hop: int = 4
+    fft_pad: int = 512
+    estimator: str = "psd_argmax"  # or "phase_derivative"
+
+    def __post_init__(self):
+        if self.window_len < 2:
+            raise ValueError("window_len must be >= 2")
+        if self.hop < 1:
+            raise ValueError("hop must be >= 1")
+        if self.fft_pad < self.window_len:
+            raise ValueError("fft_pad must be >= window_len")
+        if self.estimator not in ("psd_argmax", "phase_derivative"):
+            raise ValueError(f"unknown estimator {self.estimator!r}")
+
+
+@dataclass(frozen=True)
+class PipelineConfig:
+    """Knobs for the CSI -> features part of the pipeline. A trained model
+    carries its own, so inference featurizes as training did."""
+
+    doppler: DopplerParams = field(default_factory=DopplerParams)
+    snr_threshold_db: float = 2.0
+    use_hampel: bool = True
+    kernel_seed: int = 42
+    n_kernels: int = 250
+    n_biases: int = 3
+
+    def to_dict(self) -> dict:
+        return asdict(self)
+
+    @staticmethod
+    def from_dict(doc) -> "PipelineConfig":
+        """Inverse of to_dict. Raises ValueError for a missing or unknown key
+        and for a value whose JSON type differs from the field default's."""
+        return _dataclass_from_dict(PipelineConfig, doc, "pipeline")
+
+
+def _dataclass_from_dict(cls, doc, what: str):
+    """An instance of the frozen dataclass `cls` from a JSON object holding
+    exactly its fields; a nested dataclass field decodes recursively."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what} is not a JSON object")
+    names = [f.name for f in fields(cls)]
+    missing, unknown = sorted(set(names) - doc.keys()), sorted(doc.keys() - set(names))
+    if missing or unknown:
+        raise ValueError(f"{what}: missing keys {missing}, unknown keys {unknown}")
+    default, values = cls(), {}
+    for name in names:
+        want, value = type(getattr(default, name)), doc[name]
+        if is_dataclass(want):
+            value = _dataclass_from_dict(want, value, f"{what}.{name}")
+        elif want is float and type(value) is int:
+            value = float(value)
+        elif type(value) is not want:
+            raise ValueError(f"{what}.{name} must be a JSON {want.__name__}, got {value!r}")
+        values[name] = value
+    return cls(**values)
 
 
 @dataclass(frozen=True)

@@ -17,11 +17,13 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .core import SPEED_OF_LIGHT, CsiFrame, RadioConfig, VelocitySet
+from .core import SPEED_OF_LIGHT, CsiFrame, DopplerParams, RadioConfig, VelocitySet
 
 VAR_FLOOR = 1e-12
 STD_FLOOR = 1e-9
 SNR_THRESHOLD_DB = 2.0
+STATIC_FRAC = 0.10  # the SNR gate's static segments: this share of T at each end
+MOTION_FRAC = 0.60  # and its motion segment: this central share of T
 
 
 @dataclass(frozen=True)
@@ -37,34 +39,6 @@ class DelayProfile:
     def __post_init__(self):
         if self.bins.shape[0] != len(self.bin_delay_s):
             raise ValueError("one delay value per bin required")
-
-
-@dataclass(frozen=True)
-class DopplerParams:
-    """Sliding-window Doppler estimation parameters.
-
-    The SNR gate compares motion and static segments of the interpolated
-    velocity series, so captures should satisfy T >= ~5x window_len for the
-    static edges to span several window estimates.
-    """
-
-    window_len: int = 64
-    hop: int = 4
-    fft_pad: int = 512
-    window_fn: str = "hann"
-    estimator: str = "psd_argmax"  # or "phase_derivative"
-
-    def __post_init__(self):
-        if self.window_len < 2:
-            raise ValueError("window_len must be >= 2")
-        if self.hop < 1:
-            raise ValueError("hop must be >= 1")
-        if self.fft_pad < self.window_len:
-            raise ValueError("fft_pad must be >= window_len")
-        if self.window_fn != "hann":
-            raise ValueError(f"unsupported window function {self.window_fn!r}")
-        if self.estimator not in ("psd_argmax", "phase_derivative"):
-            raise ValueError(f"unknown estimator {self.estimator!r}")
 
 
 def decompose(frame: CsiFrame, remove_static: bool = True) -> List[DelayProfile]:
@@ -184,23 +158,20 @@ def estimate_velocity_phase(bin_series: np.ndarray, radio: RadioConfig) -> np.nd
 
 
 def snr_gate(
-    values: np.ndarray,
-    threshold_db: float = SNR_THRESHOLD_DB,
-    static_frac: float = 0.10,
-    motion_frac: float = 0.60,
+    values: np.ndarray, threshold_db: float = SNR_THRESHOLD_DB
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gate each row of `values` [rows, T] on its motion-to-static variance ratio.
 
-    The static segments are the first and last `static_frac` of the window,
-    the motion segment is the central `motion_frac`. Returns (values, snr_db,
+    The static segments are the first and last STATIC_FRAC of the window,
+    the motion segment is the central MOTION_FRAC. Returns (values, snr_db,
     gated): rows at or below the threshold are zeroed and marked gated.
     """
     values = np.asarray(values, dtype=np.float64)
     t = values.shape[1]
     if t < 20:
         raise ValueError(f"need at least 20 samples to gate, got {t}")
-    n_edge = max(1, int(round(static_frac * t)))
-    lo = int(round((1.0 - motion_frac) / 2.0 * t))
+    n_edge = max(1, int(round(STATIC_FRAC * t)))
+    lo = int(round((1.0 - MOTION_FRAC) / 2.0 * t))
     static = np.concatenate([values[:, :n_edge], values[:, t - n_edge :]], axis=1)
     motion = values[:, lo : t - lo]
     snr_db = 10.0 * np.log10(

@@ -8,7 +8,7 @@ import json
 import time
 import zlib
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -16,29 +16,13 @@ import numpy as np
 
 from . import classifier, delay_doppler, features, sanitize
 from .classifier import MoricModel, TrainConfig
-from .core import CsiFrame, FeatureSet, SampleMeta, read_csit
-from .delay_doppler import DopplerParams
+from .core import CsiFrame, FeatureSet, PipelineConfig, SampleMeta, read_csit
 from .features import KernelBank
 
 
 def derive_seed(root: int, label: str) -> int:
     """Stable per-stage child seed: fold a label hash into the root seed."""
     return (int(root) << 32) ^ zlib.crc32(label.encode("utf-8"))
-
-
-@dataclass(frozen=True)
-class PipelineConfig:
-    """Knobs for the CSI -> features part of the pipeline."""
-
-    doppler: DopplerParams = field(default_factory=DopplerParams)
-    snr_threshold_db: float = 2.0
-    use_hampel: bool = True
-    hampel_window: int = 11
-    hampel_sigmas: float = 3.0
-    normalize: bool = True
-    kernel_seed: int = 42
-    n_kernels: int = 250
-    n_biases: int = 3
 
 
 @dataclass(frozen=True)
@@ -91,6 +75,8 @@ class Manifest:
         items = doc.get("entries") if isinstance(doc, dict) else None
         if not isinstance(items, list):
             raise ValueError(f"{path}: a manifest is an object with an 'entries' list")
+        if not items:
+            raise ValueError(f"{path}: manifest has no entries")
         entries = []
         for i, item in enumerate(items):
             if not (isinstance(item, dict) and isinstance(item.get("path"), str) and "meta" in item):
@@ -125,17 +111,9 @@ class PipelineSample:
 
 def velocity_set_for_frame(frame: CsiFrame, cfg: PipelineConfig):
     """Sanitize a frame and extract its gated, normalized velocity set."""
-    clean = sanitize.sanitize_frame(
-        frame,
-        apply_hampel=cfg.use_hampel,
-        hampel_window=cfg.hampel_window,
-        hampel_sigmas=cfg.hampel_sigmas,
-    )
+    clean = sanitize.sanitize_frame(frame, apply_hampel=cfg.use_hampel)
     return delay_doppler.extract_velocity_set(
-        clean,
-        params=cfg.doppler,
-        snr_threshold_db=cfg.snr_threshold_db,
-        apply_normalize=cfg.normalize,
+        clean, params=cfg.doppler, snr_threshold_db=cfg.snr_threshold_db
     )
 
 
@@ -149,23 +127,33 @@ def featurize_velocity_set(vs, bank: KernelBank, label: Optional[str] = None) ->
     )
 
 
-def build_feature_table(
-    manifest: Manifest, cfg: PipelineConfig, threads: int = 1
-) -> List[PipelineSample]:
-    """Run the per-sample pipeline over a manifest (optionally with a thread
-    pool); output order follows the manifest."""
+def kernel_bank(manifest: Manifest, cfg: PipelineConfig) -> KernelBank:
+    """The kernel bank `cfg` draws for the capture length of the manifest's
+    first entry."""
     if not manifest.entries:
         raise ValueError("manifest has no entries")
     first = read_csit(manifest.entries[0].path)
-    bank = features.build_bank(
-        cfg.kernel_seed, cfg.n_kernels, cfg.n_biases, first.n_time
-    )
+    return features.build_bank(cfg.kernel_seed, cfg.n_kernels, cfg.n_biases, first.n_time)
+
+
+def build_feature_table(
+    manifest: Manifest, cfg: PipelineConfig, threads: int = 1
+) -> List[PipelineSample]:
+    """featurize_manifest with the kernel bank `cfg` draws for the manifest."""
+    return featurize_manifest(manifest, cfg, kernel_bank(manifest, cfg), threads=threads)
+
+
+def featurize_manifest(
+    manifest: Manifest, cfg: PipelineConfig, bank: KernelBank, threads: int = 1
+) -> List[PipelineSample]:
+    """Run the per-sample pipeline over a manifest (optionally with a thread
+    pool); output order follows the manifest."""
 
     def one(entry: ManifestEntry) -> PipelineSample:
         frame = read_csit(entry.path)
         if frame.n_time != bank.input_length:
             raise ValueError(
-                f"{entry.path}: length {frame.n_time} differs from first sample "
+                f"{entry.path}: length {frame.n_time} differs from the kernel bank's "
                 f"{bank.input_length}; all samples must share T"
             )
         vs = velocity_set_for_frame(frame, cfg)
@@ -182,11 +170,6 @@ def build_feature_table(
         with ThreadPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(one, manifest.entries))
     return [one(e) for e in manifest.entries]
-
-
-def get_kernel_bank(manifest: Manifest, cfg: PipelineConfig) -> KernelBank:
-    first = read_csit(manifest.entries[0].path)
-    return features.build_bank(cfg.kernel_seed, cfg.n_kernels, cfg.n_biases, first.n_time)
 
 
 def stratified_split(labels: Sequence[str], val_fraction: float, seed: int):
@@ -243,29 +226,38 @@ class Report:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
     @staticmethod
-    def from_dict(d: dict) -> "Report":
-        return Report(
-            class_labels=list(d["class_labels"]),
-            fold_subjects=list(d["fold_subjects"]),
-            fold_accuracies=[float(x) for x in d["fold_accuracies"]],
-            mean_accuracy=float(d["mean_accuracy"]),
-            sd_accuracy=float(d["sd_accuracy"]),
-            confusion_pct=np.asarray(d["confusion_pct"], dtype=np.float64),
-            snr_median_by_stream={k: float(v) for k, v in d["snr_median_by_stream"].items()},
-            runtime_s=float(d["runtime_s"]),
-        )
+    def from_dict(d) -> "Report":
+        """Raises ValueError for a non-object document, a missing key or a
+        field of the wrong type."""
+        if not isinstance(d, dict):
+            raise ValueError("bad report: not a JSON object")
+        try:
+            if not all(isinstance(d[k], list) for k in ("class_labels", "fold_subjects", "fold_accuracies")):
+                raise TypeError("class_labels, fold_subjects and fold_accuracies must be lists")
+            return Report(
+                class_labels=[str(x) for x in d["class_labels"]],
+                fold_subjects=[str(x) for x in d["fold_subjects"]],
+                fold_accuracies=[float(x) for x in d["fold_accuracies"]],
+                mean_accuracy=float(d["mean_accuracy"]),
+                sd_accuracy=float(d["sd_accuracy"]),
+                confusion_pct=np.asarray(d["confusion_pct"], dtype=np.float64),
+                snr_median_by_stream={k: float(v) for k, v in d["snr_median_by_stream"].items()},
+                runtime_s=float(d["runtime_s"]),
+            )
+        except (KeyError, TypeError, AttributeError, ValueError) as exc:
+            raise ValueError(f"bad report: {exc!r}") from None
 
 
 def evaluate_samples(model: MoricModel, samples: Sequence[PipelineSample], use_calibration=False):
-    labels = model.class_labels
-    idx = {lbl: i for i, lbl in enumerate(labels)}
-    counts = np.zeros((len(labels), len(labels)), dtype=np.int64)
-    correct = 0
-    for s in samples:
-        pred, _ = classifier.predict(model, s.feature_set, use_calibration=use_calibration)
-        counts[idx[s.label], idx[pred]] += 1
-        correct += int(pred == s.label)
-    return correct / len(samples), counts
+    """Accuracy and confusion counts [true, predicted]; raises ValueError
+    for a sample whose gesture is not a class of the model."""
+    truth = classifier.label_indices(model, [s.label for s in samples])
+    n = len(model.class_labels)
+    counts = np.zeros((n, n), dtype=np.int64)
+    for t, s in zip(truth, samples):
+        _, probs = classifier.predict(model, s.feature_set, use_calibration=use_calibration)
+        counts[t, np.argmax(probs)] += 1
+    return int(np.trace(counts)) / len(samples), counts
 
 
 def run_loso(
@@ -274,9 +266,6 @@ def run_loso(
     train_cfg: TrainConfig,
     threads: int = 1,
     n_heads: int = 2,
-    head_hidden: int = 256,
-    reduced_dim: int = 128,
-    cls_hidden: int = 128,
     samples: Optional[List[PipelineSample]] = None,
 ) -> Report:
     """Leave-one-subject-out cross-validation over a manifest.
@@ -319,15 +308,7 @@ def run_loso(
         )
         train_items = [(train_samples[i].feature_set, train_samples[i].label) for i in tr_idx]
         val_items = [(train_samples[i].feature_set, train_samples[i].label) for i in va_idx]
-        model = classifier.train(
-            train_items,
-            val_items,
-            train_cfg,
-            n_heads=n_heads,
-            head_hidden=head_hidden,
-            reduced_dim=reduced_dim,
-            cls_hidden=cls_hidden,
-        )
+        model = classifier.train(train_items, val_items, train_cfg, n_heads=n_heads)
         acc, counts = evaluate_samples(model, per_subject[held_out])
         fold_acc.append(acc)
         counts_total += counts

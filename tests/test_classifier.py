@@ -26,7 +26,7 @@ from moric.classifier import (
     _batch_loss,
     _pack_sets,
 )
-from moric.core import FeatureSet
+from moric.core import DopplerParams, FeatureSet, PipelineConfig
 from moric.features import build_bank
 
 
@@ -59,8 +59,6 @@ def _reference_forward(model, fs):
     """Row-by-row forward pass: one vector product per row per head, a running
     max per head, then the classifier MLP."""
     rows = fs.features
-    if model.mask_gated and not np.all(fs.gated):
-        rows = rows[~fs.gated]
     p = model.params
     pooled = []
     for k in range(model.dims.n_heads):
@@ -104,27 +102,25 @@ def _rows_subset(fs, idx):
 def test_forward_matches_row_by_row_reference():
     rng = np.random.default_rng(7)
     dims = ModelDims(input_dim=1000, n_classes=4)
-    plain = MoricModel(
+    model = MoricModel(
         dims=dims, class_labels=("a", "b", "c", "d"), params=init_params(dims, 3), seed=3
     )
-    for mask_gated in (False, True):
-        model = replace(plain, mask_gated=mask_gated)
-        for n_rows in (1, 16, 156):
-            feats = rng.normal(size=(n_rows, 1000))
-            gated = np.zeros(n_rows, dtype=bool)
-            gated[1::4] = True
-            feats[gated] = 0.0
-            fs = FeatureSet(
-                features=feats,
-                delay_bins=np.arange(n_rows),
-                streams=np.zeros(n_rows, dtype=int),
-                gated=gated,
-            )
-            logits, probs = forward(model, fs)
-            want = _reference_forward(model, fs)
-            scale = np.maximum(1.0, np.abs(want))
-            assert np.all(np.abs(logits - want) <= 1e-12 * scale), (mask_gated, n_rows)
-            assert np.allclose(probs, softmax(want), rtol=0, atol=1e-12)
+    for n_rows in (1, 16, 156):
+        feats = rng.normal(size=(n_rows, 1000))
+        gated = np.zeros(n_rows, dtype=bool)
+        gated[1::4] = True
+        feats[gated] = 0.0
+        fs = FeatureSet(
+            features=feats,
+            delay_bins=np.arange(n_rows),
+            streams=np.zeros(n_rows, dtype=int),
+            gated=gated,
+        )
+        logits, probs = forward(model, fs)
+        want = _reference_forward(model, fs)
+        scale = np.maximum(1.0, np.abs(want))
+        assert np.all(np.abs(logits - want) <= 1e-12 * scale), n_rows
+        assert np.allclose(probs, softmax(want), rtol=0, atol=1e-12)
 
 
 def test_forward_permutation_invariant_bitwise():
@@ -581,9 +577,14 @@ def _model_with_bank_and_calibration():
         seed=9,
         kernel_bank=bank,
         calibration=Calibration(temperature=1.5, bias=np.array([0.1, -0.2, 0.05])),
-        mask_gated=True,
+        pipeline=PipelineConfig(doppler=DopplerParams(window_len=16), kernel_seed=21, n_kernels=4),
     )
     return model, dims, bank
+
+
+def _trailer_at(raw: bytes) -> int:
+    """Offset of the pipeline trailer (u32 length, JSON) that ends a model file."""
+    return raw.rindex(b'{"pipeline"') - 4
 
 
 def test_model_save_load_round_trip(tmp_path):
@@ -594,7 +595,7 @@ def test_model_save_load_round_trip(tmp_path):
     assert loaded.dims == dims
     assert loaded.class_labels == model.class_labels
     assert loaded.seed == 9
-    assert loaded.mask_gated is True
+    assert loaded.pipeline == model.pipeline
     for name in param_names(2):
         assert np.array_equal(loaded.params[name], model.params[name])
     assert loaded.calibration.temperature == pytest.approx(1.5)
@@ -636,10 +637,10 @@ def test_load_model_bounds_header_by_file_size(tmp_path):
     rejected before any per-parameter state is built."""
     from moric.core import FormatError
 
-    header = struct.pack("<IIIIIIIqB", 1, 8, 400_000, 6, 4, 5, 2, 0, 0)
+    header = struct.pack("<IIIIIIIq", 2, 8, 400_000, 6, 4, 5, 2, 0)
     path = tmp_path / "huge.morm"
     path.write_bytes(b"MORM" + header + b"\x01\x00a\x01\x00b")
-    assert path.stat().st_size == 47
+    assert path.stat().st_size == 46
     tracemalloc.start()
     try:
         with pytest.raises(FormatError, match="weight bytes"):
@@ -672,7 +673,7 @@ def test_load_model_rejects_bad_label_bank_magic_and_flag(tmp_path):
     raw = path.read_bytes()
     label_at = raw.index(b"circle")
     bank_at = raw.index(b"KBNK")
-    calibration_flag_at = len(raw) - 1 - 8 - 8 * 3
+    calibration_flag_at = _trailer_at(raw) - 1 - 8 - 8 * 3
     corruptions = {
         "label": raw[:label_at] + b"\xff" + raw[label_at + 1 :],
         "bank magic": raw[:bank_at] + b"XBNK" + raw[bank_at + 4 :],
@@ -694,7 +695,7 @@ def test_load_model_rejects_fields_its_constructors_reject(tmp_path):
     save_model(model, path)
     raw = path.read_bytes()
     first_weight_at = raw.index(b"up_down") + len(b"up_down")
-    temperature_at = len(raw) - 8 - 8 * 3
+    temperature_at = _trailer_at(raw) - 8 - 8 * 3
     corruptions = {
         "n_heads must be >= 1": (12, struct.pack("<I", 0)),
         "non-finite": (first_weight_at, struct.pack("<f", np.nan)),
@@ -717,28 +718,64 @@ def test_train_aborts_on_divergent_loss():
             train(data, data[:2], cfg, head_hidden=8, reduced_dim=4, cls_hidden=4)
 
 
-def test_mask_gated_drops_zero_rows_but_keeps_totality():
-    rng = np.random.default_rng(91)
-    model_plain = small_model()
-    from dataclasses import replace
 
-    model_masked = replace(model_plain, mask_gated=True)
-    feats = rng.normal(size=(4, 12))
-    feats[1] = 0.0
-    gated = np.array([False, True, False, False])
-    fs = FeatureSet(
-        features=feats, delay_bins=np.arange(4), streams=np.zeros(4, dtype=int), gated=gated
-    )
-    # masking can only change the result through the pooled maxima
-    logits_plain, _ = forward(model_plain, fs)
-    logits_masked, _ = forward(model_masked, fs)
-    assert logits_plain.shape == logits_masked.shape
-    # an all-gated set still classifies (mask falls back to keeping rows)
-    all_gated = FeatureSet(
-        features=np.zeros((3, 12)),
-        delay_bins=np.arange(3),
-        streams=np.zeros(3, dtype=int),
-        gated=np.ones(3, dtype=bool),
-    )
-    label, probs = predict(model_masked, all_gated)
-    assert abs(probs.sum() - 1.0) < 1e-12
+def _with_trailer(raw: bytes, doc) -> bytes:
+    """`raw` with its closing trailer replaced by one holding `doc`."""
+    from moric.core import _json_trailer
+
+    return raw[: _trailer_at(raw)] + _json_trailer(doc)
+
+
+def test_load_model_rejects_version_1_appended_bytes_and_bad_pipeline(tmp_path):
+    from moric.core import FormatError
+
+    model, _, _ = _model_with_bank_and_calibration()
+    path = tmp_path / "model.morm"
+    save_model(model, path)
+    raw = path.read_bytes()
+    doc = model.pipeline.to_dict()
+    doppler = doc["doppler"]
+    corruptions = {
+        "version 1": raw[:4] + struct.pack("<I", 1) + raw[8:],
+        "appended": raw + b"garbage!",
+        "missing key": _with_trailer(raw, {"pipeline": {k: v for k, v in doc.items() if k != "use_hampel"}}),
+        "unknown key": _with_trailer(raw, {"pipeline": {**doc, "normalize": True}}),
+        "unknown doppler key": _with_trailer(
+            raw, {"pipeline": {**doc, "doppler": {**doppler, "window_fn": "hann"}}}
+        ),
+        "wrong type": _with_trailer(raw, {"pipeline": {**doc, "n_kernels": "4"}}),
+        "bad doppler": _with_trailer(raw, {"pipeline": {**doc, "doppler": {**doppler, "hop": 0}}}),
+        "unknown top-level key": _with_trailer(raw, {"pipeline": doc, "extra": 1}),
+        "kernel_seed": _with_trailer(raw, {"pipeline": {**doc, "kernel_seed": 22}}),
+        "n_kernels": _with_trailer(raw, {"pipeline": {**doc, "n_kernels": 5}}),
+        "n_biases": _with_trailer(raw, {"pipeline": {**doc, "n_biases": 2}}),
+    }
+    for name, blob in corruptions.items():
+        path.write_bytes(blob)
+        with pytest.raises(FormatError) as exc:
+            load_model(path)
+        assert str(path) in str(exc.value), name
+    # the untouched trailer loads, and a model without a pipeline stores null
+    path.write_bytes(_with_trailer(raw, {"pipeline": doc}))
+    assert load_model(path).pipeline == model.pipeline
+    save_model(replace(model, pipeline=None), path)
+    assert load_model(path).pipeline is None
+
+
+def test_model_rejects_pipeline_that_disagrees_with_its_bank():
+    model, _, _ = _model_with_bank_and_calibration()
+    for change in ({"kernel_seed": 22}, {"n_kernels": 5}, {"n_biases": 2}):
+        with pytest.raises(ValueError, match="differ from the bank"):
+            replace(model, pipeline=replace(model.pipeline, **change))
+    # either half alone is fine
+    assert replace(model, kernel_bank=None, pipeline=replace(model.pipeline, n_kernels=5)).pipeline
+    assert replace(model, pipeline=None).kernel_bank is not None
+
+
+def test_unknown_label_is_named_before_any_forward_pass():
+    rng = np.random.default_rng(97)
+    model = small_model()
+    # sets of the wrong dimension would fail the forward pass with another message
+    items = [(make_feature_set(rng, dim=5), "c0"), (make_feature_set(rng, dim=5), "up_down")]
+    with pytest.raises(ValueError, match="gesture 'up_down' is not a class of the model"):
+        calibrate(model, items)

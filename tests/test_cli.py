@@ -194,10 +194,6 @@ def test_full_experiment_via_cli(tmp_path):
             str(manifest_path),
             "--report",
             str(tmp_path / "evalout"),
-            "--kernels",
-            "30",
-            "--biases",
-            "2",
         ]
     )
     assert rc == 0
@@ -260,7 +256,7 @@ def test_calibrate_cli_fit_and_sweep(tmp_path):
     fitted = tmp_path / "cal.morm"
     assert main(
         ["calibrate", "--model", str(model_path), "--manifest", str(manifest_path),
-         "--out", str(fitted), "--kernels", "30", "--biases", "2"]
+         "--out", str(fitted)]
     ) == 0
     from moric.classifier import load_model
 
@@ -269,8 +265,7 @@ def test_calibrate_cli_fit_and_sweep(tmp_path):
     sweep_out = tmp_path / "sweep.json"
     assert main(
         ["calibrate", "--model", str(model_path), "--manifest", str(manifest_path),
-         "--sweep", "0,2", "--draws", "2", "--out", str(sweep_out),
-         "--kernels", "30", "--biases", "2"]
+         "--sweep", "0,2", "--draws", "2", "--out", str(sweep_out)]
     ) == 0
     doc = json.loads(sweep_out.read_text())
     assert set(doc) == {"0", "2"}
@@ -285,11 +280,15 @@ def test_help_exits_zero():
     assert exc.value.code == 0
 
 
-def test_calibrate_fit_requires_out(tmp_path):
+def test_calibrate_fit_requires_out(tmp_path, capsys, flagged_model):
     # argument validation happens before any heavy work
     missing = main(["calibrate", "--model", str(tmp_path / "m.morm"),
                     "--manifest", str(tmp_path / "m.json")])
     assert missing == 3  # model file absent -> I/O error first
+    # with the model in place, a missing --out is caught before the manifest is read
+    model_path, _, _ = flagged_model
+    assert main(["calibrate", "--model", str(model_path), "--manifest", str(tmp_path / "m.json")]) == 2
+    assert "--out is required" in capsys.readouterr().err
 
 
 def test_truncated_model_exits_3(tmp_path, capsys):
@@ -320,10 +319,152 @@ def test_model_with_corrupt_header_or_bank_exits_3(tmp_path, capsys):
     raw = path.read_bytes()
     manifest = tmp_path / "manifest.json"
     manifest.write_text(json.dumps({"entries": []}))
-    corrupt = {"n_heads": (raw[:12] + struct.pack("<I", 0) + raw[16:], "n_heads must be >= 1")}
+    corrupt = {
+        "n_heads": (raw[:12] + struct.pack("<I", 0) + raw[16:], "n_heads must be >= 1"),
+        "appended bytes": (raw + b"garbage!", "8 bytes after the trailer"),
+    }
     corrupt.update(bank_field_patches(raw, raw.index(b"KBNK")))
     for name, (blob, message) in corrupt.items():
         path.write_bytes(blob)
         assert main(["eval", "--model", str(path), "--manifest", str(manifest)]) == 3, name
         err = capsys.readouterr().err
         assert message is None or message in err, name
+
+
+PIPELINE_FLAGS = ["--window", "--hop", "--pad", "--estimator", "--snr-db", "--skip-hampel",
+                  "--kernel-seed", "--kernels", "--biases"]
+
+
+@pytest.fixture(scope="module")
+def flagged_model(tmp_path_factory):
+    """A model trained with non-default pipeline flags, its corpus manifest,
+    and a manifest holding a gesture the model lacks."""
+    out = tmp_path_factory.mktemp("flagged")
+    radio = make_radio(n_subcarriers=16)
+    _, manifest_path = write_synthetic_manifest(
+        out / "corpus", subjects=["s1"], gestures=["circle", "push_pull"], samples_per_class=3,
+        radio=radio, duration_s=5.0, seed=5, easy=True,
+    )
+    _, foreign_path = write_synthetic_manifest(
+        out / "foreign", subjects=["s2"], gestures=["circle", "up_down"], samples_per_class=2,
+        radio=radio, duration_s=5.0, seed=6, easy=True,
+    )
+    model_path = out / "model.morm"
+    assert main(
+        ["train", "--manifest", str(manifest_path), "--out", str(model_path),
+         "--kernels", "20", "--biases", "2", "--window", "32", "--skip-hampel",
+         "--lr", "0.01", "--epochs", "5", "--patience", "5", "--batch", "4"]
+    ) == 0
+    return model_path, manifest_path, foreign_path
+
+
+def test_eval_and_calibrate_featurize_with_the_model_pipeline(tmp_path, flagged_model, monkeypatch):
+    from moric import harness
+    from moric.classifier import load_model
+    from moric.core import DopplerParams, PipelineConfig
+    from moric.harness import Manifest, build_feature_table
+
+    model_path, manifest_path, _ = flagged_model
+    want = PipelineConfig(doppler=DopplerParams(window_len=32), use_hampel=False, n_kernels=20, n_biases=2)
+    assert load_model(model_path).pipeline == want
+
+    scored = []
+    evaluate = harness.evaluate_samples
+
+    def recording_evaluate(model, samples, **kwargs):
+        scored.extend(samples)
+        return evaluate(model, samples, **kwargs)
+
+    monkeypatch.setattr(harness, "evaluate_samples", recording_evaluate)
+    assert main(["eval", "--model", str(model_path), "--manifest", str(manifest_path)]) == 0
+    reference = build_feature_table(Manifest.load(manifest_path), want)
+    assert len(scored) == len(reference) == 6
+    for got, ref in zip(scored, reference):
+        for field in ("features", "delay_bins", "streams", "gated"):
+            a, b = getattr(got.feature_set, field), getattr(ref.feature_set, field)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field
+
+    fitted = tmp_path / "cal.morm"
+    assert main(["calibrate", "--model", str(model_path), "--manifest", str(manifest_path),
+                 "--out", str(fitted)]) == 0
+    assert load_model(fitted).pipeline == want
+    assert main(["calibrate", "--model", str(model_path), "--manifest", str(manifest_path),
+                 "--sweep", "0,1", "--draws", "1"]) == 0
+
+
+def test_eval_and_calibrate_take_no_pipeline_flags(capsys, flagged_model):
+    model_path, manifest_path, _ = flagged_model
+    for command in ("eval", "calibrate"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        text = capsys.readouterr().out
+        assert not [flag for flag in PIPELINE_FLAGS if flag in text], command
+        for flag in PIPELINE_FLAGS:
+            value = [] if flag == "--skip-hampel" else ["psd" if flag == "--estimator" else "3"]
+            with pytest.raises(SystemExit) as exc:
+                main([command, "--model", str(model_path), "--manifest", str(manifest_path), flag] + value)
+            assert exc.value.code == 2, (command, flag)
+            assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_unknown_gesture_exits_2(tmp_path, capsys, flagged_model):
+    model_path, _, foreign_path = flagged_model
+    base = ["--model", str(model_path), "--manifest", str(foreign_path)]
+    for argv in (
+        ["eval"] + base,
+        ["calibrate"] + base + ["--out", str(tmp_path / "cal.morm")],
+        ["calibrate"] + base + ["--sweep", "0,1", "--draws", "1"],
+    ):
+        assert main(argv) == 2, argv
+        assert "gesture 'up_down' is not a class of the model" in capsys.readouterr().err, argv
+
+
+def test_bad_or_incomplete_model_file_exits_3(tmp_path, capsys, flagged_model):
+    from dataclasses import replace
+
+    from moric.classifier import load_model, save_model
+    from moric.core import _json_trailer
+
+    model_path, manifest_path, _ = flagged_model
+    model = load_model(model_path)
+    raw = model_path.read_bytes()
+    body = raw[: raw.rindex(b'{"pipeline"') - 4]
+    doc = model.pipeline.to_dict()
+    path = tmp_path / "model.morm"
+    cases = {
+        "version 1": (raw[:4] + struct.pack("<I", 1) + raw[8:], "unsupported model version 1"),
+        "appended bytes": (raw + b"garbage!", "bytes after the trailer"),
+        "missing key": (body + _json_trailer({"pipeline": {k: v for k, v in doc.items() if k != "n_biases"}}),
+                        "missing keys ['n_biases']"),
+        "unknown key": (body + _json_trailer({"pipeline": {**doc, "normalize": True}}),
+                        "unknown keys ['normalize']"),
+        "kernel_seed": (body + _json_trailer({"pipeline": {**doc, "kernel_seed": 7}}), "differ from the bank"),
+        "n_kernels": (body + _json_trailer({"pipeline": {**doc, "n_kernels": 21}}), "differ from the bank"),
+        "n_biases": (body + _json_trailer({"pipeline": {**doc, "n_biases": 3}}), "differ from the bank"),
+    }
+    for name, (blob, message) in cases.items():
+        path.write_bytes(blob)
+        assert main(["eval", "--model", str(path), "--manifest", str(manifest_path)]) == 3, name
+        assert message in capsys.readouterr().err, name
+    for field, what in (("kernel_bank", "kernel bank"), ("pipeline", "pipeline config")):
+        save_model(replace(model, **{field: None}), path)
+        for command in ("eval", "calibrate"):
+            argv = [command, "--model", str(path), "--manifest", str(manifest_path), "--out", str(tmp_path / "c")]
+            assert main(argv[:5] if command == "eval" else argv) == 3, (field, command)
+            assert f"the model carries no {what}" in capsys.readouterr().err
+
+
+def test_calibrate_sweep_counts_are_checked_before_featurizing(tmp_path, capsys, flagged_model):
+    model_path, _, _ = flagged_model
+    missing = str(tmp_path / "absent.json")
+    assert main(["calibrate", "--model", str(model_path), "--manifest", missing, "--sweep", "a,b"]) == 2
+    assert "invalid literal" in capsys.readouterr().err
+
+
+def test_report_rejects_malformed_report_exits_2(tmp_path, capsys):
+    path = tmp_path / "report.json"
+    for doc in ({"class_labels": ["a"]}, [1, 2], {"class_labels": "a", "fold_subjects": []}):
+        path.write_text(json.dumps(doc))
+        assert main(["report", "--in", str(path), "--out", str(tmp_path / "out")]) == 2, doc
+        assert "bad report" in capsys.readouterr().err, doc

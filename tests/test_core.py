@@ -348,3 +348,37 @@ def test_velocity_set_rejects_mismatched_lengths():
     assert vs.n_time == 5
     with pytest.raises(ValueError):
         vs.values[0, 0] = 1.0  # read-only
+
+
+def test_pipeline_config_dict_round_trip_and_rejections():
+    from moric.core import DopplerParams, PipelineConfig
+
+    cfg = PipelineConfig(
+        doppler=DopplerParams(window_len=32, hop=2, fft_pad=256, estimator="phase_derivative"),
+        snr_threshold_db=1.5,
+        use_hampel=False,
+        kernel_seed=7,
+        n_kernels=20,
+        n_biases=2,
+    )
+    doc = json.loads(json.dumps(cfg.to_dict()))
+    assert PipelineConfig.from_dict(doc) == cfg
+    assert set(doc) == {"doppler", "snr_threshold_db", "use_hampel", "kernel_seed", "n_kernels", "n_biases"}
+    # an integer is a valid JSON number for a float field
+    assert PipelineConfig.from_dict({**doc, "snr_threshold_db": 2}).snr_threshold_db == 2.0
+    bad = {
+        "missing": {k: v for k, v in doc.items() if k != "n_biases"},
+        "unknown": {**doc, "hampel_window": 11},
+        "nested unknown": {**doc, "doppler": {**doc["doppler"], "window_fn": "hann"}},
+        "nested missing": {**doc, "doppler": {"window_len": 32}},
+        "string for int": {**doc, "n_kernels": "20"},
+        "bool for int": {**doc, "kernel_seed": True},
+        "int for bool": {**doc, "use_hampel": 1},
+        "float for int": {**doc, "doppler": {**doc["doppler"], "hop": 2.0}},
+        "not an object": [],
+        "doppler not an object": {**doc, "doppler": None},
+        "rejected by DopplerParams": {**doc, "doppler": {**doc["doppler"], "estimator": "music"}},
+    }
+    for name, value in bad.items():
+        with pytest.raises(ValueError):
+            PipelineConfig.from_dict(value)

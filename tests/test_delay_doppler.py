@@ -494,7 +494,3 @@ def test_psd_recovers_projection_on_moderate_cluster(radio):
         rms = np.sqrt(np.mean((v - target) ** 2))
         assert rms <= tol, f"target {target}: rms {rms:.4f} > {tol:.4f}"
 
-
-def test_doppler_params_rejects_unknown_window():
-    with pytest.raises(ValueError):
-        DopplerParams(window_fn="hamming")

@@ -14,7 +14,7 @@ from moric.harness import (
     build_feature_table,
     derive_seed,
     evaluate_samples,
-    get_kernel_bank,
+    kernel_bank,
     report_emit,
     run_calibration_sweep,
     run_loso,
@@ -226,7 +226,7 @@ def test_report_validate_rejects_bad_rows():
 
 def test_kernel_bank_matches_table(corpus):
     manifest, _ = corpus
-    bank = get_kernel_bank(manifest, SMALL_PIPELINE)
+    bank = kernel_bank(manifest, SMALL_PIPELINE)
     assert bank.n_kernels == 50
     assert bank.dim == 150
 
@@ -245,3 +245,45 @@ def test_calibration_sweep_paper_counts(corpus, corpus_samples):
     for count in (4, 6, 10):
         assert 0.0 <= results[count]["mean_accuracy"] <= 1.0
         assert len(results[count]["draws"]) == 2
+
+
+def test_evaluate_samples_names_an_unknown_gesture(corpus_samples):
+    from dataclasses import replace
+
+    from moric.classifier import ModelDims, MoricModel, init_params
+
+    dims = ModelDims(input_dim=150, n_heads=1, head_hidden=4, reduced_dim=3, cls_hidden=4, n_classes=2)
+    model = MoricModel(dims=dims, class_labels=("circle", "push_pull"), params=init_params(dims, 0))
+    samples = corpus_samples[:3] + [replace(corpus_samples[3], label="up_down")]
+    with pytest.raises(ValueError, match="gesture 'up_down' is not a class of the model"):
+        evaluate_samples(model, samples)
+    acc, counts = evaluate_samples(model, corpus_samples[:3])
+    assert counts.sum() == 3 and acc == np.trace(counts) / 3
+
+
+def test_report_from_dict_rejects_malformed_documents():
+    good = {
+        "class_labels": ["a", "b"],
+        "fold_subjects": ["s"],
+        "fold_accuracies": [1.0],
+        "mean_accuracy": 1.0,
+        "sd_accuracy": 0.0,
+        "confusion_pct": [[100.0, 0.0], [0.0, 100.0]],
+        "snr_median_by_stream": {"0": 3.0},
+        "runtime_s": 0.5,
+    }
+    assert Report.from_dict(good).to_dict() == good
+    bad = [
+        {"class_labels": ["a"]},
+        [],
+        "report",
+        {**good, "class_labels": "ab"},
+        {**good, "fold_accuracies": 1.0},
+        {**good, "fold_accuracies": ["x"]},
+        {**good, "mean_accuracy": None},
+        {**good, "confusion_pct": [["x"]]},
+        {**good, "snr_median_by_stream": [1.0]},
+    ]
+    for doc in bad:
+        with pytest.raises(ValueError, match="report"):
+            Report.from_dict(doc)
