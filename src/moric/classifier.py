@@ -8,7 +8,8 @@ their bytes, making the prediction bitwise invariant to row order and
 repetition. Training is plain mini-batch backprop with an adaptive-moment
 optimizer using decoupled weight decay, cross-entropy with label smoothing,
 and early stopping on validation loss. A post-hoc temperature + per-class-bias
-calibration can be fitted on a handful of held-out samples.
+calibration can be fitted on the fixed logits of a handful of held-out
+samples; `calibrate` fits many draws of them as one batched descent.
 
 A model file (MORM, version 2) also holds the kernel bank, the calibration
 and, in a closing JSON trailer, the `PipelineConfig` that made the features.
@@ -68,7 +69,7 @@ class Calibration:
     def __post_init__(self):
         if not (self.temperature > 0 and np.isfinite(self.temperature)):
             raise ValueError("temperature must be positive")
-        b = np.asarray(self.bias, dtype=np.float64)
+        b = np.array(self.bias, dtype=np.float64)  # a copy: the caller's array stays writeable
         b.flags.writeable = False
         object.__setattr__(self, "bias", b)
 
@@ -456,33 +457,47 @@ def calibrated_probs(calibration: Calibration, logits: np.ndarray) -> np.ndarray
 
 
 def calibrate(
-    model: MoricModel,
-    cal_set: Sequence[Tuple[FeatureSet, str]],
+    logits: np.ndarray,
+    labels: np.ndarray,
     steps: int = 500,
     lr: float = 0.01,
-) -> Calibration:
-    """Fit a temperature and per-class bias by gradient descent on the
-    negative log likelihood of the calibration samples. The temperature is
-    parameterized as exp(log T) so it stays positive."""
-    if not cal_set:
-        raise ValueError("empty calibration set")
-    y = label_indices(model, [lbl for _, lbl in cal_set])
-    logits = np.stack([forward(model, fs)[0] for fs, _ in cal_set])
-    n, c = logits.shape
-    onehot = np.zeros((n, c))
-    onehot[np.arange(n), y] = 1.0
+) -> Tuple[Calibration, ...]:
+    """Fit a temperature and per-class bias per draw by gradient descent on
+    the negative log likelihood of that draw's calibration samples.
 
-    log_t = 0.0
-    bias = np.zeros(c)
+    `logits` [draws, n, C] are the samples' fixed logits and `labels`
+    [draws, n] their class indices. All draws run as one batched descent, and
+    each draw's arithmetic is that of a fit on the draw alone. The temperature
+    is parameterized as exp(log T) so it stays positive."""
+    if steps < 1:
+        raise ValueError(f"steps must be >= 1, got {steps}")
+    if not (lr > 0 and math.isfinite(lr)):
+        raise ValueError(f"lr must be finite and positive, got {lr}")
+    logits = np.asarray(logits, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.int64)
+    if logits.ndim != 3 or labels.shape != logits.shape[:2]:
+        raise ValueError(f"logits {logits.shape} and labels {labels.shape} are not [draws, n, C], [draws, n]")
+    draws, n, c = logits.shape
+    if draws == 0 or n == 0:
+        raise ValueError("empty calibration set")
+    if labels.min() < 0 or labels.max() >= c:
+        raise ValueError(f"labels must be class indices in [0, {c})")
+    onehot = np.zeros((draws, n, c))
+    np.put_along_axis(onehot, labels[..., None], 1.0, axis=2)
+
+    log_t = np.zeros(draws)
+    bias = np.zeros((draws, 1, c))
     for _ in range(steps):
-        t = np.exp(log_t)
-        q = softmax(logits / t + bias, axis=1)
+        t = np.exp(log_t)[:, None, None]
+        q = softmax(logits / t + bias, axis=2)
         resid = (q - onehot) / n
-        grad_bias = resid.sum(axis=0)
-        grad_log_t = float(np.sum(resid * (-logits / t)))
+        grad_bias = resid.sum(axis=1, keepdims=True)
+        grad_log_t = np.sum(resid * (-logits / t), axis=(1, 2))
         log_t -= lr * grad_log_t
         bias -= lr * grad_bias
-    return Calibration(temperature=float(np.exp(log_t)), bias=bias)
+    return tuple(
+        Calibration(temperature=float(np.exp(lt)), bias=b[0]) for lt, b in zip(log_t, bias)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -204,8 +204,9 @@ def cmd_calibrate(args) -> int:
             Path(args.out).write_text(text)
         print(text)
         return 0
-    items = [(s.feature_set, s.label) for s in samples]
-    calibration = classifier.calibrate(model, items, steps=args.steps, lr=args.lr)
+    truth = classifier.label_indices(model, [s.label for s in samples])
+    logits = harness.sample_logits(model, samples)
+    (calibration,) = classifier.calibrate(logits[None], truth[None], steps=args.steps, lr=args.lr)
     calibrated = model.with_calibration(calibration)
     classifier.save_model(calibrated, args.out)
     print(f"wrote {args.out}: T={calibration.temperature:.4f}")

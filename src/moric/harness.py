@@ -1,5 +1,10 @@
 """End-to-end experiment harness: manifests, the per-sample pipeline,
-leave-one-subject-out evaluation, calibration sweeps, and report emission."""
+leave-one-subject-out evaluation, calibration sweeps, and report emission.
+
+Scoring has one path: `sample_logits` runs one forward pass per sample and
+`score_logits` turns those logits into accuracy and confusion counts.
+`evaluate_samples` is the two in turn, and a calibration sweep computes the
+logits once and scores every draw on rows of them."""
 
 from __future__ import annotations
 
@@ -248,16 +253,35 @@ class Report:
             raise ValueError(f"bad report: {exc!r}") from None
 
 
-def evaluate_samples(model: MoricModel, samples: Sequence[PipelineSample], use_calibration=False):
-    """Accuracy and confusion counts [true, predicted]; raises ValueError
-    for a sample whose gesture is not a class of the model."""
-    truth = classifier.label_indices(model, [s.label for s in samples])
-    n = len(model.class_labels)
+def sample_logits(model: MoricModel, samples: Sequence[PipelineSample]) -> np.ndarray:
+    """Class logits [n, C] of the samples, one forward pass each."""
+    if not samples:
+        raise ValueError("no samples to evaluate")
+    return np.stack([classifier.forward(model, s.feature_set)[0] for s in samples])
+
+
+def score_logits(logits: np.ndarray, truth: np.ndarray, calibration=None):
+    """Accuracy and confusion counts [true, predicted] of logits [n, C]
+    against class indices `truth` [n]. The prediction is the argmax of the
+    softmax, calibrated if a calibration is given, as in classifier.predict."""
+    if calibration is None:
+        probs = classifier.softmax(logits, axis=1)
+    else:
+        probs = classifier.calibrated_probs(calibration, logits)
+    n = logits.shape[1]
     counts = np.zeros((n, n), dtype=np.int64)
-    for t, s in zip(truth, samples):
-        _, probs = classifier.predict(model, s.feature_set, use_calibration=use_calibration)
-        counts[t, np.argmax(probs)] += 1
-    return int(np.trace(counts)) / len(samples), counts
+    np.add.at(counts, (truth, np.argmax(probs, axis=1)), 1)
+    return int(np.trace(counts)) / len(truth), counts
+
+
+def evaluate_samples(model: MoricModel, samples: Sequence[PipelineSample], use_calibration=False):
+    """Accuracy and confusion counts [true, predicted]; raises ValueError for
+    no samples or a sample whose gesture is not a class of the model."""
+    truth = classifier.label_indices(model, [s.label for s in samples])
+    if use_calibration and model.calibration is None:
+        raise ValueError("model carries no calibration")
+    calibration = model.calibration if use_calibration else None
+    return score_logits(sample_logits(model, samples), truth, calibration)
 
 
 def run_loso(
@@ -355,35 +379,44 @@ def run_calibration_sweep(
     For each count, draw that many calibration samples per class (seeded),
     fit the temperature/bias calibration, and score the remaining samples;
     repeat n_draws times and average. Count 0 reproduces the uncalibrated
-    accuracy.
+    accuracy. Each sample runs one forward pass; every draw fits and scores
+    rows of those logits, and the draws of one count are one batched fit.
+    The arguments are checked before any forward pass.
     """
+    counts = list(samples_per_class)
+    if not counts or min(counts) < 0:
+        raise ValueError(f"samples_per_class must be a non-empty list of counts >= 0, got {counts}")
+    if n_draws < 1:
+        raise ValueError(f"n_draws must be >= 1, got {n_draws}")
+    truth = classifier.label_indices(model, [s.label for s in samples])
     by_class: Dict[str, List[int]] = {}
     for i, s in enumerate(samples):
         by_class.setdefault(s.label, []).append(i)
-    max_count = max(samples_per_class)
+    max_count = max(counts)
     for lbl, idx in by_class.items():
         if max_count > 0 and len(idx) < max_count + 1:
             raise ValueError(
                 f"class {lbl} has {len(idx)} samples; need at least {max_count + 1}"
             )
+    logits = sample_logits(model, samples)
     results = {}
-    for count in samples_per_class:
+    for count in counts:
         if count == 0:
-            acc, _ = evaluate_samples(model, samples)
+            acc, _ = score_logits(logits, truth)
             results[0] = {"mean_accuracy": acc, "draws": [acc]}
             continue
-        draws = []
+        cal_idx = np.empty((n_draws, count * len(by_class)), dtype=np.int64)
         for draw in range(n_draws):
             rng = np.random.default_rng(derive_seed(seed, f"cal-{count}-{draw}"))
-            cal_idx = []
-            for lbl in sorted(by_class):
-                cal_idx.extend(rng.choice(by_class[lbl], size=count, replace=False).tolist())
-            cal_items = [(samples[i].feature_set, samples[i].label) for i in cal_idx]
-            calibration = classifier.calibrate(model, cal_items)
-            calibrated = model.with_calibration(calibration)
-            cal_set = set(cal_idx)
-            rest = [s for i, s in enumerate(samples) if i not in cal_set]
-            acc, _ = evaluate_samples(calibrated, rest, use_calibration=True)
+            cal_idx[draw] = np.concatenate(
+                [rng.choice(by_class[lbl], size=count, replace=False) for lbl in sorted(by_class)]
+            )
+        calibrations = classifier.calibrate(logits[cal_idx], truth[cal_idx])
+        draws = []
+        for idx, calibration in zip(cal_idx, calibrations):
+            rest = np.ones(len(samples), dtype=bool)
+            rest[idx] = False
+            acc, _ = score_logits(logits[rest], truth[rest], calibration)
             draws.append(acc)
         results[count] = {"mean_accuracy": float(np.mean(draws)), "draws": draws}
     return results

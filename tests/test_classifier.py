@@ -531,21 +531,30 @@ def test_temperature_only_calibration_preserves_argmax():
         assert np.argmax(calibrated_probs(cal, z)) == np.argmax(softmax(z))
 
 
+def test_calibration_freezes_its_own_copy_of_the_bias():
+    bias = np.zeros(3)
+    cal = Calibration(temperature=1.0, bias=bias)
+    bias[0] = 5.0  # the caller's array stays writeable and apart
+    assert cal.bias[0] == 0.0
+    with pytest.raises(ValueError):
+        cal.bias[0] = 1.0
+
+
 def test_calibrate_improves_biased_labels():
     # model with systematically shifted logits: calibration fixes the shift
     rng = np.random.default_rng(67)
     model = small_model(n_classes=2)
     sets = [make_feature_set(rng, label=f"c{i % 2}") for i in range(12)]
-    items = [(fs, fs.label) for fs in sets]
-    cal = calibrate(model, items, steps=200, lr=0.05)
+    logits = np.stack([forward(model, fs)[0] for fs in sets])
+    labels = np.arange(12) % 2
+    (cal,) = calibrate(logits[None], labels[None], steps=200, lr=0.05)
     assert cal.temperature > 0
     assert cal.bias.shape == (2,)
 
 
 def test_calibrate_rejects_empty_set():
-    model = small_model()
-    with pytest.raises(ValueError):
-        calibrate(model, [])
+    with pytest.raises(ValueError, match="empty calibration set"):
+        calibrate(np.zeros((1, 0, 3)), np.zeros((1, 0), dtype=np.int64))
 
 
 def test_predict_calibrated_b0_same_argmax():
@@ -772,10 +781,21 @@ def test_model_rejects_pipeline_that_disagrees_with_its_bank():
     assert replace(model, pipeline=None).kernel_bank is not None
 
 
-def test_unknown_label_is_named_before_any_forward_pass():
+def test_unknown_label_is_named_before_any_forward_pass(monkeypatch):
+    from moric import classifier, harness
+
     rng = np.random.default_rng(97)
     model = small_model()
+    calls = []
+    monkeypatch.setattr(classifier, "forward", lambda *args: calls.append(args))
     # sets of the wrong dimension would fail the forward pass with another message
-    items = [(make_feature_set(rng, dim=5), "c0"), (make_feature_set(rng, dim=5), "up_down")]
-    with pytest.raises(ValueError, match="gesture 'up_down' is not a class of the model"):
-        calibrate(model, items)
+    samples = [
+        harness.PipelineSample(make_feature_set(rng, dim=5), label, "s", f"x{i}", {})
+        for i, label in enumerate(["c0", "up_down", "c0", "up_down"])
+    ]
+    message = "gesture 'up_down' is not a class of the model"
+    with pytest.raises(ValueError, match=message):
+        harness.run_calibration_sweep(samples, model, [0, 1], n_draws=2)
+    with pytest.raises(ValueError, match=message):
+        harness.evaluate_samples(model, samples)
+    assert calls == []

@@ -408,7 +408,11 @@ def test_eval_and_calibrate_take_no_pipeline_flags(capsys, flagged_model):
             assert "unrecognized arguments" in capsys.readouterr().err
 
 
-def test_unknown_gesture_exits_2(tmp_path, capsys, flagged_model):
+def test_unknown_gesture_exits_2(tmp_path, capsys, flagged_model, monkeypatch):
+    from moric import classifier
+
+    calls = []
+    monkeypatch.setattr(classifier, "forward", lambda *args: calls.append(args))
     model_path, _, foreign_path = flagged_model
     base = ["--model", str(model_path), "--manifest", str(foreign_path)]
     for argv in (
@@ -418,6 +422,7 @@ def test_unknown_gesture_exits_2(tmp_path, capsys, flagged_model):
     ):
         assert main(argv) == 2, argv
         assert "gesture 'up_down' is not a class of the model" in capsys.readouterr().err, argv
+    assert calls == []  # named before any forward pass
 
 
 def test_bad_or_incomplete_model_file_exits_3(tmp_path, capsys, flagged_model):
@@ -460,6 +465,44 @@ def test_calibrate_sweep_counts_are_checked_before_featurizing(tmp_path, capsys,
     missing = str(tmp_path / "absent.json")
     assert main(["calibrate", "--model", str(model_path), "--manifest", missing, "--sweep", "a,b"]) == 2
     assert "invalid literal" in capsys.readouterr().err
+
+
+def test_calibrate_rejects_bad_sweep_and_fit_arguments(tmp_path, capsys, flagged_model):
+    model_path, manifest_path, _ = flagged_model
+    base = ["calibrate", "--model", str(model_path), "--manifest", str(manifest_path)]
+    out = ["--out", str(tmp_path / "cal.morm")]
+    for extra, message in (
+        (["--sweep", "1", "--draws", "0"], "n_draws must be >= 1"),
+        (["--sweep", "-1"], "samples_per_class"),
+        (["--sweep", "0,-1"], "samples_per_class"),
+        (out + ["--steps", "-3"], "steps must be >= 1"),
+        (out + ["--steps", "0"], "steps must be >= 1"),
+        (out + ["--lr", "0"], "lr must be finite and positive"),
+        (out + ["--lr", "nan"], "lr must be finite and positive"),
+    ):
+        assert main(base + extra) == 2, extra
+        captured = capsys.readouterr()
+        assert message in captured.err, extra
+        assert "NaN" not in captured.out, extra
+    assert not (tmp_path / "cal.morm").exists()
+
+
+def test_calibrate_fit_equals_per_draw_reference(tmp_path, flagged_model):
+    from moric.classifier import load_model
+    from moric.harness import Manifest, featurize_manifest
+
+    from test_harness import _reference_calibrate
+
+    model_path, manifest_path, _ = flagged_model
+    fitted = tmp_path / "cal.morm"
+    assert main(["calibrate", "--model", str(model_path), "--manifest", str(manifest_path),
+                 "--out", str(fitted), "--steps", "300", "--lr", "0.02"]) == 0
+    model = load_model(model_path)
+    samples = featurize_manifest(Manifest.load(manifest_path), model.pipeline, model.kernel_bank)
+    ref = _reference_calibrate(model, [(s.feature_set, s.label) for s in samples], steps=300, lr=0.02)
+    got = load_model(fitted).calibration
+    assert got.temperature == ref.temperature
+    assert got.bias.tobytes() == ref.bias.tobytes()
 
 
 def test_report_rejects_malformed_report_exits_2(tmp_path, capsys):

@@ -1,9 +1,11 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from moric.classifier import TrainConfig
+from moric import classifier
+from moric.classifier import TrainConfig, calibrate, calibrated_probs, forward, predict, softmax
 from moric.core import SampleMeta
 from moric.delay_doppler import DopplerParams
 from moric.harness import (
@@ -18,6 +20,7 @@ from moric.harness import (
     report_emit,
     run_calibration_sweep,
     run_loso,
+    sample_logits,
     stratified_split,
 )
 
@@ -287,3 +290,193 @@ def test_report_from_dict_rejects_malformed_documents():
     for doc in bad:
         with pytest.raises(ValueError, match="report"):
             Report.from_dict(doc)
+
+
+# ---------------------------------------------------------------------------
+# Calibration sweep on cached logits, against the per-draw reference
+# ---------------------------------------------------------------------------
+
+
+def _reference_fit(logits, y, steps=500, lr=0.01):
+    """The per-feature-set calibration loop as it ran before the batched fit."""
+    n, c = logits.shape
+    onehot = np.zeros((n, c))
+    onehot[np.arange(n), y] = 1.0
+
+    log_t = 0.0
+    bias = np.zeros(c)
+    for _ in range(steps):
+        t = np.exp(log_t)
+        q = softmax(logits / t + bias, axis=1)
+        resid = (q - onehot) / n
+        grad_bias = resid.sum(axis=0)
+        grad_log_t = float(np.sum(resid * (-logits / t)))
+        log_t -= lr * grad_log_t
+        bias -= lr * grad_bias
+    return classifier.Calibration(temperature=float(np.exp(log_t)), bias=bias)
+
+
+def _reference_calibrate(model, cal_set, steps=500, lr=0.01):
+    """One forward pass per calibration set, then the per-draw fit."""
+    y = classifier.label_indices(model, [lbl for _, lbl in cal_set])
+    logits = np.stack([forward(model, fs)[0] for fs, _ in cal_set])
+    return _reference_fit(logits, y, steps, lr)
+
+
+def _reference_evaluate(model, samples, use_calibration=False):
+    truth = classifier.label_indices(model, [s.label for s in samples])
+    n = len(model.class_labels)
+    counts = np.zeros((n, n), dtype=np.int64)
+    for t, s in zip(truth, samples):
+        _, probs = predict(model, s.feature_set, use_calibration=use_calibration)
+        counts[t, np.argmax(probs)] += 1
+    return int(np.trace(counts)) / len(samples), counts
+
+
+def _reference_draws(samples, count, n_draws, seed):
+    """The calibration indices of each draw, in the sweep's draw order."""
+    by_class = {}
+    for i, s in enumerate(samples):
+        by_class.setdefault(s.label, []).append(i)
+    for draw in range(n_draws):
+        rng = np.random.default_rng(derive_seed(seed, f"cal-{count}-{draw}"))
+        cal_idx = []
+        for lbl in sorted(by_class):
+            cal_idx.extend(rng.choice(by_class[lbl], size=count, replace=False).tolist())
+        yield cal_idx
+
+
+def _reference_sweep(samples, model, samples_per_class, n_draws=10, seed=0):
+    """The per-draw sweep: forward passes and a separate fit in every draw."""
+    results = {}
+    for count in samples_per_class:
+        if count == 0:
+            acc, _ = _reference_evaluate(model, samples)
+            results[0] = {"mean_accuracy": acc, "draws": [acc]}
+            continue
+        draws = []
+        for cal_idx in _reference_draws(samples, count, n_draws, seed):
+            cal_items = [(samples[i].feature_set, samples[i].label) for i in cal_idx]
+            calibrated = model.with_calibration(_reference_calibrate(model, cal_items))
+            cal_set = set(cal_idx)
+            rest = [s for i, s in enumerate(samples) if i not in cal_set]
+            acc, _ = _reference_evaluate(calibrated, rest, use_calibration=True)
+            draws.append(acc)
+        results[count] = {"mean_accuracy": float(np.mean(draws)), "draws": draws}
+    return results
+
+
+@pytest.fixture(scope="module")
+def held_out(corpus_samples):
+    """A small model trained on subject s1, and subject s2's samples."""
+    tr_items = [(s.feature_set, s.label) for s in corpus_samples if s.subject == "s1"]
+    model = classifier.train(tr_items, tr_items[:4], FAST_TRAIN, head_hidden=16, reduced_dim=8, cls_hidden=8)
+    return model, [s for s in corpus_samples if s.subject == "s2"]
+
+
+def _counting_forward(monkeypatch):
+    calls = []
+    original = classifier.forward
+
+    def counted(model, fs):
+        calls.append(fs)
+        return original(model, fs)
+
+    monkeypatch.setattr(classifier, "forward", counted)
+    return calls
+
+
+def test_sweep_equals_per_draw_reference(held_out):
+    trained, samples = held_out
+    # the trained model scores 1.0 in every draw; untrained ones score 0.1-0.6
+    dims = replace(trained.dims, n_heads=1, head_hidden=4, reduced_dim=3, cls_hidden=4)
+    untrained = [replace(trained, dims=dims, params=classifier.init_params(dims, k)) for k in (0, 2)]
+    for model in [trained] + untrained:
+        for seed in (0, 5):
+            got = run_calibration_sweep(samples, model, [0, 1, 2], n_draws=4, seed=seed)
+            assert got == _reference_sweep(samples, model, [0, 1, 2], n_draws=4, seed=seed)
+
+
+def test_batched_calibrations_equal_per_draw_fits(held_out):
+    model, samples = held_out
+    logits = sample_logits(model, samples)
+    truth = classifier.label_indices(model, [s.label for s in samples])
+    for count in (1, 3):
+        cal_idx = np.array(list(_reference_draws(samples, count, 5, seed=2)))
+        batched = calibrate(logits[cal_idx], truth[cal_idx])
+        assert len(batched) == 5
+        for idx, cal in zip(cal_idx, batched):
+            ref = _reference_calibrate(model, [(samples[i].feature_set, samples[i].label) for i in idx])
+            assert cal.temperature == ref.temperature
+            assert cal.bias.tobytes() == ref.bias.tobytes()
+
+
+def test_batched_fit_equals_per_draw_fit_on_random_logits():
+    rng = np.random.default_rng(11)
+    for draws, n, c in ((1, 1, 2), (3, 7, 4), (10, 40, 5), (6, 130, 9)):
+        logits = 3.0 * rng.normal(size=(draws, n, c))
+        labels = rng.integers(0, c, size=(draws, n))
+        batched = calibrate(logits, labels, steps=120, lr=0.05)
+        for d, cal in enumerate(batched):
+            ref = _reference_fit(logits[d], labels[d], steps=120, lr=0.05)
+            assert cal.temperature == ref.temperature, (draws, n, c, d)
+            assert cal.bias.tobytes() == ref.bias.tobytes(), (draws, n, c, d)
+
+
+def test_evaluate_samples_counts_equal_per_sample_predict(held_out):
+    model, samples = held_out
+    cal = classifier.Calibration(temperature=0.7, bias=np.array([0.9, -0.4]))
+    for m, use in ((model, False), (model.with_calibration(cal), True), (model.with_calibration(cal), False)):
+        acc, counts = evaluate_samples(m, samples, use_calibration=use)
+        ref_acc, ref_counts = _reference_evaluate(m, samples, use_calibration=use)
+        assert acc == ref_acc and np.array_equal(counts, ref_counts)
+    # the calibrated scorer's probabilities are predict's, bit for bit
+    probs = calibrated_probs(cal, sample_logits(model, samples))
+    for row, s in zip(probs, samples):
+        assert row.tobytes() == predict(model.with_calibration(cal), s.feature_set, True)[1].tobytes()
+    with pytest.raises(ValueError, match="no calibration"):
+        evaluate_samples(model, samples, use_calibration=True)
+
+
+def test_sweep_runs_one_forward_pass_per_sample(held_out, monkeypatch):
+    model, samples = held_out
+    calls = _counting_forward(monkeypatch)
+    run_calibration_sweep(samples, model, [0, 1, 2], n_draws=3, seed=4)
+    assert len(calls) == len(samples)
+    assert [id(fs) for fs in calls] == [id(s.feature_set) for s in samples]
+
+
+def test_sweep_and_evaluate_reject_bad_arguments_before_any_forward_pass(held_out, monkeypatch):
+    model, samples = held_out
+    calls = _counting_forward(monkeypatch)
+    cases = [
+        ((samples, model, [1], 0), "n_draws"),
+        ((samples, model, [1, -1], 2), "samples_per_class"),
+        ((samples, model, [], 2), "samples_per_class"),
+        (([], model, [0, 1], 2), "no samples to evaluate"),
+        ((samples, model, [12], 1), "need at least 13"),
+    ]
+    for args, message in cases:
+        with pytest.raises(ValueError, match=message):
+            run_calibration_sweep(*args)
+    with pytest.raises(ValueError, match="no samples to evaluate"):
+        evaluate_samples(model, [])
+    assert calls == []
+
+
+def test_calibrate_rejects_bad_steps_lr_and_labels():
+    logits, labels = np.zeros((2, 3, 4)), np.zeros((2, 3), dtype=np.int64)
+    for steps in (0, -3):
+        with pytest.raises(ValueError, match="steps"):
+            calibrate(logits, labels, steps=steps)
+    for lr in (0.0, -0.1, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="lr"):
+            calibrate(logits, labels, lr=lr)
+    for bad in (labels + 4, labels - 1):
+        with pytest.raises(ValueError, match="class indices"):
+            calibrate(logits, bad)
+    with pytest.raises(ValueError, match="draws"):
+        calibrate(logits[0], labels[0])
+    for shape in ((1, 0, 4), (0, 3, 4)):
+        with pytest.raises(ValueError, match="empty calibration set"):
+            calibrate(np.zeros(shape), np.zeros(shape[:2], dtype=np.int64))
