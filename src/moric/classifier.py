@@ -456,6 +456,14 @@ def calibrated_probs(calibration: Calibration, logits: np.ndarray) -> np.ndarray
     return softmax(z / calibration.temperature + calibration.bias, axis=-1)
 
 
+def check_calibrate_args(steps: int, lr: float) -> None:
+    """Raise ValueError for fewer than 1 step or an lr that is not finite and positive."""
+    if steps < 1:
+        raise ValueError(f"steps must be >= 1, got {steps}")
+    if not (lr > 0 and math.isfinite(lr)):
+        raise ValueError(f"lr must be finite and positive, got {lr}")
+
+
 def calibrate(
     logits: np.ndarray,
     labels: np.ndarray,
@@ -469,10 +477,7 @@ def calibrate(
     [draws, n] their class indices. All draws run as one batched descent, and
     each draw's arithmetic is that of a fit on the draw alone. The temperature
     is parameterized as exp(log T) so it stays positive."""
-    if steps < 1:
-        raise ValueError(f"steps must be >= 1, got {steps}")
-    if not (lr > 0 and math.isfinite(lr)):
-        raise ValueError(f"lr must be finite and positive, got {lr}")
+    check_calibrate_args(steps, lr)
     logits = np.asarray(logits, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     if logits.ndim != 3 or labels.shape != logits.shape[:2]:

@@ -85,13 +85,9 @@ def cmd_simulate(args) -> int:
     frame, truth = simulator.synthesize_csi(scene, derive_seed(args.seed, "simulate"))
     write_csit(frame, args.out)
     if args.truth:
-        doc = {
-            "cluster_delay_bins": truth.cluster_delay_bins.tolist(),
-            "cluster_delays_s": truth.cluster_delays_s.tolist(),
-            "cluster_concentrations": truth.cluster_concentrations.tolist(),
-            "cluster_mean_directions": truth.cluster_mean_directions.tolist(),
-            "projected_velocity": truth.projected_velocity.tolist(),
-        }
+        names = ("cluster_delay_bins", "cluster_delays_s", "cluster_concentrations",
+                 "cluster_mean_directions", "projected_velocity")
+        doc = {name: getattr(truth, name).tolist() for name in names}
         Path(args.truth).write_text(json.dumps(doc, indent=2))
     print(f"wrote {args.out}: {frame.n_streams} streams x {frame.config.n_subcarriers} "
           f"subcarriers x {frame.n_time} frames")
@@ -190,10 +186,12 @@ def cmd_eval(args) -> int:
 
 def cmd_calibrate(args) -> int:
     model = classifier.load_model(args.model)
-    if args.sweep:
-        counts = [int(x) for x in args.sweep.split(",")]  # a ValueError exits 2
+    if args.sweep:  # a non-integer count is a ValueError too, so exits 2
+        counts = harness.check_sweep_args([int(x) for x in args.sweep.split(",")], args.draws)
     elif not args.out:
         raise ValueError("--out is required when fitting a calibration")
+    else:
+        classifier.check_calibrate_args(args.steps, args.lr)
     samples = _model_feature_table(model, args)
     if args.sweep:
         results = harness.run_calibration_sweep(
@@ -231,7 +229,7 @@ def cmd_loso(args) -> int:
 
 
 def cmd_report(args) -> int:
-    report = Report.from_dict(json.loads(Path(args.infile).read_text()))
+    report = Report.from_json(Path(args.infile).read_text())
     files = harness.report_emit(report, args.out)
     for f in files:
         print(f"wrote {f}")

@@ -3,15 +3,24 @@
 All on-disk formats are little-endian, use 32-bit floats for bulk payloads,
 and carry headers that fully determine the payload length so a reader can
 validate file size before parsing. In-memory computation is 64-bit.
+
+Every record stored as JSON (sample metadata, pipeline config, report,
+scene) is a `JsonRecord`. Its codec maps float (a JSON int is accepted, a
+bool never), int, str, bool, Optional, tuples, List, Dict[str, X], float64
+np.ndarray and nested dataclass or NamedTuple records; a complex field `x` is
+the two numbers `x_re` and `x_im`. An unknown key, a wrong JSON type or a
+missing required key is a ValueError naming the key path.
 """
 
 from __future__ import annotations
 
 import json
 import struct
+import sys
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field, fields, is_dataclass
-from typing import Optional
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from functools import lru_cache
+from typing import Optional, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -66,8 +75,121 @@ def format_errors(source):
         raise FormatError(f"{source}: {exc}") from None
 
 
+class JsonRecord:
+    """Base of the records stored as JSON (see the module docstring). An absent
+    key takes the field's default unless the type sets `_require_all_keys`."""
+
+    _json_name = None  # the root of error key paths; the class name if None
+    _require_all_keys = False
+
+    def to_dict(self) -> dict:
+        return _encode(self, type(self))
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
+
+    @classmethod
+    def from_dict(cls, doc):
+        return _decode(doc, cls, cls._json_name or cls.__name__)
+
+    @classmethod
+    def from_json(cls, text: str):
+        return cls.from_dict(json.loads(text))
+
+
+@lru_cache(maxsize=None)
+def _record_fields(cls) -> tuple:
+    """A record's ((name, type, default), ...) and {JSON key: (type, default)},
+    the default MISSING where the document must hold the key."""
+    hints, strict = get_type_hints(cls), getattr(cls, "_require_all_keys", False)
+    if is_dataclass(cls):  # decoded records share one default_factory() value; those are frozen
+        pairs = [(f.name, f.default if f.default_factory is MISSING else f.default_factory()) for f in fields(cls)]
+    else:
+        pairs = [(name, cls._field_defaults.get(name, MISSING)) for name in cls._fields]
+    specs = tuple((name, hints[name], MISSING if strict else default) for name, default in pairs)
+    keys = {}
+    for name, ftype, default in specs:
+        if ftype is complex:  # stored as two numbers
+            keys[f"{name}_re"] = (float, getattr(default, "real", MISSING))
+            keys[f"{name}_im"] = (float, getattr(default, "imag", MISSING))
+        else:
+            keys[name] = (ftype, default)
+    return specs, keys
+
+
+def _item_types(tp, n: int) -> tuple:
+    args = get_args(tp)  # of List[X], Tuple[X, ...] or a fixed-length tuple
+    return args if get_origin(tp) is tuple and args[-1] is not Ellipsis else args[:1] * n
+
+
+def _encode(value, tp):
+    """The JSON value of `value`, whose annotation is `tp`."""
+    origin = get_origin(tp)
+    if origin is Union:  # Optional[X]; records use no other union
+        return None if value is None else _encode(value, get_args(tp)[0])
+    if tp in (float, int, str, bool):
+        return tp(value)
+    if tp is np.ndarray:
+        return np.asarray(value, dtype=np.float64).tolist()
+    if origin in (tuple, list):
+        return [_encode(v, t) for v, t in zip(value, _item_types(tp, len(value)))]
+    if origin is dict:
+        return {k: _encode(v, get_args(tp)[1]) for k, v in value.items()}
+    doc = {}
+    for name, ftype, _ in _record_fields(tp)[0]:
+        v = getattr(value, name)
+        doc.update({f"{name}_re": v.real, f"{name}_im": v.imag} if ftype is complex else {name: _encode(v, ftype)})
+    return doc
+
+
+def _decode(value, tp, path: str):
+    """The value of annotation `tp` that the JSON value at key path `path` holds."""
+    origin = get_origin(tp)
+    if (tp is float and type(value) is float) or (tp in (int, str, bool) and type(value) is tp):
+        return value
+    if tp is float and type(value) is int and abs(value) <= sys.float_info.max:
+        return float(value)  # a larger integer would raise OverflowError
+    if origin is Union:
+        return None if value is None else _decode(value, get_args(tp)[0], path)
+    if type(value) is list and tp is np.ndarray:
+        rows = [_decode(v, np.ndarray if type(v) is list else float, f"{path}[{i}]") for i, v in enumerate(value)]
+        try:
+            return np.array(rows, dtype=np.float64)
+        except ValueError:  # numpy rejects a ragged nesting
+            raise ValueError(f"bad {path}: a ragged array") from None
+    if type(value) is list and origin in (tuple, list):
+        types = _item_types(tp, len(value))
+        if len(types) != len(value):
+            raise ValueError(f"bad {path}: expected {len(types)} items, got {len(value)}")
+        return origin(_decode(v, t, f"{path}[{i}]") for i, (v, t) in enumerate(zip(value, types)))
+    if type(value) is dict and origin is dict:
+        return {k: _decode(v, get_args(tp)[1], f"{path}.{k}") for k, v in value.items()}
+    if type(value) is dict and (is_dataclass(tp) or hasattr(tp, "_fields")):
+        return _decode_record(value, tp, path)
+    names = {float: "a number", int: "an integer", str: "a string", bool: "a boolean"}
+    want = names.get(tp, "a list" if origin in (tuple, list) or tp is np.ndarray else "an object")
+    raise ValueError(f"bad {path}: expected {want}, got {value!r}")
+
+
+def _decode_record(doc: dict, cls, path: str):
+    specs, keys = _record_fields(cls)
+    unknown = sorted(doc.keys() - keys.keys())
+    missing = sorted(k for k, (_, default) in keys.items() if default is MISSING and k not in doc)
+    if unknown or missing:
+        problems = [f"{what} keys {ks}" for what, ks in (("unknown", unknown), ("missing", missing)) if ks]
+        raise ValueError(f"bad {path}: " + ", ".join(problems))
+    values = {k: _decode(doc[k], t, f"{path}.{k}") if k in doc else d for k, (t, d) in keys.items()}
+    for name, ftype, _ in specs:
+        if ftype is complex:
+            values[name] = complex(values.pop(f"{name}_re"), values.pop(f"{name}_im"))
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise ValueError(f"bad {path}: {exc}") from None
+
+
 @dataclass(frozen=True)
-class RadioConfig:
+class RadioConfig(JsonRecord):
     """Static radio parameters of one capture: carrier, subcarrier grid, frame rate."""
 
     carrier_hz: float
@@ -76,14 +198,11 @@ class RadioConfig:
     sample_rate_hz: float
 
     def __post_init__(self):
-        if not (self.carrier_hz > 0 and np.isfinite(self.carrier_hz)):
-            raise ValueError(f"carrier_hz must be positive, got {self.carrier_hz}")
-        if not (self.subcarrier_spacing_hz > 0 and np.isfinite(self.subcarrier_spacing_hz)):
-            raise ValueError("subcarrier_spacing_hz must be positive")
+        for name in ("carrier_hz", "subcarrier_spacing_hz", "sample_rate_hz"):
+            if not (getattr(self, name) > 0 and np.isfinite(getattr(self, name))):
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if self.n_subcarriers < 2:
             raise ValueError(f"need at least 2 subcarriers, got {self.n_subcarriers}")
-        if not (self.sample_rate_hz > 0 and np.isfinite(self.sample_rate_hz)):
-            raise ValueError("sample_rate_hz must be positive")
 
     @property
     def wavelength_m(self) -> float:
@@ -93,16 +212,14 @@ class RadioConfig:
     def bandwidth_hz(self) -> float:
         return self.n_subcarriers * self.subcarrier_spacing_hz
 
-    def subcarrier_hz(self, n) -> float:
-        """Absolute frequency of subcarrier n on the centered grid."""
-        return self.carrier_hz - (np.asarray(n) - self.n_subcarriers / 2.0) * self.subcarrier_spacing_hz
-
 
 @dataclass(frozen=True)
-class DopplerParams:
+class DopplerParams(JsonRecord):
     """Sliding-window Doppler estimation parameters; the window is Hann.
     Captures should satisfy T >= ~5x window_len, so that the SNR gate's
     static edges span several window estimates."""
+
+    _require_all_keys = True
 
     window_len: int = 64
     hop: int = 4
@@ -121,9 +238,13 @@ class DopplerParams:
 
 
 @dataclass(frozen=True)
-class PipelineConfig:
+class PipelineConfig(JsonRecord):
     """Knobs for the CSI -> features part of the pipeline. A trained model
-    carries its own, so inference featurizes as training did."""
+    carries its own, so inference featurizes as training did; its JSON form
+    must therefore hold every key."""
+
+    _json_name = "pipeline"
+    _require_all_keys = True
 
     doppler: DopplerParams = field(default_factory=DopplerParams)
     snr_threshold_db: float = 2.0
@@ -132,70 +253,18 @@ class PipelineConfig:
     n_kernels: int = 250
     n_biases: int = 3
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @staticmethod
-    def from_dict(doc) -> "PipelineConfig":
-        """Inverse of to_dict. Raises ValueError for a missing or unknown key
-        and for a value whose JSON type differs from the field default's."""
-        return _dataclass_from_dict(PipelineConfig, doc, "pipeline")
-
-
-def _dataclass_from_dict(cls, doc, what: str):
-    """An instance of the frozen dataclass `cls` from a JSON object holding
-    exactly its fields; a nested dataclass field decodes recursively."""
-    if not isinstance(doc, dict):
-        raise ValueError(f"{what} is not a JSON object")
-    names = [f.name for f in fields(cls)]
-    missing, unknown = sorted(set(names) - doc.keys()), sorted(doc.keys() - set(names))
-    if missing or unknown:
-        raise ValueError(f"{what}: missing keys {missing}, unknown keys {unknown}")
-    default, values = cls(), {}
-    for name in names:
-        want, value = type(getattr(default, name)), doc[name]
-        if is_dataclass(want):
-            value = _dataclass_from_dict(want, value, f"{what}.{name}")
-        elif want is float and type(value) is int:
-            value = float(value)
-        elif type(value) is not want:
-            raise ValueError(f"{what}.{name} must be a JSON {want.__name__}, got {value!r}")
-        values[name] = value
-    return cls(**values)
-
 
 @dataclass(frozen=True)
-class SampleMeta:
+class SampleMeta(JsonRecord):
     """Recording metadata attached to one CSI capture."""
+
+    _json_name = "sample metadata"
 
     sample_id: str
     subject: str
     orientation_deg: int
     gesture: str
     access_point: str
-
-    def to_dict(self) -> dict:
-        return {
-            "sample_id": self.sample_id,
-            "subject": self.subject,
-            "orientation_deg": self.orientation_deg,
-            "gesture": self.gesture,
-            "access_point": self.access_point,
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "SampleMeta":
-        """Raises ValueError for a missing key or a field of the wrong type."""
-        try:
-            return SampleMeta(
-                sample_id=str(d["sample_id"]),
-                subject=str(d["subject"]),
-                orientation_deg=int(d["orientation_deg"]),
-                gesture=str(d["gesture"]),
-                access_point=str(d["access_point"]),
-            )
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"bad sample metadata: {exc!r}") from None
 
 
 @dataclass(frozen=True)

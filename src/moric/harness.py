@@ -4,7 +4,10 @@ leave-one-subject-out evaluation, calibration sweeps, and report emission.
 Scoring has one path: `sample_logits` runs one forward pass per sample and
 `score_logits` turns those logits into accuracy and confusion counts.
 `evaluate_samples` is the two in turn, and a calibration sweep computes the
-logits once and scores every draw on rows of them."""
+logits once and scores every draw on rows of them.
+
+`Report` and each manifest entry's `SampleMeta` are `moric.core.JsonRecord`s:
+a malformed one is a ValueError that names the bad key path."""
 
 from __future__ import annotations
 
@@ -21,7 +24,7 @@ import numpy as np
 
 from . import classifier, delay_doppler, features, sanitize
 from .classifier import MoricModel, TrainConfig
-from .core import CsiFrame, FeatureSet, PipelineConfig, SampleMeta, read_csit
+from .core import CsiFrame, FeatureSet, JsonRecord, PipelineConfig, SampleMeta, read_csit
 from .features import KernelBank
 
 
@@ -95,11 +98,7 @@ class Manifest:
         return Manifest(entries=tuple(entries))
 
     def save(self, path) -> None:
-        doc = {
-            "entries": [
-                {"path": str(e.path), "meta": e.meta.to_dict()} for e in self.entries
-            ]
-        }
+        doc = {"entries": [{"path": str(e.path), "meta": e.meta.to_dict()} for e in self.entries]}
         Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True))
 
 
@@ -194,8 +193,10 @@ def stratified_split(labels: Sequence[str], val_fraction: float, seed: int):
 
 
 @dataclass
-class Report:
+class Report(JsonRecord):
     """LOSO evaluation summary."""
+
+    _json_name = "report"
 
     class_labels: List[str]
     fold_subjects: List[str]
@@ -207,6 +208,9 @@ class Report:
     runtime_s: float
 
     def validate(self) -> None:
+        subjects, accuracies = len(self.fold_subjects), len(self.fold_accuracies)
+        if subjects != accuracies:
+            raise ValueError(f"report has {subjects} fold subjects but {accuracies} fold accuracies")
         c = len(self.class_labels)
         if self.confusion_pct.shape != (c, c):
             raise ValueError("confusion matrix shape mismatch")
@@ -214,43 +218,6 @@ class Report:
         occupied = sums > 0
         if np.any(np.abs(sums[occupied] - 100.0) > 0.1):
             raise ValueError(f"confusion rows must sum to 100 +- 0.1, got {sums}")
-
-    def to_dict(self) -> dict:
-        return {
-            "class_labels": self.class_labels,
-            "fold_subjects": self.fold_subjects,
-            "fold_accuracies": self.fold_accuracies,
-            "mean_accuracy": self.mean_accuracy,
-            "sd_accuracy": self.sd_accuracy,
-            "confusion_pct": self.confusion_pct.tolist(),
-            "snr_median_by_stream": self.snr_median_by_stream,
-            "runtime_s": self.runtime_s,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
-    @staticmethod
-    def from_dict(d) -> "Report":
-        """Raises ValueError for a non-object document, a missing key or a
-        field of the wrong type."""
-        if not isinstance(d, dict):
-            raise ValueError("bad report: not a JSON object")
-        try:
-            if not all(isinstance(d[k], list) for k in ("class_labels", "fold_subjects", "fold_accuracies")):
-                raise TypeError("class_labels, fold_subjects and fold_accuracies must be lists")
-            return Report(
-                class_labels=[str(x) for x in d["class_labels"]],
-                fold_subjects=[str(x) for x in d["fold_subjects"]],
-                fold_accuracies=[float(x) for x in d["fold_accuracies"]],
-                mean_accuracy=float(d["mean_accuracy"]),
-                sd_accuracy=float(d["sd_accuracy"]),
-                confusion_pct=np.asarray(d["confusion_pct"], dtype=np.float64),
-                snr_median_by_stream={k: float(v) for k, v in d["snr_median_by_stream"].items()},
-                runtime_s=float(d["runtime_s"]),
-            )
-        except (KeyError, TypeError, AttributeError, ValueError) as exc:
-            raise ValueError(f"bad report: {exc!r}") from None
 
 
 def sample_logits(model: MoricModel, samples: Sequence[PipelineSample]) -> np.ndarray:
@@ -367,6 +334,16 @@ def run_loso(
     return report
 
 
+def check_sweep_args(samples_per_class: Sequence[int], n_draws: int) -> List[int]:
+    """The sweep's counts; a ValueError for no counts, a count below 0 or no draws."""
+    counts = list(samples_per_class)
+    if not counts or min(counts) < 0:
+        raise ValueError(f"samples_per_class must be a non-empty list of counts >= 0, got {counts}")
+    if n_draws < 1:
+        raise ValueError(f"n_draws must be >= 1, got {n_draws}")
+    return counts
+
+
 def run_calibration_sweep(
     samples: Sequence[PipelineSample],
     model: MoricModel,
@@ -383,11 +360,7 @@ def run_calibration_sweep(
     rows of those logits, and the draws of one count are one batched fit.
     The arguments are checked before any forward pass.
     """
-    counts = list(samples_per_class)
-    if not counts or min(counts) < 0:
-        raise ValueError(f"samples_per_class must be a non-empty list of counts >= 0, got {counts}")
-    if n_draws < 1:
-        raise ValueError(f"n_draws must be >= 1, got {n_draws}")
+    counts = check_sweep_args(samples_per_class, n_draws)
     truth = classifier.label_indices(model, [s.label for s in samples])
     by_class: Dict[str, List[int]] = {}
     for i, s in enumerate(samples):

@@ -7,17 +7,19 @@ the per-frame phase is accumulated by trapezoidal integration of the Doppler
 frequency so that time-varying velocities are honored over long gestures.
 Hardware impairments (CSD, STO, SFO, beamforming, AWGN) are injected as
 multiplicative/additive terms on the clean channel.
+
+A `Scene` and its parts are `JsonRecord`s: a scene file is their JSON form,
+and a malformed one is a ValueError naming the bad key path.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .core import SPEED_OF_LIGHT, CANONICAL_GESTURES, CsiFrame, RadioConfig
+from .core import SPEED_OF_LIGHT, CANONICAL_GESTURES, CsiFrame, JsonRecord, RadioConfig
 
 MAX_POINT_SPEED = 3.0  # m/s, generous ceiling over indoor hand-motion speeds
 
@@ -31,6 +33,11 @@ def _as_vec3(x, name: str) -> np.ndarray:
     return v
 
 
+def _vec3(x, name: str) -> Tuple[float, float, float]:
+    """A checked 3-vector stored as a tuple, so records compare by value."""
+    return tuple(_as_vec3(x, name).tolist())
+
+
 def _yaw_matrix(deg: float) -> np.ndarray:
     a = np.deg2rad(deg)
     c, s = np.cos(a), np.sin(a)
@@ -38,7 +45,7 @@ def _yaw_matrix(deg: float) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class Trajectory:
+class Trajectory(JsonRecord):
     """Motion of the tracked point: constant velocity or a guided gesture.
 
     Gestures are sinusoidal displacements along a gesture-specific axis
@@ -52,7 +59,7 @@ class Trajectory:
     """
 
     kind: str  # "constant_velocity" | "gesture"
-    velocity: Optional[Sequence[float]] = None
+    velocity: Optional[Tuple[float, float, float]] = None
     gesture: Optional[str] = None
     amplitude_m: float = 0.15
     period_s: float = 1.0
@@ -63,7 +70,7 @@ class Trajectory:
 
     def __post_init__(self):
         if self.kind == "constant_velocity":
-            v = _as_vec3(self.velocity, "velocity")
+            v = _vec3(self.velocity, "velocity")
             if np.linalg.norm(v) > MAX_POINT_SPEED:
                 raise ValueError(f"speed {np.linalg.norm(v):.2f} m/s exceeds {MAX_POINT_SPEED}")
             object.__setattr__(self, "velocity", v)
@@ -108,32 +115,12 @@ class Trajectory:
         rot = _yaw_matrix(self.orientation_deg)
         return offsets @ rot.T, vels @ rot.T
 
-    def to_dict(self) -> dict:
-        d = {"kind": self.kind}
-        if self.kind == "constant_velocity":
-            d["velocity"] = list(np.asarray(self.velocity, dtype=float))
-        else:
-            d.update(
-                gesture=self.gesture,
-                amplitude_m=self.amplitude_m,
-                period_s=self.period_s,
-                orientation_deg=self.orientation_deg,
-                phase_deg=self.phase_deg,
-                active_start_s=self.active_start_s,
-                active_duration_s=self.active_duration_s,
-            )
-        return d
-
-    @staticmethod
-    def from_dict(d: dict) -> "Trajectory":
-        return Trajectory(**d)
-
 
 @dataclass(frozen=True)
-class ScatterCluster:
+class ScatterCluster(JsonRecord):
     """A von Mises-Fisher cluster of scatterers sharing one propagation delay."""
 
-    mean_direction: Sequence[float]
+    mean_direction: Tuple[float, float, float]
     concentration: float
     n_scatterers: int
     delay_s: float
@@ -149,36 +136,27 @@ class ScatterCluster:
             raise ValueError("need at least one scatterer")
         if self.delay_s < 0:
             raise ValueError("delay must be non-negative")
-        object.__setattr__(self, "mean_direction", m)
+        object.__setattr__(self, "mean_direction", tuple(m.tolist()))
         object.__setattr__(self, "gain", complex(self.gain))
 
-    def to_dict(self) -> dict:
-        return {
-            "mean_direction": list(map(float, self.mean_direction)),
-            "concentration": self.concentration,
-            "n_scatterers": self.n_scatterers,
-            "delay_s": self.delay_s,
-            "gain_re": self.gain.real,
-            "gain_im": self.gain.imag,
-        }
 
-    @staticmethod
-    def from_dict(d: dict) -> "ScatterCluster":
-        d = dict(d)
-        gain = complex(d.pop("gain_re", 1.0), d.pop("gain_im", 0.0))
-        return ScatterCluster(gain=gain, **d)
+class StaticPath(NamedTuple):
+    """A path of fixed delay and complex gain, such as the line of sight."""
+
+    delay_s: float
+    gain: complex
 
 
 @dataclass(frozen=True)
-class NoiseParams:
+class NoiseParams(JsonRecord):
     """Impairment model: per-stream CSD delay, STO random walk, SFO clock
     ratio, optional beamforming gain/phase, and AWGN level relative to the
     payload power."""
 
-    csd_delay_s: tuple = ()
+    csd_delay_s: Tuple[float, ...] = ()
     sto_walk_std_s: float = 0.0
     sfo_ratio: float = 1.0
-    beamforming: Optional[tuple] = None  # per-stream (gain, phase_cycles)
+    beamforming: Optional[Tuple[Tuple[float, float], ...]] = None  # per-stream (gain, phase_cycles)
     awgn_snr_db: Optional[float] = None
 
     def __post_init__(self):
@@ -188,67 +166,43 @@ class NoiseParams:
         if not np.isfinite(self.sfo_ratio) or self.sfo_ratio <= 0:
             raise ValueError("sfo_ratio must be finite and positive")
         if self.beamforming is not None:
-            object.__setattr__(
-                self,
-                "beamforming",
-                tuple((float(q), float(z)) for q, z in self.beamforming),
-            )
-        if self.awgn_snr_db is not None:
-            if not (-10.0 <= self.awgn_snr_db <= 80.0):
-                raise ValueError("awgn_snr_db must lie in [-10, 80] dB")
-
-    def to_dict(self) -> dict:
-        return {
-            "csd_delay_s": list(self.csd_delay_s),
-            "sto_walk_std_s": self.sto_walk_std_s,
-            "sfo_ratio": self.sfo_ratio,
-            "beamforming": [list(b) for b in self.beamforming] if self.beamforming else None,
-            "awgn_snr_db": self.awgn_snr_db,
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "NoiseParams":
-        d = dict(d)
-        bf = d.get("beamforming")
-        d["beamforming"] = tuple(tuple(b) for b in bf) if bf else None
-        return NoiseParams(**d)
+            object.__setattr__(self, "beamforming", tuple((float(q), float(z)) for q, z in self.beamforming))
+        if self.awgn_snr_db is not None and not (-10.0 <= self.awgn_snr_db <= 80.0):
+            raise ValueError("awgn_snr_db must lie in [-10, 80] dB")
 
 
 @dataclass(frozen=True)
-class Scene:
+class Scene(JsonRecord):
     """Full simulation description: geometry, point motion, clusters, static
-    paths, impairments, radio configuration, and capture length."""
+    paths, impairments, radio configuration, and capture length. `to_json`
+    writes every field; a scene file may omit any field with a default."""
+
+    _json_name = "scene"
 
     radio: RadioConfig
-    point_start: Sequence[float]
+    point_start: Tuple[float, float, float]
     trajectory: Trajectory
     duration_s: float
     frame_rate_hz: float
-    tx_pos: Sequence[float] = (0.0, 0.0, 0.0)
-    rx_pos: Sequence[float] = (3.0, 0.0, 0.0)
-    reflectors: tuple = ()
-    clusters: tuple = ()
-    static_paths: tuple = ()  # (delay_s, complex gain)
+    tx_pos: Tuple[float, float, float] = (0.0, 0.0, 0.0)
+    rx_pos: Tuple[float, float, float] = (3.0, 0.0, 0.0)
+    reflectors: Tuple[Tuple[float, float, float], ...] = ()
+    clusters: Tuple[ScatterCluster, ...] = ()
+    static_paths: Tuple[StaticPath, ...] = ()
     noise: NoiseParams = field(default_factory=NoiseParams)
     n_streams: int = 1
 
     def __post_init__(self):
-        object.__setattr__(self, "point_start", _as_vec3(self.point_start, "point_start"))
-        object.__setattr__(self, "tx_pos", _as_vec3(self.tx_pos, "tx_pos"))
-        object.__setattr__(self, "rx_pos", _as_vec3(self.rx_pos, "rx_pos"))
-        object.__setattr__(
-            self, "reflectors", tuple(_as_vec3(r, "reflector") for r in self.reflectors)
-        )
+        for name in ("point_start", "tx_pos", "rx_pos"):
+            object.__setattr__(self, name, _vec3(getattr(self, name), name))
+        object.__setattr__(self, "reflectors", tuple(_vec3(r, "reflector") for r in self.reflectors))
         object.__setattr__(self, "clusters", tuple(self.clusters))
         object.__setattr__(
-            self,
-            "static_paths",
-            tuple((float(d), complex(g)) for d, g in self.static_paths),
+            self, "static_paths", tuple(StaticPath(float(d), complex(g)) for d, g in self.static_paths)
         )
-        if not (self.duration_s > 0 and np.isfinite(self.duration_s)):
-            raise ValueError("duration_s must be positive")
-        if not (self.frame_rate_hz > 0 and np.isfinite(self.frame_rate_hz)):
-            raise ValueError("frame_rate_hz must be positive")
+        for name in ("duration_s", "frame_rate_hz"):
+            if not (getattr(self, name) > 0 and np.isfinite(getattr(self, name))):
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if abs(self.frame_rate_hz - self.radio.sample_rate_hz) > 1e-9 * self.frame_rate_hz:
             raise ValueError("frame_rate_hz must match radio.sample_rate_hz")
         if self.n_streams < 1:
@@ -258,56 +212,6 @@ class Scene:
     def max_unambiguous_delay_s(self) -> float:
         n = self.radio.n_subcarriers
         return (n - 1) / (n * self.radio.subcarrier_spacing_hz)
-
-    def to_dict(self) -> dict:
-        return {
-            "radio": {
-                "carrier_hz": self.radio.carrier_hz,
-                "subcarrier_spacing_hz": self.radio.subcarrier_spacing_hz,
-                "n_subcarriers": self.radio.n_subcarriers,
-                "sample_rate_hz": self.radio.sample_rate_hz,
-            },
-            "point_start": list(map(float, self.point_start)),
-            "trajectory": self.trajectory.to_dict(),
-            "duration_s": self.duration_s,
-            "frame_rate_hz": self.frame_rate_hz,
-            "tx_pos": list(map(float, self.tx_pos)),
-            "rx_pos": list(map(float, self.rx_pos)),
-            "reflectors": [list(map(float, r)) for r in self.reflectors],
-            "clusters": [c.to_dict() for c in self.clusters],
-            "static_paths": [
-                {"delay_s": d, "gain_re": g.real, "gain_im": g.imag} for d, g in self.static_paths
-            ],
-            "noise": self.noise.to_dict(),
-            "n_streams": self.n_streams,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
-    @staticmethod
-    def from_dict(d: dict) -> "Scene":
-        return Scene(
-            radio=RadioConfig(**d["radio"]),
-            point_start=d["point_start"],
-            trajectory=Trajectory.from_dict(d["trajectory"]),
-            duration_s=d["duration_s"],
-            frame_rate_hz=d["frame_rate_hz"],
-            tx_pos=d.get("tx_pos", (0.0, 0.0, 0.0)),
-            rx_pos=d.get("rx_pos", (3.0, 0.0, 0.0)),
-            reflectors=tuple(d.get("reflectors", ())),
-            clusters=tuple(ScatterCluster.from_dict(c) for c in d.get("clusters", ())),
-            static_paths=tuple(
-                (p["delay_s"], complex(p["gain_re"], p.get("gain_im", 0.0)))
-                for p in d.get("static_paths", ())
-            ),
-            noise=NoiseParams.from_dict(d["noise"]) if d.get("noise") else NoiseParams(),
-            n_streams=d.get("n_streams", 1),
-        )
-
-    @staticmethod
-    def from_json(text: str) -> "Scene":
-        return Scene.from_dict(json.loads(text))
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,7 @@
 import json
+import re
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -79,7 +81,19 @@ def test_missing_input_exits_3(tmp_path):
     assert main(["sanitize", "--in", str(tmp_path / "nope.csit"), "--out", str(tmp_path / "y")]) == 3
 
 
-def test_corrupt_input_exits_3(tmp_path, scene_file):
+# Sample metadata of the right keys whose values the metadata codec once
+# coerced (to subject "None", orientation 45, gesture "['x']") or ignored.
+_META = {"sample_id": "a", "subject": "s", "orientation_deg": 0, "gesture": "g", "access_point": "p"}
+COERCIBLE_METADATA = (
+    {**_META, "subject": None},
+    {**_META, "orientation_deg": 45.7},
+    {**_META, "orientation_deg": True},
+    {**_META, "gesture": ["x"]},
+    {**_META, "room": "lab"},
+)
+
+
+def test_corrupt_input_exits_3(tmp_path, scene_file, capsys):
     bad = tmp_path / "bad.csit"
     bad.write_bytes(b"not a csit file at all")
     assert main(["sanitize", "--in", str(bad), "--out", str(tmp_path / "y")]) == 3
@@ -90,10 +104,16 @@ def test_corrupt_input_exits_3(tmp_path, scene_file):
     assert main(["sanitize", "--in", str(bad), "--out", str(tmp_path / "y")]) == 3
     # a JSON-object trailer that is not sample metadata
     meta = {"sample_id": "a", "subject": "s", "orientation_deg": 0, "gesture": "g", "access_point": "p"}
-    for trailer in ({"a": 1}, {**meta, "orientation_deg": "zz"}, {**meta, "orientation_deg": [1]}):
+    for trailer in (
+        {"a": 1},
+        {**meta, "orientation_deg": "zz"},
+        {**meta, "orientation_deg": [1]},
+        *COERCIBLE_METADATA,
+    ):
         blob = json.dumps(trailer).encode()
         bad.write_bytes(csit.read_bytes() + struct.pack("<I", len(blob)) + blob)
         assert main(["sanitize", "--in", str(bad), "--out", str(tmp_path / "y")]) == 3, trailer
+        assert f"{bad}: bad sample metadata" in capsys.readouterr().err, trailer
 
 
 def test_empty_manifest_exits_2(tmp_path, capsys):
@@ -112,6 +132,7 @@ def test_empty_manifest_exits_2(tmp_path, capsys):
         ({"entries": [{"meta": meta}]}, "entry 0 needs"),
         ({"entries": [{"path": str(model)}]}, "entry 0 needs"),
         ({"entries": [{"path": str(model), "meta": {"a": 1}}]}, "bad sample metadata"),
+        *(({"entries": [{"path": str(model), "meta": meta}]}, "bad sample metadata") for meta in COERCIBLE_METADATA),
     ]
     for doc, message in malformed:
         manifest.write_text(json.dumps(doc))
@@ -467,8 +488,12 @@ def test_calibrate_sweep_counts_are_checked_before_featurizing(tmp_path, capsys,
     assert "invalid literal" in capsys.readouterr().err
 
 
-def test_calibrate_rejects_bad_sweep_and_fit_arguments(tmp_path, capsys, flagged_model):
+def test_calibrate_rejects_bad_sweep_and_fit_arguments(tmp_path, capsys, flagged_model, monkeypatch):
+    from moric import harness
+
     model_path, manifest_path, _ = flagged_model
+    featurized = []
+    monkeypatch.setattr(harness, "featurize_manifest", lambda *args, **kw: featurized.append(args))
     base = ["calibrate", "--model", str(model_path), "--manifest", str(manifest_path)]
     out = ["--out", str(tmp_path / "cal.morm")]
     for extra, message in (
@@ -485,6 +510,7 @@ def test_calibrate_rejects_bad_sweep_and_fit_arguments(tmp_path, capsys, flagged
         assert message in captured.err, extra
         assert "NaN" not in captured.out, extra
     assert not (tmp_path / "cal.morm").exists()
+    assert featurized == []  # every argument is checked before the manifest is featurized
 
 
 def test_calibrate_fit_equals_per_draw_reference(tmp_path, flagged_model):
@@ -511,3 +537,63 @@ def test_report_rejects_malformed_report_exits_2(tmp_path, capsys):
         path.write_text(json.dumps(doc))
         assert main(["report", "--in", str(path), "--out", str(tmp_path / "out")]) == 2, doc
         assert "bad report" in capsys.readouterr().err, doc
+    # well-typed, but zip would pair only the first subject with an accuracy
+    good = {
+        "class_labels": ["a"],
+        "fold_subjects": ["s1", "s2", "s3"],
+        "fold_accuracies": [1.0],
+        "mean_accuracy": 1.0,
+        "sd_accuracy": 0.0,
+        "confusion_pct": [[100.0]],
+        "snr_median_by_stream": {},
+        "runtime_s": 0.1,
+    }
+    path.write_text(json.dumps(good))
+    assert main(["report", "--in", str(path), "--out", str(tmp_path / "ragged")]) == 2
+    assert "3 fold subjects but 1 fold accuracies" in capsys.readouterr().err
+    assert not (tmp_path / "ragged" / "fold_accuracy.csv").exists()
+    path.write_text(json.dumps({**good, "fold_accuracies": [1.0, 1.0, 1.0]}))
+    assert main(["report", "--in", str(path), "--out", str(tmp_path / "even")]) == 0
+
+
+def test_malformed_scene_exits_2(tmp_path, scene_file, capsys):
+    doc = json.loads(scene_file.read_text())
+    cluster = doc["clusters"][0]
+    cases = [
+        ({}, "bad scene: missing keys"),
+        ([1], "bad scene: expected an object"),
+        ({**doc, "trajectory": {**doc["trajectory"], "bogus": 1}}, "bad scene.trajectory: unknown keys ['bogus']"),
+        ({**doc, "bogus": 1}, "bad scene: unknown keys ['bogus']"),
+        ({**doc, "duration_s": "1"}, "bad scene.duration_s: expected a number, got '1'"),
+        ({**doc, "n_streams": 1.5}, "bad scene.n_streams: expected an integer, got 1.5"),
+        ({**doc, "duration_s": 10**400}, "bad scene.duration_s: expected a number"),  # beyond float range
+        (
+            {**doc, "clusters": [{"mean_direction": cluster["mean_direction"]}]},
+            "bad scene.clusters[0]: missing keys ['concentration', 'delay_s', 'n_scatterers']",
+        ),
+    ]
+    path = tmp_path / "scene.json"
+    for scene, message in cases:
+        path.write_text(json.dumps(scene))
+        assert main(["simulate", "--scene", str(path), "--out", str(tmp_path / "x.csit")]) == 2, scene
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert message in err, scene
+    assert not (tmp_path / "x.csit").exists()
+
+
+def _readme_scene() -> str:
+    """The JSON block that README.md documents as a minimal scene."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (block,) = re.findall(r"```json\n(.*?)```", text, flags=re.S)
+    return block
+
+
+def test_readme_scene_simulates(tmp_path):
+    path = tmp_path / "scene.json"
+    path.write_text(_readme_scene())
+    scene = Scene.from_json(path.read_text())
+    assert "tx_pos" not in json.loads(path.read_text())  # the README omits defaulted keys
+    assert main(["simulate", "--scene", str(path), "--out", str(tmp_path / "x.csit")]) == 0
+    frame = read_csit(tmp_path / "x.csit")
+    assert frame.data.shape == (scene.n_streams, scene.radio.n_subcarriers, 500)

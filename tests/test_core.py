@@ -350,6 +350,25 @@ def test_velocity_set_rejects_mismatched_lengths():
         vs.values[0, 0] = 1.0  # read-only
 
 
+def test_core_records_round_trip_through_json():
+    from moric.core import DopplerParams, PipelineConfig
+
+    records = [
+        SampleMeta("s1", "alice", 180, "circle", "ap5"),
+        RadioConfig(carrier_hz=5e9, subcarrier_spacing_hz=312500.0, n_subcarriers=52, sample_rate_hz=100.0),
+        DopplerParams(window_len=16, estimator="phase_derivative"),
+        PipelineConfig(snr_threshold_db=-1.25, use_hampel=False),
+    ]
+    for record in records:
+        back = type(record).from_dict(json.loads(json.dumps(record.to_dict())))
+        assert back == record
+        assert back.to_json() == record.to_json()
+    # the metadata layout, which CSIT trailers and manifests store
+    assert records[0].to_dict() == {
+        "sample_id": "s1", "subject": "alice", "orientation_deg": 180, "gesture": "circle", "access_point": "ap5"
+    }
+
+
 def test_pipeline_config_dict_round_trip_and_rejections():
     from moric.core import DopplerParams, PipelineConfig
 

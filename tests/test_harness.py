@@ -286,10 +286,18 @@ def test_report_from_dict_rejects_malformed_documents():
         {**good, "mean_accuracy": None},
         {**good, "confusion_pct": [["x"]]},
         {**good, "snr_median_by_stream": [1.0]},
+        {**good, "mean_accuracy": "0.5"},
+        {**good, "class_labels": [1, 2]},
+        {**good, "notes": "extra"},
+        {**good, "confusion_pct": [[100.0, 0.0], [100.0]]},
     ]
     for doc in bad:
         with pytest.raises(ValueError, match="report"):
             Report.from_dict(doc)
+    # well-typed, but the fold lists disagree in length
+    ragged = Report.from_dict({**good, "fold_subjects": ["s1", "s2", "s3"]})
+    with pytest.raises(ValueError, match="3 fold subjects but 1 fold accuracies"):
+        ragged.validate()
 
 
 # ---------------------------------------------------------------------------

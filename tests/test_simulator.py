@@ -1,7 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
-from moric.core import SPEED_OF_LIGHT
+from moric.core import SPEED_OF_LIGHT, RadioConfig
 from moric.delay_doppler import decompose
 from moric.simulator import (
     NoiseParams,
@@ -304,6 +306,146 @@ def test_scene_json_round_trip(radio):
     f1, _ = synthesize_csi(scene, seed=3)
     f2, _ = synthesize_csi(back, seed=3)
     assert np.array_equal(f1.data, f2.data)
+
+
+def _codec_scenes():
+    """A constant-velocity scene with every optional part set, and a gesture
+    scene, each with the JSON text that the scene codec wrote before it
+    became annotation-driven (whitespace collapsed)."""
+    radio = RadioConfig(carrier_hz=5.0e9, subcarrier_spacing_hz=312500.0, n_subcarriers=16, sample_rate_hz=200.0)
+    constant = Scene(
+        radio=radio,
+        point_start=(1.0, 2.0, 0.5),
+        trajectory=Trajectory(kind="constant_velocity", velocity=(0.25, -0.5, 0.125)),
+        duration_s=0.5,
+        frame_rate_hz=200.0,
+        tx_pos=(0.0, 0.5, 1.0),
+        rx_pos=(4.0, 0.0, 1.5),
+        reflectors=((2.0, 3.0, 0.0), (1.0, -1.0, 2.5)),
+        clusters=(
+            ScatterCluster(
+                mean_direction=(0.0, 1.0, 0.0), concentration=100.0, n_scatterers=16, delay_s=2e-7, gain=0.5 - 0.25j
+            ),
+            ScatterCluster(mean_direction=(0.6, 0.0, 0.8), concentration=0.0, n_scatterers=8, delay_s=0.0),
+        ),
+        static_paths=((0.0, 1.0 + 0.0j), (1e-7, -0.5 + 0.75j)),
+        noise=NoiseParams(
+            csd_delay_s=(0.0, 5e-8),
+            sto_walk_std_s=1e-9,
+            sfo_ratio=1.00000002,
+            beamforming=((0.5, 0.25), (1.0, 0.0)),
+            awgn_snr_db=25.0,
+        ),
+        n_streams=2,
+    )
+    constant_text = """{"clusters": [{"concentration": 100.0, "delay_s": 2e-07, "gain_im": -0.25,
+    "gain_re": 0.5, "mean_direction": [0.0, 1.0, 0.0], "n_scatterers": 16}, {"concentration": 0.0,
+    "delay_s": 0.0, "gain_im": 0.0, "gain_re": 1.0, "mean_direction": [0.6, 0.0, 0.8], "n_scatterers": 8}],
+    "duration_s": 0.5, "frame_rate_hz": 200.0, "n_streams": 2, "noise": {"awgn_snr_db": 25.0,
+    "beamforming": [[0.5, 0.25], [1.0, 0.0]], "csd_delay_s": [0.0, 5e-08], "sfo_ratio": 1.00000002,
+    "sto_walk_std_s": 1e-09}, "point_start": [1.0, 2.0, 0.5], "radio": {"carrier_hz": 5000000000.0,
+    "n_subcarriers": 16, "sample_rate_hz": 200.0, "subcarrier_spacing_hz": 312500.0},
+    "reflectors": [[2.0, 3.0, 0.0], [1.0, -1.0, 2.5]], "rx_pos": [4.0, 0.0, 1.5],
+    "static_paths": [{"delay_s": 0.0, "gain_im": 0.0, "gain_re": 1.0}, {"delay_s": 1e-07, "gain_im": 0.75,
+    "gain_re": -0.5}], "trajectory": {"kind": "constant_velocity", "velocity": [0.25, -0.5, 0.125]},
+    "tx_pos": [0.0, 0.5, 1.0]}"""
+    gesture = Scene(
+        radio=radio,
+        point_start=(1.0, 1.5, 1.0),
+        trajectory=Trajectory(
+            kind="gesture",
+            gesture="push_pull",
+            amplitude_m=0.1,
+            period_s=0.8,
+            orientation_deg=30.0,
+            phase_deg=45.0,
+            active_start_s=0.1,
+            active_duration_s=0.3,
+        ),
+        duration_s=0.5,
+        frame_rate_hz=200.0,
+        clusters=(ScatterCluster(mean_direction=(0.0, 0.0, 1.0), concentration=50.0, n_scatterers=12, delay_s=1e-7),),
+        noise=NoiseParams(awgn_snr_db=30.0),
+    )
+    gesture_text = """{"clusters": [{"concentration": 50.0, "delay_s": 1e-07, "gain_im": 0.0, "gain_re": 1.0,
+    "mean_direction": [0.0, 0.0, 1.0], "n_scatterers": 12}], "duration_s": 0.5, "frame_rate_hz": 200.0,
+    "n_streams": 1, "noise": {"awgn_snr_db": 30.0, "beamforming": null, "csd_delay_s": [], "sfo_ratio": 1.0,
+    "sto_walk_std_s": 0.0}, "point_start": [1.0, 1.5, 1.0], "radio": {"carrier_hz": 5000000000.0,
+    "n_subcarriers": 16, "sample_rate_hz": 200.0, "subcarrier_spacing_hz": 312500.0}, "reflectors": [],
+    "rx_pos": [3.0, 0.0, 0.0], "static_paths": [], "trajectory": {"active_duration_s": 0.3,
+    "active_start_s": 0.1, "amplitude_m": 0.1, "gesture": "push_pull", "kind": "gesture",
+    "orientation_deg": 30.0, "period_s": 0.8, "phase_deg": 45.0}, "tx_pos": [0.0, 0.0, 0.0]}"""
+    return (constant, constant_text), (gesture, gesture_text)
+
+
+def test_scene_files_of_the_hand_written_codec_still_load():
+    for scene, text in _codec_scenes():
+        loaded = Scene.from_json(text)
+        assert loaded == scene
+        # the codec now writes every field; the old keys keep their values
+        old = json.loads(text)
+        new = json.loads(scene.to_json())
+        assert new["trajectory"].items() >= old["trajectory"].items()
+        assert {k: v for k, v in new.items() if k != "trajectory"} == {
+            k: v for k, v in old.items() if k != "trajectory"
+        }
+        f1, _ = synthesize_csi(scene, seed=4)
+        f2, _ = synthesize_csi(loaded, seed=4)
+        assert f1.data.tobytes() == f2.data.tobytes()
+
+
+def test_scene_records_round_trip_through_json():
+    (constant, _), (gesture, _) = _codec_scenes()
+    records = [
+        constant,
+        gesture,
+        constant.trajectory,
+        gesture.trajectory,
+        Trajectory(kind="gesture", gesture="circle"),
+        constant.clusters[0],
+        constant.radio,
+        constant.noise,
+        gesture.noise,  # beamforming None
+        NoiseParams(beamforming=((2.0, -0.5),)),
+    ]
+    for record in records:
+        back = type(record).from_dict(json.loads(json.dumps(record.to_dict())))
+        assert back == record, record
+        assert back.to_json() == record.to_json()
+    # a static path keeps its (delay, gain) tuple shape
+    assert Scene.from_json(constant.to_json()).static_paths == ((0.0, 1.0 + 0.0j), (1e-7, -0.5 + 0.75j))
+
+
+def test_scene_json_rejects_malformed_documents():
+    (constant, _), _ = _codec_scenes()
+    doc = json.loads(constant.to_json())
+    cluster = doc["clusters"][0]
+    # tests/test_cli.py runs the malformed scenes that crashed `moric simulate`
+    bad = {
+        "bool for float": ({**doc, "frame_rate_hz": True}, "bad scene.frame_rate_hz: expected a number"),
+        "numeric string in a vector": ({**doc, "tx_pos": ["0", 0, 0]}, "bad scene.tx_pos[0]: expected a number"),
+        "2-vector": ({**doc, "point_start": [1.0, 2.0]}, "bad scene.point_start: expected 3 items"),
+        "static path without gain_im": (
+            {**doc, "static_paths": [{"delay_s": 0.0, "gain_re": 1.0}]},
+            "bad scene.static_paths[0]: missing keys ['gain_im']",
+        ),
+        "string gain": ({**doc, "clusters": [{**cluster, "gain_im": "0"}]}, "bad scene.clusters[0].gain_im"),
+        "null noise": ({**doc, "noise": None}, "bad scene.noise: expected an object"),
+        "rejected by the constructor": (
+            {**doc, "trajectory": {"kind": "gesture", "gesture": "wave"}},
+            "bad scene.trajectory: unknown gesture 'wave'",
+        ),
+    }
+    for name, (value, message) in bad.items():
+        with pytest.raises(ValueError) as exc:
+            Scene.from_dict(value)
+        assert message in str(exc.value), name
+    # an absent key takes the field default, except where the field has none
+    minimal = {k: doc[k] for k in ("radio", "point_start", "trajectory", "duration_s", "frame_rate_hz")}
+    assert Scene.from_dict(minimal).rx_pos == (3.0, 0.0, 0.0)
+    assert Scene.from_dict({**doc, "clusters": [{k: v for k, v in cluster.items() if k != "gain_im"}]}).clusters[
+        0
+    ].gain == complex(cluster["gain_re"], 0.0)
 
 
 def test_trajectory_speed_limit_enforced():
