@@ -3,13 +3,16 @@
 Shared MLP heads reduce every feature row independently; an elementwise max
 over rows pools each head's outputs into a fixed-size vector, and a second MLP
 maps the concatenated pooled vectors to class logits. Training and inference
-run one batched kernel; inference first deduplicates and sorts a set's rows by
-their bytes, making the prediction bitwise invariant to row order and
+run one batched forward kernel; inference first deduplicates and sorts a set's
+rows by their bytes, making the prediction bitwise invariant to row order and
 repetition. Training is plain mini-batch backprop with an adaptive-moment
 optimizer using decoupled weight decay, cross-entropy with label smoothing,
-and early stopping on validation loss. A post-hoc temperature + per-class-bias
-calibration can be fitted on the fixed logits of a handful of held-out
-samples; `calibrate` fits many draws of them as one batched descent.
+and early stopping on validation loss. It drops each set's repeated rows
+once, keeping first occurrences in order, and each head's backward pass runs
+over its argmax rows only: the max-pool gives every other row zero gradient.
+A post-hoc temperature + per-class-bias calibration can be fitted on the fixed
+logits of a handful of held-out samples; `calibrate` fits many draws of them
+as one batched descent.
 
 A model file (MORM, version 2) also holds the kernel bank, the calibration
 and, in a closing JSON trailer, the `PipelineConfig` that made the features.
@@ -193,8 +196,7 @@ def forward(model: MoricModel, fs: FeatureSet) -> Tuple[np.ndarray, np.ndarray]:
             f"feature dimension {rows.shape[1]} does not match model D={model.dims.input_dim}"
         )
     rows = np.ascontiguousarray(rows)
-    keys = np.unique(rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))))
-    rows = keys.view(rows.dtype).reshape(-1, model.dims.input_dim)
+    rows = np.unique(_row_keys(rows)).view(rows.dtype).reshape(-1, model.dims.input_dim)
     logits, _ = _batch_forward(model.params, model.dims, rows, np.array([0, rows.shape[0]]))
     return logits[0], softmax(logits[0])
 
@@ -214,6 +216,20 @@ def predict(model: MoricModel, fs: FeatureSet, use_calibration: bool = False):
 # ---------------------------------------------------------------------------
 # Batched forward/backward, shared by training and inference
 # ---------------------------------------------------------------------------
+
+
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """One opaque key per row of a C-contiguous matrix, equal only for rows
+    with equal raw bytes."""
+    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+
+
+def _distinct_rows(rows: np.ndarray) -> np.ndarray:
+    """One copy of each distinct row, compared by raw bytes, in order of first
+    occurrence."""
+    rows = np.ascontiguousarray(rows)
+    _, first = np.unique(_row_keys(rows), return_index=True)
+    return rows[np.sort(first)]
 
 
 def _pack_sets(row_matrices: Sequence[np.ndarray]):
@@ -263,7 +279,8 @@ def loss_and_grads(params, dims: ModelDims, rows, offsets, labels_idx, smoothing
     named views of one flat vector of `rows.dtype` in param_names order.
 
     The max-pool subgradient routes to exactly one argmax row per pooled
-    dimension (the first maximum).
+    dimension (the first maximum); each head's backward pass runs over the
+    rows that are an argmax of some dimension.
     """
     loss, grad = _loss_and_flat_grad(params, dims, rows, offsets, labels_idx, smoothing)
     return loss, _param_views(dims, grad)
@@ -292,15 +309,20 @@ def _loss_and_flat_grad(params, dims: ModelDims, rows, offsets, labels_idx, smoo
     for k in range(dims.n_heads):
         head = cache["heads"][k]
         d_fmax = du[:, k * dims.reduced_dim : (k + 1) * dims.reduced_dim]
-        d_fred = np.zeros((rows.shape[0], dims.reduced_dim), dtype=rows.dtype)
-        # each row belongs to one set, so the (row, dim) pairs are unique and
-        # the indexed add is exact
-        d_fred[head["amax"], dr_idx] += d_fmax
-        np.matmul(head["z1"].T, d_fred, out=grads[f"head{k}_w2"])
+        # only a head's argmax rows get gradient; run its backward on those
+        hit = np.zeros(rows.shape[0], dtype=bool)
+        hit[head["amax"]] = True
+        active = np.flatnonzero(hit)
+        compact = np.cumsum(hit) - 1  # row -> index among the active rows
+        d_fred = np.zeros((active.size, dims.reduced_dim), dtype=rows.dtype)
+        # each row belongs to one set, so the (row, dim) pairs are unique
+        d_fred[compact[head["amax"]], dr_idx] = d_fmax
+        z1 = head["z1"][active]
+        np.matmul(z1.T, d_fred, out=grads[f"head{k}_w2"])
         grads[f"head{k}_b2"][...] = d_fred.sum(axis=0)
         dz1 = d_fred @ params[f"head{k}_w2"].T
-        da1 = dz1 * (head["z1"] > 0)
-        np.matmul(rows.T, da1, out=grads[f"head{k}_w1"])
+        da1 = dz1 * (z1 > 0)
+        np.matmul(rows[active].T, da1, out=grads[f"head{k}_w1"])
         grads[f"head{k}_b1"][...] = da1.sum(axis=0)
     return loss, grad
 
@@ -330,9 +352,10 @@ def train(
     """Train a set classifier, returning the checkpoint with the lowest
     validation loss. Deterministic for a fixed config seed and input order.
 
-    Features are standardized to the training set's per-dimension moments for
-    optimization conditioning; the affine transform is folded into the first
-    layer of the returned model, so inference consumes raw features.
+    Features are standardized to the training set's per-dimension moments
+    (over every row, repeats included) for optimization conditioning; the
+    affine transform is folded into the first layer of the returned model, so
+    inference consumes raw features. Each set trains on its distinct rows.
     """
     if not train_set:
         raise ValueError("empty training set")
@@ -350,16 +373,18 @@ def train(
         n_classes=len(labels),
     )
 
-    train_rows = [fs.features for fs, _ in train_set]
     train_labels = np.array([label_to_idx[lbl] for _, lbl in train_set])
-    val_rows = [fs.features for fs, _ in val_set]
     val_labels = np.array([label_to_idx[lbl] for _, lbl in val_set])
 
-    stacked = np.concatenate(train_rows, axis=0)
+    stacked = np.concatenate([fs.features for fs, _ in train_set], axis=0)  # repeats included
     feat_mean = stacked.mean(axis=0)
     feat_scale = np.maximum(stacked.std(axis=0), 1e-9)
-    train_rows = [((r - feat_mean) / feat_scale).astype(np.float32) for r in train_rows]
-    val_rows = [((r - feat_mean) / feat_scale).astype(np.float32) for r in val_rows]
+    del stacked  # a float64 copy of every training row: not kept through the epochs
+    # a repeated row never changes the max-pool or its gradient, so each set
+    # trains on its distinct rows; first-occurrence order keeps the first-max
+    # tie rule routing to the same row
+    train_rows = [((_distinct_rows(fs.features) - feat_mean) / feat_scale).astype(np.float32) for fs, _ in train_set]
+    val_rows = [((_distinct_rows(fs.features) - feat_mean) / feat_scale).astype(np.float32) for fs, _ in val_set]
 
     flat = _init_weights(dims, cfg.seed).astype(np.float32)
     params = _param_views(dims, flat)

@@ -151,7 +151,10 @@ def featurize_manifest(
     manifest: Manifest, cfg: PipelineConfig, bank: KernelBank, threads: int = 1
 ) -> List[PipelineSample]:
     """Run the per-sample pipeline over a manifest (optionally with a thread
-    pool); output order follows the manifest."""
+    pool); output order follows the manifest. Fewer than 1 thread is a
+    ValueError."""
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
 
     def one(entry: ManifestEntry) -> PipelineSample:
         frame = read_csit(entry.path)

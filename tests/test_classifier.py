@@ -24,6 +24,7 @@ from moric.classifier import (
     train,
     _batch_forward,
     _batch_loss,
+    _distinct_rows,
     _pack_sets,
 )
 from moric.core import DopplerParams, FeatureSet, PipelineConfig
@@ -245,7 +246,8 @@ def test_analytic_gradients_match_finite_differences():
 
 
 def _reference_loss_and_grads(params, dims, rows, offsets, labels_idx, smoothing):
-    """The per-name float64 backward pass, one new array per gradient."""
+    """The dense per-name float64 backward pass: every row of the batch,
+    argmax or not, one new array per gradient."""
     logits, cache = _batch_forward(params, dims, rows, offsets)
     n = logits.shape[0]
     probs = softmax(logits, axis=1)
@@ -296,6 +298,34 @@ def test_gradients_follow_row_dtype():
         assert grads[name].dtype == np.float32
         scale = np.max(np.abs(want[name]))
         assert np.allclose(grads[name], want[name], rtol=0, atol=1e-4 * scale), name
+
+
+def test_argmax_row_backward_matches_dense_reference():
+    # ragged batches holding tied (repeated) rows, an all-gated set whose rows
+    # all share one vector, and a one-row set
+    rng = np.random.default_rng(47)
+    dims = ModelDims(input_dim=9, n_heads=2, head_hidden=8, reduced_dim=5, cls_hidden=6, n_classes=3)
+    params = init_params(dims, 7)
+    gated = rng.normal(size=9)
+    for trial in range(4):
+        sets = []
+        for _ in range(5):
+            m = rng.normal(size=(int(rng.integers(2, 9)), 9))
+            m[rng.integers(1, m.shape[0])] = m[0]
+            m[-1] = gated
+            sets.append(m)
+        sets += [np.tile(gated, (4, 1)), rng.normal(size=(1, 9))]
+        rows, offsets = _pack_sets([sets[i] for i in rng.permutation(len(sets))])
+        labels = rng.integers(0, dims.n_classes, size=len(sets))
+        _, cache = _batch_forward(params, dims, rows, offsets)
+        for head in cache["heads"]:  # the backward runs on a strict subset of rows
+            assert np.unique(head["amax"]).size < rows.shape[0]
+
+        want_loss, want = _reference_loss_and_grads(params, dims, rows, offsets, labels, 0.1)
+        loss, grads = loss_and_grads(params, dims, rows, offsets, labels, 0.1)
+        assert loss == want_loss
+        for name in param_names(dims.n_heads):
+            assert np.allclose(grads[name], want[name], rtol=1e-12, atol=1e-15), (trial, name)
 
 
 def test_float32_loss_stays_finite_when_a_probability_underflows():
@@ -423,6 +453,35 @@ def test_training_is_seed_repeatable():
     m2 = train(data, data[:4], cfg, head_hidden=8, reduced_dim=4, cls_hidden=4)
     for name in param_names(m1.dims.n_heads):
         assert np.array_equal(m1.params[name], m2.params[name])
+
+
+def test_training_on_doubled_sets_matches_the_originals():
+    # doubling every row of every set leaves the feature moments unchanged,
+    # and each doubled set trains on its distinct rows: the originals
+    rng = np.random.default_rng(53)
+    data = separable_dataset(rng, n_per_class=6)
+    doubled = [
+        (make_feature_set(rng, rows=np.concatenate([fs.features, fs.features]), label=lbl), lbl)
+        for fs, lbl in data
+    ]
+    cfg = TrainConfig(lr=1e-2, batch_size=8, max_epochs=10, patience=10, seed=13)
+    m1 = train(data, data[:4], cfg, head_hidden=8, reduced_dim=4, cls_hidden=4)
+    m2 = train(doubled, doubled[:4], cfg, head_hidden=8, reduced_dim=4, cls_hidden=4)
+    for name in param_names(m1.dims.n_heads):
+        assert np.allclose(m1.params[name], m2.params[name], rtol=1e-5, atol=1e-6), name
+
+
+def test_distinct_rows_keep_first_occurrence_order():
+    rng = np.random.default_rng(59)
+    a, b, c = rng.normal(size=(3, 5))
+    a[2] = 0.0
+    a_twin = a.copy()
+    a_twin[2] = -0.0  # equal as floats, not as bytes: a distinct row
+    rows = np.stack([b, a, b, c, a_twin, a, c, b])
+    got = _distinct_rows(rows)
+    want = np.stack([b, a, c, a_twin])
+    assert got.tobytes() == want.tobytes()
+    assert _distinct_rows(rows[::-1]).tobytes() == np.stack([b, c, a, a_twin]).tobytes()
 
 
 def _assert_views_of_one_buffer(params, names):
