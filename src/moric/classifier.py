@@ -14,8 +14,10 @@ A post-hoc temperature + per-class-bias calibration can be fitted on the fixed
 logits of a handful of held-out samples; `calibrate` fits many draws of them
 as one batched descent.
 
-A model file (MORM, version 2) also holds the kernel bank, the calibration
-and, in a closing JSON trailer, the `PipelineConfig` that made the features.
+A model file (MORM, version 3) is framed like CSIT, DVEL and FEAT: a header
+that sizes the payload, the f32 weights and the kernel bank, then a JSON
+trailer holding the dims, class labels, seed, calibration and the
+`PipelineConfig` that made the features.
 
 The parameters live in one flat vector, packed in `param_names` order (the
 MORM weight layout); the named arrays are views of it. Training runs in
@@ -33,13 +35,13 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import ByteReader, FeatureSet, FormatError, PipelineConfig, format_errors
+from .core import ByteReader, FeatureSet, FormatError, JsonRecord, PipelineConfig, format_errors
 from .core import _json_trailer, _read_json_trailer
 from .features import KernelBank, deserialize_bank, serialize_bank
 
 MODEL_MAGIC = b"MORM"
-MODEL_VERSION = 2
-_MODEL_HEADER = "<IIIIIIIq"
+MODEL_VERSION = 3
+_MODEL_HEADER = struct.Struct("<4sIII")  # magic, version, f32 weight count, kernel bank bytes
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -48,7 +50,9 @@ ADAM_BLOCK = 1 << 16  # elements per optimizer block: ~256 KiB of float32 per ve
 
 
 @dataclass(frozen=True)
-class ModelDims:
+class ModelDims(JsonRecord):
+    _require_all_keys = True
+
     input_dim: int
     n_heads: int = 2
     head_hidden: int = 256
@@ -63,7 +67,7 @@ class ModelDims:
 
 
 @dataclass(frozen=True)
-class Calibration:
+class Calibration(JsonRecord):
     """Temperature plus per-class bias applied to logits before the softmax."""
 
     temperature: float
@@ -73,6 +77,8 @@ class Calibration:
         if not (self.temperature > 0 and np.isfinite(self.temperature)):
             raise ValueError("temperature must be positive")
         b = np.array(self.bias, dtype=np.float64)  # a copy: the caller's array stays writeable
+        if b.ndim != 1 or not np.all(np.isfinite(b)):
+            raise ValueError("bias must be a vector of finite values")
         b.flags.writeable = False
         object.__setattr__(self, "bias", b)
 
@@ -110,7 +116,13 @@ class MoricModel:
     def __post_init__(self):
         if len(self.class_labels) != self.dims.n_classes:
             raise ValueError("class label count must match n_classes")
+        if len(set(self.class_labels)) != len(self.class_labels):
+            raise ValueError(f"duplicate class labels {list(self.class_labels)}")
+        if self.calibration is not None and self.calibration.bias.shape != (self.dims.n_classes,):
+            raise ValueError(f"calibration bias must hold {self.dims.n_classes} values")
         p, bank = self.pipeline, self.kernel_bank
+        if bank is not None and bank.dim != self.dims.input_dim:
+            raise ValueError(f"kernel bank dimension {bank.dim} does not match model D={self.dims.input_dim}")
         if p is not None and bank is not None:
             want, got = (p.kernel_seed, p.n_kernels, p.n_biases), (bank.seed, bank.n_kernels, bank.n_biases)
             if want != got:
@@ -535,103 +547,65 @@ def calibrate(
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class _ModelMeta(JsonRecord):
+    """The JSON trailer of a model file: every MoricModel field but the
+    weights and the kernel bank, which precede it as binary payload."""
+
+    _json_name = "model"
+    _require_all_keys = True
+
+    dims: ModelDims
+    class_labels: Tuple[str, ...]
+    seed: int
+    calibration: Optional[Calibration]
+    pipeline: Optional[PipelineConfig]
+
+
 def save_model(model: MoricModel, path) -> None:
-    d = model.dims
-    parts = [
-        MODEL_MAGIC,
-        struct.pack(
-            _MODEL_HEADER,
-            MODEL_VERSION,
-            d.input_dim,
-            d.n_heads,
-            d.head_hidden,
-            d.reduced_dim,
-            d.cls_hidden,
-            d.n_classes,
-            model.seed,
-        ),
-    ]
-    for label in model.class_labels:
-        blob = label.encode("utf-8")
-        parts.append(struct.pack("<H", len(blob)))
-        parts.append(blob)
-    weights = [np.ravel(model.params[name]) for name in param_names(d.n_heads)]
-    parts.append(np.concatenate(weights, dtype="<f4").tobytes())
-    if model.kernel_bank is not None:
-        parts.append(b"\x01")
-        parts.append(serialize_bank(model.kernel_bank))
-    else:
-        parts.append(b"\x00")
-    if model.calibration is not None:
-        parts.append(b"\x01")
-        parts.append(struct.pack("<d", model.calibration.temperature))
-        parts.append(np.asarray(model.calibration.bias, dtype="<f8").tobytes())
-    else:
-        parts.append(b"\x00")
-    pipeline = model.pipeline.to_dict() if model.pipeline is not None else None
-    parts.append(_json_trailer({"pipeline": pipeline}))
+    weights = np.concatenate([np.ravel(model.params[n]) for n in param_names(model.dims.n_heads)], dtype="<f4")
+    bank = serialize_bank(model.kernel_bank) if model.kernel_bank is not None else b""
+    meta = _ModelMeta(
+        dims=model.dims,
+        class_labels=model.class_labels,
+        seed=model.seed,
+        calibration=model.calibration,
+        pipeline=model.pipeline,
+    )
     with open(path, "wb") as fh:
-        fh.write(b"".join(parts))
+        fh.write(_MODEL_HEADER.pack(MODEL_MAGIC, MODEL_VERSION, weights.size, len(bank)))
+        fh.write(weights.tobytes())
+        fh.write(bank)
+        fh.write(_json_trailer(meta.to_dict()))
 
 
 def load_model(path) -> MoricModel:
-    """Inverse of save_model. Raises FormatError on a bad magic, version,
-    label, embedded bank, flag byte or trailer, on any truncation or trailing
-    bytes, and on a decoded field that ModelDims, Calibration,
-    PipelineConfig.from_dict or MoricModel rejects."""
+    """Inverse of save_model. Raises FormatError on a bad magic or version, a
+    weight count or bank size the file does not hold or the dims do not
+    imply, a bad embedded bank, a missing or malformed trailer, any truncation
+    or trailing bytes, and on a decoded field that MoricModel or the records
+    it holds reject."""
     with open(path, "rb") as fh:
-        raw = fh.read()
-    if raw[:4] != MODEL_MAGIC:
-        raise FormatError(f"{path}: bad magic {raw[:4]!r}")
-    r = ByteReader(raw, path, pos=4)
-    version, input_dim, n_heads, head_hidden, reduced_dim, cls_hidden, n_classes, seed = r.unpack(
-        _MODEL_HEADER
-    )
+        r = ByteReader(fh.read(), path)
+    magic, version, n_weights, n_bank = r.unpack(_MODEL_HEADER.format)
+    if magic != MODEL_MAGIC:
+        raise FormatError(f"{path}: bad magic {magic!r}")
     if version != MODEL_VERSION:
         raise FormatError(f"{path}: unsupported model version {version}")
+    weights = r.array("<f4", n_weights)  # bounded by the file size before it allocates
+    bank_at = r.pos
+    r.take(n_bank)  # a file too short for the bank is truncated, whatever the bank holds
+    bank = None
+    if n_bank:
+        bank, used = deserialize_bank(r.raw, bank_at)
+        if used != n_bank:
+            raise FormatError(f"{path}: the kernel bank takes {used} bytes, the header says {n_bank}")
+    trailer = _read_json_trailer(r)
+    if trailer is None:
+        raise FormatError(f"{path}: missing the model trailer")
     with format_errors(path):
-        dims = ModelDims(
-            input_dim=input_dim,
-            n_heads=n_heads,
-            head_hidden=head_hidden,
-            reduced_dim=reduced_dim,
-            cls_hidden=cls_hidden,
-            n_classes=n_classes,
-        )
-        labels = []
-        for _ in range(n_classes):
-            (length,) = r.unpack("<H")
-            labels.append(r.take(length).decode("utf-8"))  # UnicodeDecodeError is a ValueError
-        # bound the header by the bytes left before building per-parameter state
-        n_weights = _weight_count(dims)
-        if 4 * n_weights > len(raw) - r.pos:
-            raise FormatError(f"{path}: truncated at byte {r.pos} (header needs {4 * n_weights} weight bytes)")
-        params = _param_views(dims, r.array("<f4", n_weights).astype(np.float64))
-        bank = None
-        if _read_flag(r):
-            bank, used = deserialize_bank(raw, r.pos)
-            r.pos += used
-        calibration = None
-        if _read_flag(r):
-            (temperature,) = r.unpack("<d")
-            calibration = Calibration(temperature=temperature, bias=r.array("<f8", n_classes))
-        trailer = _read_json_trailer(r)
-        if trailer is None or trailer.keys() != {"pipeline"}:
-            raise FormatError(f"{path}: the trailer must be a JSON object with one key, 'pipeline'")
-        doc = trailer["pipeline"]
-        return MoricModel(
-            dims=dims,
-            class_labels=tuple(labels),
-            params=params,
-            seed=seed,
-            kernel_bank=bank,
-            calibration=calibration,
-            pipeline=PipelineConfig.from_dict(doc) if doc is not None else None,
-        )
-
-
-def _read_flag(r: ByteReader) -> bool:
-    (flag,) = r.take(1)
-    if flag not in (0, 1):
-        raise FormatError(f"{r.source}: bad flag byte {flag} at byte {r.pos - 1}")
-    return flag == 1
+        meta = _ModelMeta.from_dict(trailer)
+        if n_weights != _weight_count(meta.dims):
+            raise FormatError(f"{path}: {n_weights} weights where the dims need {_weight_count(meta.dims)}")
+        params = _param_views(meta.dims, weights.astype(np.float64))
+        return MoricModel(params=params, kernel_bank=bank, **vars(meta))

@@ -96,12 +96,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_sanitize(args) -> int:
     frame = read_csit(args.infile)
-    clean = sanitize.sanitize_frame(
-        frame,
-        apply_hampel=not args.skip_hampel,
-        hampel_window=args.window,
-        hampel_sigmas=args.sigmas,
-    )
+    clean = sanitize.sanitize_frame(frame, apply_hampel=not args.skip_hampel)
     write_csit(clean, args.out)
     print(f"wrote {args.out}")
     return 0
@@ -255,8 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--skip-hampel", action="store_true")
-    p.add_argument("--window", type=int, default=11, help="Hampel window")
-    p.add_argument("--sigmas", type=float, default=3.0, help="Hampel threshold")
     p.set_defaults(func=cmd_sanitize)
 
     p = sub.add_parser("decompose", help="delay decomposition and velocity estimation")

@@ -194,14 +194,9 @@ def hampel_complex(series: np.ndarray, window: int = 11, n_sigmas: float = 3.0) 
     return filtered[0] if z.ndim == 1 else filtered
 
 
-def sanitize_frame(
-    frame: CsiFrame,
-    apply_hampel: bool = True,
-    hampel_window: int = 11,
-    hampel_sigmas: float = 3.0,
-) -> CsiFrame:
+def sanitize_frame(frame: CsiFrame, apply_hampel: bool = True) -> CsiFrame:
     """Full sanitize stage: linear phase compensation, then (optionally) Hampel
-    filtering of the delay-bin series.
+    filtering of the delay-bin series (window 11, 3 sigmas).
 
     The outlier filter operates on h(s; tau_i) after the IDFT over
     subcarriers; since the IDFT is exactly invertible, the frame is
@@ -213,6 +208,6 @@ def sanitize_frame(
         return out
     s, n, t = out.data.shape
     bins = np.fft.ifft(out.data, axis=1).reshape(s * n, t)
-    filtered = hampel_complex(bins, hampel_window, hampel_sigmas).reshape(s, n, t)
+    filtered = hampel_complex(bins).reshape(s, n, t)
     restored = np.fft.fft(filtered, axis=1)
     return CsiFrame(config=out.config, data=restored, meta=out.meta)

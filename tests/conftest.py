@@ -209,3 +209,29 @@ def bank_field_patches(raw: bytes, at: int):
         pos = at + offset
         out[name] = (raw[:pos] + struct.pack(fmt, value) + raw[pos + struct.calcsize(fmt) :], message)
     return out
+
+
+MORM_HEADER = "<4sIII"  # magic, version, f32 weight count, kernel bank bytes
+
+
+def split_model(raw: bytes):
+    """The parts of a MORM v3 file: (weight bytes, bank bytes, trailer document)."""
+    import json
+    import struct
+
+    _, _, n_weights, n_bank = struct.unpack_from(MORM_HEADER, raw)
+    start = struct.calcsize(MORM_HEADER)
+    bank_at = start + 4 * n_weights
+    trailer_at = bank_at + n_bank
+    return raw[start:bank_at], raw[bank_at:trailer_at], json.loads(raw[trailer_at + 4 :])
+
+
+def join_model(weights: bytes, bank: bytes, meta: dict, n_weights=None, n_bank=None, version=3) -> bytes:
+    """A MORM file of the given parts; the header counts default to the parts' sizes."""
+    import struct
+
+    from moric.core import _json_trailer
+
+    n_weights = len(weights) // 4 if n_weights is None else n_weights
+    n_bank = len(bank) if n_bank is None else n_bank
+    return struct.pack(MORM_HEADER, b"MORM", version, n_weights, n_bank) + weights + bank + _json_trailer(meta)

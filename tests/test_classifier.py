@@ -30,6 +30,8 @@ from moric.classifier import (
 from moric.core import DopplerParams, FeatureSet, PipelineConfig
 from moric.features import build_bank
 
+from conftest import join_model, split_model
+
 
 def make_feature_set(rng, n_rows=6, dim=12, label=None, rows=None):
     feats = rng.normal(size=(n_rows, dim)) if rows is None else rows
@@ -633,7 +635,7 @@ def test_predict_calibrated_b0_same_argmax():
 
 
 def _model_with_bank_and_calibration():
-    dims = ModelDims(input_dim=8, n_heads=2, head_hidden=6, reduced_dim=4, cls_hidden=5, n_classes=3)
+    dims = ModelDims(input_dim=16, n_heads=2, head_hidden=6, reduced_dim=4, cls_hidden=5, n_classes=3)
     params = init_params(dims, 9)
     # force f32-representable weights so the round trip is exact
     params = {k: v.astype(np.float32).astype(np.float64) for k, v in params.items()}
@@ -648,11 +650,6 @@ def _model_with_bank_and_calibration():
         pipeline=PipelineConfig(doppler=DopplerParams(window_len=16), kernel_seed=21, n_kernels=4),
     )
     return model, dims, bank
-
-
-def _trailer_at(raw: bytes) -> int:
-    """Offset of the pipeline trailer (u32 length, JSON) that ends a model file."""
-    return raw.rindex(b'{"pipeline"') - 4
 
 
 def test_model_save_load_round_trip(tmp_path):
@@ -675,6 +672,22 @@ def test_model_save_load_round_trip(tmp_path):
     path2 = tmp_path / "model2.morm"
     save_model(loaded, path2)
     assert path.read_bytes() == path2.read_bytes()
+
+
+def test_model_file_keeps_weights_and_calibration_bitwise(tmp_path):
+    """The trailer's JSON floats round-trip exactly: a calibration that no
+    short decimal writes survives the file unchanged, as do f32 weights."""
+    model, _, _ = _model_with_bank_and_calibration()
+    rng = np.random.default_rng(12)
+    calibration = Calibration(temperature=1.0 / 3.0 + 1e-17, bias=rng.normal(size=3) * 1e-5)
+    model = model.with_calibration(calibration)
+    path = tmp_path / "model.morm"
+    save_model(model, path)
+    loaded = load_model(path)
+    assert loaded.calibration.temperature == calibration.temperature
+    assert loaded.calibration.bias.tobytes() == calibration.bias.tobytes()
+    for name in param_names(2):
+        assert loaded.params[name].tobytes() == model.params[name].tobytes()
 
 
 def test_load_model_rejects_bad_magic(tmp_path):
@@ -701,17 +714,16 @@ def test_load_model_rejects_every_truncation(tmp_path):
 
 
 def test_load_model_bounds_header_by_file_size(tmp_path):
-    """A header whose dims imply more weight bytes than the file holds is
-    rejected before any per-parameter state is built."""
+    """A header whose weight count needs more bytes than the file holds is
+    rejected before the weights are allocated."""
     from moric.core import FormatError
 
-    header = struct.pack("<IIIIIIIq", 2, 8, 400_000, 6, 4, 5, 2, 0)
     path = tmp_path / "huge.morm"
-    path.write_bytes(b"MORM" + header + b"\x01\x00a\x01\x00b")
-    assert path.stat().st_size == 46
+    path.write_bytes(join_model(b"", b"", {}, n_weights=2**32 - 1))
+    assert path.stat().st_size == 22
     tracemalloc.start()
     try:
-        with pytest.raises(FormatError, match="weight bytes"):
+        with pytest.raises(FormatError, match=f"need {4 * (2**32 - 1)} more"):
             load_model(path)
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -719,58 +731,84 @@ def test_load_model_bounds_header_by_file_size(tmp_path):
     assert peak < 1 << 20
 
     # the bound is exact: one byte short of the weights trips it, and a file
-    # ending right after them fails later, at the bank flag
-    model, dims, _ = _model_with_bank_and_calibration()
+    # ending right after them fails later, at the bank
+    model, _, _ = _model_with_bank_and_calibration()
     save_model(model, path)
     raw = path.read_bytes()
-    weights_end = raw.index(b"KBNK") - 1
+    weights, bank, _ = split_model(raw)
+    weights_end = 16 + len(weights)
     path.write_bytes(raw[: weights_end - 1])
-    with pytest.raises(FormatError, match="weight bytes"):
+    with pytest.raises(FormatError, match=f"need {len(weights)} more"):
         load_model(path)
     path.write_bytes(raw[:weights_end])
-    with pytest.raises(FormatError, match="need 1 more"):
+    with pytest.raises(FormatError, match=f"need {len(bank)} more"):
         load_model(path)
 
 
-def test_load_model_rejects_bad_label_bank_magic_and_flag(tmp_path):
+def test_load_model_rejects_bad_label_and_bank_magic(tmp_path):
     from moric.core import FormatError
 
     model, _, _ = _model_with_bank_and_calibration()
     path = tmp_path / "model.morm"
     save_model(model, path)
     raw = path.read_bytes()
-    label_at = raw.index(b"circle")
-    bank_at = raw.index(b"KBNK")
-    calibration_flag_at = _trailer_at(raw) - 1 - 8 - 8 * 3
+    weights, bank, meta = split_model(raw)
+    label_at = raw.rindex(b"circle")
     corruptions = {
-        "label": raw[:label_at] + b"\xff" + raw[label_at + 1 :],
-        "bank magic": raw[:bank_at] + b"XBNK" + raw[bank_at + 4 :],
-        "flag": raw[:calibration_flag_at] + b"\x02" + raw[calibration_flag_at + 1 :],
+        "non-string label": join_model(weights, bank, {**meta, "class_labels": [1, "left_right", "up_down"]}),
+        "non-UTF-8 label": raw[:label_at] + b"\xff" + raw[label_at + 1 :],
+        "bank magic": join_model(weights, b"XBNK" + bank[4:], meta),
     }
-    for blob in corruptions.values():
+    for name, blob in corruptions.items():
         path.write_bytes(blob)
         with pytest.raises(FormatError):
             load_model(path)
 
 
 def test_load_model_rejects_fields_its_constructors_reject(tmp_path):
-    """A complete file whose header, weights or calibration break a model
+    """A complete file whose dims, weights or calibration break a model
     invariant is a bad file (FormatError naming the path), not bad input."""
     from moric.core import FormatError
 
     model, _, _ = _model_with_bank_and_calibration()
     path = tmp_path / "model.morm"
     save_model(model, path)
-    raw = path.read_bytes()
-    first_weight_at = raw.index(b"up_down") + len(b"up_down")
-    temperature_at = _trailer_at(raw) - 8 - 8 * 3
+    weights, bank, meta = split_model(path.read_bytes())
     corruptions = {
-        "n_heads must be >= 1": (12, struct.pack("<I", 0)),
-        "non-finite": (first_weight_at, struct.pack("<f", np.nan)),
-        "temperature must be positive": (temperature_at, struct.pack("<d", 0.0)),
+        "n_heads must be >= 1": join_model(weights, bank, {**meta, "dims": {**meta["dims"], "n_heads": 0}}),
+        "non-finite": join_model(struct.pack("<f", np.nan) + weights[4:], bank, meta),
+        "temperature must be positive": join_model(
+            weights, bank, {**meta, "calibration": {**meta["calibration"], "temperature": 0.0}}
+        ),
     }
-    for message, (at, value) in corruptions.items():
-        path.write_bytes(raw[:at] + value + raw[at + len(value) :])
+    for message, blob in corruptions.items():
+        path.write_bytes(blob)
+        with pytest.raises(FormatError, match=message) as exc:
+            load_model(path)
+        assert str(path) in str(exc.value)
+
+
+def test_model_rejects_a_bank_of_another_dimension_and_duplicate_labels(tmp_path):
+    from moric.core import FormatError
+
+    model, dims, _ = _model_with_bank_and_calibration()
+    narrow = replace(dims, input_dim=8)
+    with pytest.raises(ValueError, match="kernel bank dimension 16 does not match model D=8"):
+        replace(model, dims=narrow, params=init_params(narrow, 0))
+    with pytest.raises(ValueError, match="duplicate class labels"):
+        replace(model, class_labels=("circle", "circle", "up_down"))
+    # a file holding either is a bad file
+    path = tmp_path / "model.morm"
+    save_model(model, path)
+    weights, bank, meta = split_model(path.read_bytes())
+    save_model(replace(model, kernel_bank=None, pipeline=None, dims=narrow, params=init_params(narrow, 0)), path)
+    narrow_weights, _, narrow_meta = split_model(path.read_bytes())
+    corruptions = {
+        "does not match model D=8": join_model(narrow_weights, bank, {**narrow_meta, "pipeline": meta["pipeline"]}),
+        "duplicate class labels": join_model(weights, bank, {**meta, "class_labels": ["a", "a", "b"]}),
+    }
+    for message, blob in corruptions.items():
+        path.write_bytes(blob)
         with pytest.raises(FormatError, match=message) as exc:
             load_model(path)
         assert str(path) in str(exc.value)
@@ -787,47 +825,82 @@ def test_train_aborts_on_divergent_loss():
 
 
 
-def _with_trailer(raw: bytes, doc) -> bytes:
-    """`raw` with its closing trailer replaced by one holding `doc`."""
-    from moric.core import _json_trailer
+def _with_pipeline(raw: bytes, doc) -> bytes:
+    """`raw` with the pipeline of its closing trailer replaced by `doc`."""
+    weights, bank, meta = split_model(raw)
+    return join_model(weights, bank, {**meta, "pipeline": doc})
 
-    return raw[: _trailer_at(raw)] + _json_trailer(doc)
 
-
-def test_load_model_rejects_version_1_appended_bytes_and_bad_pipeline(tmp_path):
+def test_load_model_rejects_version_2_bad_counts_and_bad_trailer(tmp_path):
+    """Besides the version, the header's weight count must be the one the
+    dims imply and its bank byte count what the bank consumes; the trailer
+    must be present and hold every key of every record."""
     from moric.core import FormatError
 
     model, _, _ = _model_with_bank_and_calibration()
     path = tmp_path / "model.morm"
     save_model(model, path)
     raw = path.read_bytes()
+    weights, bank, meta = split_model(raw)
+    n = len(weights) // 4
     doc = model.pipeline.to_dict()
     doppler = doc["doppler"]
     corruptions = {
-        "version 1": raw[:4] + struct.pack("<I", 1) + raw[8:],
-        "appended": raw + b"garbage!",
-        "missing key": _with_trailer(raw, {"pipeline": {k: v for k, v in doc.items() if k != "use_hampel"}}),
-        "unknown key": _with_trailer(raw, {"pipeline": {**doc, "normalize": True}}),
-        "unknown doppler key": _with_trailer(
-            raw, {"pipeline": {**doc, "doppler": {**doppler, "window_fn": "hann"}}}
+        "version 2": (raw[:4] + struct.pack("<I", 2) + raw[8:], "unsupported model version 2"),
+        "appended": (raw + b"garbage!", "8 bytes after the trailer"),
+        "one weight more": (join_model(weights + bytes(4), bank, meta), f"{n + 1} weights where the dims need {n}"),
+        "one weight less": (join_model(weights[:-4], bank, meta), f"{n - 1} weights where the dims need {n}"),
+        "bank one byte short": (
+            join_model(weights, bank, meta, n_bank=len(bank) - 1),
+            f"the kernel bank takes {len(bank)} bytes, the header says {len(bank) - 1}",
         ),
-        "wrong type": _with_trailer(raw, {"pipeline": {**doc, "n_kernels": "4"}}),
-        "bad doppler": _with_trailer(raw, {"pipeline": {**doc, "doppler": {**doppler, "hop": 0}}}),
-        "unknown top-level key": _with_trailer(raw, {"pipeline": doc, "extra": 1}),
-        "kernel_seed": _with_trailer(raw, {"pipeline": {**doc, "kernel_seed": 22}}),
-        "n_kernels": _with_trailer(raw, {"pipeline": {**doc, "n_kernels": 5}}),
-        "n_biases": _with_trailer(raw, {"pipeline": {**doc, "n_biases": 2}}),
+        "bank one byte long": (
+            join_model(weights, bank + b"\x00", meta),
+            f"the kernel bank takes {len(bank)} bytes, the header says {len(bank) + 1}",
+        ),
+        "missing trailer": (raw[: 16 + len(weights) + len(bank)], "missing the model trailer"),
+        "missing key": (_with_pipeline(raw, {k: v for k, v in doc.items() if k != "use_hampel"}),
+                        r"bad model.pipeline: missing keys \['use_hampel'\]"),
+        "unknown key": (_with_pipeline(raw, {**doc, "normalize": True}),
+                        r"bad model.pipeline: unknown keys \['normalize'\]"),
+        "unknown doppler key": (_with_pipeline(raw, {**doc, "doppler": {**doppler, "window_fn": "hann"}}),
+                                r"bad model.pipeline.doppler: unknown keys \['window_fn'\]"),
+        "wrong type": (_with_pipeline(raw, {**doc, "n_kernels": "4"}), "bad model.pipeline.n_kernels"),
+        "bad doppler": (_with_pipeline(raw, {**doc, "doppler": {**doppler, "hop": 0}}), "hop must be >= 1"),
+        "unknown top-level key": (join_model(weights, bank, {**meta, "extra": 1}),
+                                  r"bad model: unknown keys \['extra'\]"),
+        "missing top-level key": (join_model(weights, bank, {k: v for k, v in meta.items() if k != "seed"}),
+                                  r"bad model: missing keys \['seed'\]"),
+        "missing dims key": (
+            join_model(weights, bank, {**meta, "dims": {k: v for k, v in meta["dims"].items() if k != "n_heads"}}),
+            r"bad model.dims: missing keys \['n_heads'\]",
+        ),
+        "null dims field": (join_model(weights, bank, {**meta, "dims": {**meta["dims"], "n_heads": None}}),
+                            "bad model.dims.n_heads: expected an integer"),
+        "non-finite bias": (
+            join_model(weights, bank, {**meta, "calibration": {**meta["calibration"], "bias": [0.0, float("nan"), 0.0]}}),
+            "bias must be a vector of finite values",
+        ),
+        "bias length": (join_model(weights, bank, {**meta, "calibration": {**meta["calibration"], "bias": [0.0]}}),
+                        "calibration bias must hold 3 values"),
+        "trailer not an object": (join_model(weights, bank, [meta]), "not a JSON object"),
+        "kernel_seed": (_with_pipeline(raw, {**doc, "kernel_seed": 22}), "differ from the bank"),
+        "n_kernels": (_with_pipeline(raw, {**doc, "n_kernels": 5}), "differ from the bank"),
+        "n_biases": (_with_pipeline(raw, {**doc, "n_biases": 2}), "differ from the bank"),
     }
-    for name, blob in corruptions.items():
+    for name, (blob, message) in corruptions.items():
         path.write_bytes(blob)
-        with pytest.raises(FormatError) as exc:
+        with pytest.raises(FormatError, match=message) as exc:
             load_model(path)
         assert str(path) in str(exc.value), name
-    # the untouched trailer loads, and a model without a pipeline stores null
-    path.write_bytes(_with_trailer(raw, {"pipeline": doc}))
+    # the untouched trailer loads, and a model without a pipeline or a
+    # calibration stores null
+    path.write_bytes(_with_pipeline(raw, doc))
     assert load_model(path).pipeline == model.pipeline
-    save_model(replace(model, pipeline=None), path)
-    assert load_model(path).pipeline is None
+    save_model(replace(model, pipeline=None, calibration=None), path)
+    assert split_model(path.read_bytes())[2]["pipeline"] is None
+    loaded = load_model(path)
+    assert loaded.pipeline is None and loaded.calibration is None
 
 
 def test_model_rejects_pipeline_that_disagrees_with_its_bank():

@@ -12,8 +12,10 @@ from moric.simulator import Scene
 
 from conftest import (
     bank_field_patches,
+    join_model,
     make_gesture_scene,
     make_radio,
+    split_model,
     two_kernel_bank,
     write_synthetic_manifest,
 )
@@ -352,8 +354,6 @@ def test_truncated_model_exits_3(tmp_path, capsys):
 
 
 def test_model_with_corrupt_header_or_bank_exits_3(tmp_path, capsys):
-    import struct
-
     from moric.classifier import ModelDims, MoricModel, init_params, save_model
 
     bank = two_kernel_bank()
@@ -364,8 +364,14 @@ def test_model_with_corrupt_header_or_bank_exits_3(tmp_path, capsys):
     raw = path.read_bytes()
     manifest = tmp_path / "manifest.json"
     manifest.write_text(json.dumps({"entries": []}))
+    weights, bank_bytes, meta = split_model(raw)
     corrupt = {
-        "n_heads": (raw[:12] + struct.pack("<I", 0) + raw[16:], "n_heads must be >= 1"),
+        "n_heads": (join_model(weights, bank_bytes, {**meta, "dims": {**meta["dims"], "n_heads": 0}}),
+                    "n_heads must be >= 1"),
+        "weight count": (join_model(weights + bytes(4), bank_bytes, meta), "weights where the dims need"),
+        "bank one byte short": (join_model(weights, bank_bytes, meta, n_bank=len(bank_bytes) - 1),
+                                "the kernel bank takes"),
+        "bank one byte long": (join_model(weights, bank_bytes + b"\x00", meta), "the kernel bank takes"),
         "appended bytes": (raw + b"garbage!", "8 bytes after the trailer"),
     }
     corrupt.update(bank_field_patches(raw, raw.index(b"KBNK")))
@@ -474,35 +480,81 @@ def test_bad_or_incomplete_model_file_exits_3(tmp_path, capsys, flagged_model):
     from dataclasses import replace
 
     from moric.classifier import load_model, save_model
-    from moric.core import _json_trailer
 
     model_path, manifest_path, _ = flagged_model
     model = load_model(model_path)
     raw = model_path.read_bytes()
-    body = raw[: raw.rindex(b'{"pipeline"') - 4]
+    weights, bank, meta = split_model(raw)
     doc = model.pipeline.to_dict()
     path = tmp_path / "model.morm"
+
+    def with_pipeline(pipeline):
+        return join_model(weights, bank, {**meta, "pipeline": pipeline})
+
     cases = {
-        "version 1": (raw[:4] + struct.pack("<I", 1) + raw[8:], "unsupported model version 1"),
+        "version 2": (raw[:4] + struct.pack("<I", 2) + raw[8:], "unsupported model version 2"),
         "appended bytes": (raw + b"garbage!", "bytes after the trailer"),
-        "missing key": (body + _json_trailer({"pipeline": {k: v for k, v in doc.items() if k != "n_biases"}}),
-                        "missing keys ['n_biases']"),
-        "unknown key": (body + _json_trailer({"pipeline": {**doc, "normalize": True}}),
-                        "unknown keys ['normalize']"),
-        "kernel_seed": (body + _json_trailer({"pipeline": {**doc, "kernel_seed": 7}}), "differ from the bank"),
-        "n_kernels": (body + _json_trailer({"pipeline": {**doc, "n_kernels": 21}}), "differ from the bank"),
-        "n_biases": (body + _json_trailer({"pipeline": {**doc, "n_biases": 3}}), "differ from the bank"),
+        "missing trailer": (raw[: 16 + len(weights) + len(bank)], "missing the model trailer"),
+        "missing key": (with_pipeline({k: v for k, v in doc.items() if k != "n_biases"}),
+                        "bad model.pipeline: missing keys ['n_biases']"),
+        "unknown key": (with_pipeline({**doc, "normalize": True}), "bad model.pipeline: unknown keys ['normalize']"),
+        "kernel_seed": (with_pipeline({**doc, "kernel_seed": 7}), "differ from the bank"),
+        "n_kernels": (with_pipeline({**doc, "n_kernels": 21}), "differ from the bank"),
+        "n_biases": (with_pipeline({**doc, "n_biases": 3}), "differ from the bank"),
     }
     for name, (blob, message) in cases.items():
         path.write_bytes(blob)
         assert main(["eval", "--model", str(path), "--manifest", str(manifest_path)]) == 3, name
-        assert message in capsys.readouterr().err, name
+        err = capsys.readouterr().err
+        assert message in err and str(path) in err, name
     for field, what in (("kernel_bank", "kernel bank"), ("pipeline", "pipeline config")):
         save_model(replace(model, **{field: None}), path)
         for command in ("eval", "calibrate"):
             argv = [command, "--model", str(path), "--manifest", str(manifest_path), "--out", str(tmp_path / "c")]
             assert main(argv[:5] if command == "eval" else argv) == 3, (field, command)
             assert f"the model carries no {what}" in capsys.readouterr().err
+
+
+def test_model_with_a_foreign_bank_or_duplicate_labels_exits_3(tmp_path, capsys, flagged_model, monkeypatch):
+    """A model whose bank does not make features of its input dimension, or
+    whose class labels repeat, is a bad file: eval exits 3 before it
+    featurizes a capture."""
+    from dataclasses import replace
+
+    from moric import harness
+    from moric.classifier import ModelDims, init_params, load_model, save_model
+
+    model_path, manifest_path, _ = flagged_model
+    featurized = []
+    monkeypatch.setattr(harness, "featurize_manifest", lambda *args, **kw: featurized.append(args))
+    weights, bank, meta = split_model(model_path.read_bytes())
+    model = load_model(model_path)
+    dims = ModelDims(input_dim=5, n_heads=1, head_hidden=3, reduced_dim=2, cls_hidden=3, n_classes=2)
+    path = tmp_path / "model.morm"
+    save_model(replace(model, dims=dims, params=init_params(dims, 0), kernel_bank=None), path)
+    small_weights, _, small_meta = split_model(path.read_bytes())
+    cases = {
+        "foreign bank": (join_model(small_weights, bank, small_meta),
+                         f"kernel bank dimension {model.kernel_bank.dim} does not match model D=5"),
+        "duplicate labels": (join_model(weights, bank, {**meta, "class_labels": ["circle", "circle"]}),
+                             "duplicate class labels ['circle', 'circle']"),
+    }
+    for name, (blob, message) in cases.items():
+        path.write_bytes(blob)
+        assert main(["eval", "--model", str(path), "--manifest", str(manifest_path)]) == 3, name
+        err = capsys.readouterr().err
+        assert message in err and str(path) in err, name
+    assert featurized == []
+
+
+def test_sanitize_takes_no_hampel_flags(tmp_path, capsys, scene_file):
+    csit = tmp_path / "x.csit"
+    assert main(["simulate", "--scene", str(scene_file), "--out", str(csit)]) == 0
+    for flag in ("--window", "--sigmas"):
+        with pytest.raises(SystemExit) as exc:
+            main(["sanitize", "--in", str(csit), "--out", str(tmp_path / "y.csit"), flag, "5"])
+        assert exc.value.code == 2, flag
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_calibrate_sweep_counts_are_checked_before_featurizing(tmp_path, capsys, flagged_model):
