@@ -14,7 +14,7 @@ A post-hoc temperature + per-class-bias calibration can be fitted on the fixed
 logits of a handful of held-out samples; `calibrate` fits many draws of them
 as one batched descent.
 
-A model file (MORM, version 3) is framed like CSIT, DVEL and FEAT: a header
+A model file (MORM, version 4) is framed like CSIT, DVEL and FEAT: a header
 that sizes the payload, the f32 weights and the kernel bank, then a JSON
 trailer holding the dims, class labels, seed, calibration and the
 `PipelineConfig` that made the features.
@@ -40,7 +40,7 @@ from .core import _json_trailer, _read_json_trailer
 from .features import KernelBank, deserialize_bank, serialize_bank
 
 MODEL_MAGIC = b"MORM"
-MODEL_VERSION = 3
+MODEL_VERSION = 4
 _MODEL_HEADER = struct.Struct("<4sIII")  # magic, version, f32 weight count, kernel bank bytes
 
 ADAM_BETA1 = 0.9
@@ -597,7 +597,10 @@ def load_model(path) -> MoricModel:
     r.take(n_bank)  # a file too short for the bank is truncated, whatever the bank holds
     bank = None
     if n_bank:
-        bank, used = deserialize_bank(r.raw, bank_at)
+        try:
+            bank, used = deserialize_bank(r.raw, bank_at)
+        except FormatError as exc:
+            raise FormatError(f"{path}: {exc}") from None
         if used != n_bank:
             raise FormatError(f"{path}: the kernel bank takes {used} bytes, the header says {n_bank}")
     trailer = _read_json_trailer(r)

@@ -17,41 +17,34 @@ from pathlib import Path
 
 
 from . import classifier, features, harness, sanitize, simulator
+from .classifier import ModelDims, TrainConfig
 from .core import DopplerParams, FormatError, PipelineConfig, read_csit, read_dvel
 from .core import write_csit, write_dvel, write_feat
 from .delay_doppler import extract_velocity_set
 from .harness import Manifest, Report, derive_seed
 
-ESTIMATORS = {"psd": "psd_argmax", "phase": "phase_derivative"}
-
 
 def _add_doppler_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--window", type=int, default=64, help="Doppler window length (frames)")
-    p.add_argument("--hop", type=int, default=4, help="Doppler window hop (frames)")
-    p.add_argument("--pad", type=int, default=512, help="FFT length for the PSD")
-    p.add_argument("--estimator", choices=list(ESTIMATORS), default="psd", help="velocity estimator")
-    p.add_argument("--snr-db", type=float, default=2.0, help="SNR gating threshold (dB)")
+    p.add_argument("--window", type=int, default=DopplerParams.window_len, help="Doppler window length (frames)")
+    p.add_argument("--hop", type=int, default=DopplerParams.hop, help="Doppler window hop (frames)")
+    p.add_argument("--pad", type=int, default=DopplerParams.fft_pad, help="FFT length for the PSD")
+    p.add_argument("--snr-db", type=float, default=PipelineConfig.snr_threshold_db, help="SNR gate (dB)")
 
 
 def _doppler_params(args) -> DopplerParams:
-    return DopplerParams(
-        window_len=args.window, hop=args.hop, fft_pad=args.pad, estimator=ESTIMATORS[args.estimator]
-    )
+    return DopplerParams(window_len=args.window, hop=args.hop, fft_pad=args.pad)
 
 
-def _add_pipeline_args(p: argparse.ArgumentParser) -> None:
-    _add_doppler_args(p)
-    p.add_argument("--skip-hampel", action="store_true", help="disable outlier filtering")
-    p.add_argument("--kernel-seed", type=int, default=42)
-    p.add_argument("--kernels", type=int, default=250, help="number of random kernels")
-    p.add_argument("--biases", type=int, default=3, help="PPV biases per kernel")
+def _add_bank_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--kernel-seed", type=int, default=PipelineConfig.kernel_seed, help="kernel bank seed")
+    p.add_argument("--kernels", type=int, default=PipelineConfig.n_kernels, help="number of random kernels")
+    p.add_argument("--biases", type=int, default=PipelineConfig.n_biases, help="PPV biases per kernel")
 
 
 def _pipeline_config(args) -> PipelineConfig:
     return PipelineConfig(
         doppler=_doppler_params(args),
         snr_threshold_db=args.snr_db,
-        use_hampel=not args.skip_hampel,
         kernel_seed=args.kernel_seed,
         n_kernels=args.kernels,
         n_biases=args.biases,
@@ -59,17 +52,17 @@ def _pipeline_config(args) -> PipelineConfig:
 
 
 def _add_train_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--lr", type=float, default=1e-4)
-    p.add_argument("--batch", type=int, default=64)
-    p.add_argument("--epochs", type=int, default=2500)
-    p.add_argument("--patience", type=int, default=200)
-    p.add_argument("--weight-decay", type=float, default=1e-4)
-    p.add_argument("--val-frac", type=float, default=0.15)
-    p.add_argument("--heads", type=int, default=2)
+    p.add_argument("--lr", type=float, default=TrainConfig.lr)
+    p.add_argument("--batch", type=int, default=TrainConfig.batch_size)
+    p.add_argument("--epochs", type=int, default=TrainConfig.max_epochs)
+    p.add_argument("--patience", type=int, default=TrainConfig.patience)
+    p.add_argument("--weight-decay", type=float, default=TrainConfig.weight_decay)
+    p.add_argument("--val-frac", type=float, default=TrainConfig.val_fraction)
+    p.add_argument("--heads", type=int, default=ModelDims.n_heads)
 
 
-def _train_config(args) -> classifier.TrainConfig:
-    return classifier.TrainConfig(
+def _train_config(args) -> TrainConfig:
+    return TrainConfig(
         lr=args.lr,
         batch_size=args.batch,
         max_epochs=args.epochs,
@@ -96,7 +89,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_sanitize(args) -> int:
     frame = read_csit(args.infile)
-    clean = sanitize.sanitize_frame(frame, apply_hampel=not args.skip_hampel)
+    clean = sanitize.sanitize_frame(frame)
     write_csit(clean, args.out)
     print(f"wrote {args.out}")
     return 0
@@ -249,7 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sanitize", help="compensate linear phase and filter outliers")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--skip-hampel", action="store_true")
     p.set_defaults(func=cmd_sanitize)
 
     p = sub.add_parser("decompose", help="delay decomposition and velocity estimation")
@@ -262,16 +254,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("features", help="random-kernel features for a velocity set")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", dest="kernel_seed", type=int, default=42)
-    p.add_argument("--kernels", type=int, default=250)
-    p.add_argument("--biases", type=int, default=3)
+    _add_bank_args(p)
     p.add_argument("--label", help="optional class label stored with the features")
     p.set_defaults(func=cmd_features)
 
     p = sub.add_parser("train", help="train a classifier from a manifest")
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True)
-    _add_pipeline_args(p)
+    _add_doppler_args(p)
+    _add_bank_args(p)
     _add_train_args(p)
     p.set_defaults(func=cmd_train)
 
@@ -295,7 +286,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("loso", help="leave-one-subject-out evaluation")
     p.add_argument("--manifest", required=True)
     p.add_argument("--report", required=True, help="report output directory")
-    _add_pipeline_args(p)
+    _add_doppler_args(p)
+    _add_bank_args(p)
     _add_train_args(p)
     p.set_defaults(func=cmd_loso)
 

@@ -6,7 +6,7 @@ validate file size before parsing. In-memory computation is 64-bit.
 
 Every record stored as JSON (sample metadata, pipeline config, report,
 scene) is a `JsonRecord`. Its codec maps float (a JSON int is accepted, a
-bool never), int, str, bool, Optional, tuples, List, Dict[str, X], float64
+bool never), int, str, Optional, tuples, List, Dict[str, X], float64
 np.ndarray and nested dataclass or NamedTuple records; a complex field `x` is
 the two numbers `x_re` and `x_im`. An unknown key, a wrong JSON type or a
 missing required key is a ValueError naming the key path.
@@ -127,7 +127,7 @@ def _encode(value, tp):
     origin = get_origin(tp)
     if origin is Union:  # Optional[X]; records use no other union
         return None if value is None else _encode(value, get_args(tp)[0])
-    if tp in (float, int, str, bool):
+    if tp in (float, int, str):
         return tp(value)
     if tp is np.ndarray:
         return np.asarray(value, dtype=np.float64).tolist()
@@ -145,7 +145,7 @@ def _encode(value, tp):
 def _decode(value, tp, path: str):
     """The value of annotation `tp` that the JSON value at key path `path` holds."""
     origin = get_origin(tp)
-    if (tp is float and type(value) is float) or (tp in (int, str, bool) and type(value) is tp):
+    if (tp is float and type(value) is float) or (tp in (int, str) and type(value) is tp):
         return value
     if tp is float and type(value) is int and abs(value) <= sys.float_info.max:
         return float(value)  # a larger integer would raise OverflowError
@@ -166,7 +166,7 @@ def _decode(value, tp, path: str):
         return {k: _decode(v, get_args(tp)[1], f"{path}.{k}") for k, v in value.items()}
     if type(value) is dict and (is_dataclass(tp) or hasattr(tp, "_fields")):
         return _decode_record(value, tp, path)
-    names = {float: "a number", int: "an integer", str: "a string", bool: "a boolean"}
+    names = {float: "a number", int: "an integer", str: "a string"}
     want = names.get(tp, "a list" if origin in (tuple, list) or tp is np.ndarray else "an object")
     raise ValueError(f"bad {path}: expected {want}, got {value!r}")
 
@@ -224,7 +224,6 @@ class DopplerParams(JsonRecord):
     window_len: int = 64
     hop: int = 4
     fft_pad: int = 512
-    estimator: str = "psd_argmax"  # or "phase_derivative"
 
     def __post_init__(self):
         if self.window_len < 2:
@@ -233,8 +232,6 @@ class DopplerParams(JsonRecord):
             raise ValueError("hop must be >= 1")
         if self.fft_pad < self.window_len:
             raise ValueError("fft_pad must be >= window_len")
-        if self.estimator not in ("psd_argmax", "phase_derivative"):
-            raise ValueError(f"unknown estimator {self.estimator!r}")
 
 
 @dataclass(frozen=True)
@@ -248,7 +245,6 @@ class PipelineConfig(JsonRecord):
 
     doppler: DopplerParams = field(default_factory=DopplerParams)
     snr_threshold_db: float = 2.0
-    use_hampel: bool = True
     kernel_seed: int = 42
     n_kernels: int = 250
     n_biases: int = 3

@@ -2,9 +2,9 @@
 
 The IDFT over the subcarrier axis splits the channel into N delay bins at
 tau_i = i / (N * df); each bin's complex time series is turned into a Doppler
-velocity series either by a sliding-window PSD argmax (robust default) or by
-the instantaneous phase derivative Im{h'/h}. The [stream x bin, time] velocity
-rows are then SNR gated and z-normalized.
+velocity series by a sliding-window PSD argmax, and the [stream x bin, time]
+velocity rows are SNR gated and z-normalized. The phase derivative Im{h'/h}
+(`estimate_velocity_phase`) is the PSD estimator's reference, not a stage.
 
 The PSD estimator is planned once per velocity set: the window, gather index,
 speed table and one zero-padded FFT buffer serve every row.
@@ -17,11 +17,10 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .core import SPEED_OF_LIGHT, CsiFrame, DopplerParams, RadioConfig, VelocitySet
+from .core import SPEED_OF_LIGHT, CsiFrame, DopplerParams, PipelineConfig, RadioConfig, VelocitySet
 
 VAR_FLOOR = 1e-12
 STD_FLOOR = 1e-9
-SNR_THRESHOLD_DB = 2.0
 STATIC_FRAC = 0.10  # the SNR gate's static segments: this share of T at each end
 MOTION_FRAC = 0.60  # and its motion segment: this central share of T
 
@@ -158,7 +157,7 @@ def estimate_velocity_phase(bin_series: np.ndarray, radio: RadioConfig) -> np.nd
 
 
 def snr_gate(
-    values: np.ndarray, threshold_db: float = SNR_THRESHOLD_DB
+    values: np.ndarray, threshold_db: float = PipelineConfig.snr_threshold_db
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gate each row of `values` [rows, T] on its motion-to-static variance ratio.
 
@@ -195,7 +194,7 @@ def normalize(values: np.ndarray) -> np.ndarray:
 def extract_velocity_set(
     frame: CsiFrame,
     params: Optional[DopplerParams] = None,
-    snr_threshold_db: float = SNR_THRESHOLD_DB,
+    snr_threshold_db: float = PipelineConfig.snr_threshold_db,
     apply_normalize: bool = True,
 ) -> VelocitySet:
     """Decompose a (sanitized) frame and estimate one velocity row per
@@ -204,10 +203,7 @@ def extract_velocity_set(
     radio = frame.config
     n_bins = radio.n_subcarriers
     series = np.concatenate([p.bins for p in decompose(frame, remove_static=True)])
-    if params.estimator == "psd_argmax":
-        values = _psd_velocity_rows(series, radio, params)
-    else:
-        values = np.stack([estimate_velocity_phase(x, radio) for x in series])
+    values = _psd_velocity_rows(series, radio, params)
     values, snr_db, gated = snr_gate(values, threshold_db=snr_threshold_db)
     if apply_normalize:
         values = normalize(values)

@@ -115,10 +115,8 @@ class PipelineSample:
 
 def velocity_set_for_frame(frame: CsiFrame, cfg: PipelineConfig):
     """Sanitize a frame and extract its gated, normalized velocity set."""
-    clean = sanitize.sanitize_frame(frame, apply_hampel=cfg.use_hampel)
-    return delay_doppler.extract_velocity_set(
-        clean, params=cfg.doppler, snr_threshold_db=cfg.snr_threshold_db
-    )
+    clean = sanitize.sanitize_frame(frame)
+    return delay_doppler.extract_velocity_set(clean, cfg.doppler, cfg.snr_threshold_db)
 
 
 def featurize_velocity_set(vs, bank: KernelBank, label: Optional[str] = None) -> FeatureSet:

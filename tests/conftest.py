@@ -215,7 +215,7 @@ MORM_HEADER = "<4sIII"  # magic, version, f32 weight count, kernel bank bytes
 
 
 def split_model(raw: bytes):
-    """The parts of a MORM v3 file: (weight bytes, bank bytes, trailer document)."""
+    """The parts of a MORM v4 file: (weight bytes, bank bytes, trailer document)."""
     import json
     import struct
 
@@ -226,7 +226,7 @@ def split_model(raw: bytes):
     return raw[start:bank_at], raw[bank_at:trailer_at], json.loads(raw[trailer_at + 4 :])
 
 
-def join_model(weights: bytes, bank: bytes, meta: dict, n_weights=None, n_bank=None, version=3) -> bytes:
+def join_model(weights: bytes, bank: bytes, meta: dict, n_weights=None, n_bank=None, version=4) -> bytes:
     """A MORM file of the given parts; the header counts default to the parts' sizes."""
     import struct
 

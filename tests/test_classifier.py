@@ -847,6 +847,7 @@ def test_load_model_rejects_version_2_bad_counts_and_bad_trailer(tmp_path):
     doppler = doc["doppler"]
     corruptions = {
         "version 2": (raw[:4] + struct.pack("<I", 2) + raw[8:], "unsupported model version 2"),
+        "version 3": (raw[:4] + struct.pack("<I", 3) + raw[8:], "unsupported model version 3"),
         "appended": (raw + b"garbage!", "8 bytes after the trailer"),
         "one weight more": (join_model(weights + bytes(4), bank, meta), f"{n + 1} weights where the dims need {n}"),
         "one weight less": (join_model(weights[:-4], bank, meta), f"{n - 1} weights where the dims need {n}"),
@@ -859,12 +860,16 @@ def test_load_model_rejects_version_2_bad_counts_and_bad_trailer(tmp_path):
             f"the kernel bank takes {len(bank)} bytes, the header says {len(bank) + 1}",
         ),
         "missing trailer": (raw[: 16 + len(weights) + len(bank)], "missing the model trailer"),
-        "missing key": (_with_pipeline(raw, {k: v for k, v in doc.items() if k != "use_hampel"}),
-                        r"bad model.pipeline: missing keys \['use_hampel'\]"),
+        "missing key": (_with_pipeline(raw, {k: v for k, v in doc.items() if k != "snr_threshold_db"}),
+                        r"bad model.pipeline: missing keys \['snr_threshold_db'\]"),
         "unknown key": (_with_pipeline(raw, {**doc, "normalize": True}),
                         r"bad model.pipeline: unknown keys \['normalize'\]"),
+        "v3 hampel switch": (_with_pipeline(raw, {**doc, "use_hampel": True}),
+                             r"bad model.pipeline: unknown keys \['use_hampel'\]"),
         "unknown doppler key": (_with_pipeline(raw, {**doc, "doppler": {**doppler, "window_fn": "hann"}}),
                                 r"bad model.pipeline.doppler: unknown keys \['window_fn'\]"),
+        "v3 estimator": (_with_pipeline(raw, {**doc, "doppler": {**doppler, "estimator": "psd_argmax"}}),
+                         r"bad model.pipeline.doppler: unknown keys \['estimator'\]"),
         "wrong type": (_with_pipeline(raw, {**doc, "n_kernels": "4"}), "bad model.pipeline.n_kernels"),
         "bad doppler": (_with_pipeline(raw, {**doc, "doppler": {**doppler, "hop": 0}}), "hop must be >= 1"),
         "unknown top-level key": (join_model(weights, bank, {**meta, "extra": 1}),

@@ -380,10 +380,10 @@ def test_model_with_corrupt_header_or_bank_exits_3(tmp_path, capsys):
         assert main(["eval", "--model", str(path), "--manifest", str(manifest)]) == 3, name
         err = capsys.readouterr().err
         assert message is None or message in err, name
+        assert str(path) in err, name
 
 
-PIPELINE_FLAGS = ["--window", "--hop", "--pad", "--estimator", "--snr-db", "--skip-hampel",
-                  "--kernel-seed", "--kernels", "--biases"]
+PIPELINE_FLAGS = ["--window", "--hop", "--pad", "--snr-db", "--kernel-seed", "--kernels", "--biases"]
 
 
 @pytest.fixture(scope="module")
@@ -403,7 +403,7 @@ def flagged_model(tmp_path_factory):
     model_path = out / "model.morm"
     assert main(
         ["train", "--manifest", str(manifest_path), "--out", str(model_path),
-         "--kernels", "20", "--biases", "2", "--window", "32", "--skip-hampel",
+         "--kernels", "20", "--biases", "2", "--window", "32",
          "--lr", "0.01", "--epochs", "5", "--patience", "5", "--batch", "4"]
     ) == 0
     return model_path, manifest_path, foreign_path
@@ -416,7 +416,7 @@ def test_eval_and_calibrate_featurize_with_the_model_pipeline(tmp_path, flagged_
     from moric.harness import Manifest, build_feature_table
 
     model_path, manifest_path, _ = flagged_model
-    want = PipelineConfig(doppler=DopplerParams(window_len=32), use_hampel=False, n_kernels=20, n_biases=2)
+    want = PipelineConfig(doppler=DopplerParams(window_len=32), n_kernels=20, n_biases=2)
     assert load_model(model_path).pipeline == want
 
     scored = []
@@ -452,9 +452,8 @@ def test_eval_and_calibrate_take_no_pipeline_flags(capsys, flagged_model):
         text = capsys.readouterr().out
         assert not [flag for flag in PIPELINE_FLAGS if flag in text], command
         for flag in PIPELINE_FLAGS:
-            value = [] if flag == "--skip-hampel" else ["psd" if flag == "--estimator" else "3"]
             with pytest.raises(SystemExit) as exc:
-                main([command, "--model", str(model_path), "--manifest", str(manifest_path), flag] + value)
+                main([command, "--model", str(model_path), "--manifest", str(manifest_path), flag, "3"])
             assert exc.value.code == 2, (command, flag)
             assert "unrecognized arguments" in capsys.readouterr().err
 
@@ -493,6 +492,7 @@ def test_bad_or_incomplete_model_file_exits_3(tmp_path, capsys, flagged_model):
 
     cases = {
         "version 2": (raw[:4] + struct.pack("<I", 2) + raw[8:], "unsupported model version 2"),
+        "version 3": (raw[:4] + struct.pack("<I", 3) + raw[8:], "unsupported model version 3"),
         "appended bytes": (raw + b"garbage!", "bytes after the trailer"),
         "missing trailer": (raw[: 16 + len(weights) + len(bank)], "missing the model trailer"),
         "missing key": (with_pipeline({k: v for k, v in doc.items() if k != "n_biases"}),
@@ -547,14 +547,49 @@ def test_model_with_a_foreign_bank_or_duplicate_labels_exits_3(tmp_path, capsys,
     assert featurized == []
 
 
+TRAIN_ARGV = ["train", "--manifest", "m.json", "--out", "m.morm"]  # the required flags alone
+LOSO_ARGV = ["loso", "--manifest", "m.json", "--report", "r"]
+
+
 def test_sanitize_takes_no_hampel_flags(tmp_path, capsys, scene_file):
+    """The front end has one estimator and always filters: no command takes a
+    Hampel setting, a switch to skip the filter or an estimator choice."""
     csit = tmp_path / "x.csit"
     assert main(["simulate", "--scene", str(scene_file), "--out", str(csit)]) == 0
-    for flag in ("--window", "--sigmas"):
+    io = ["--in", str(csit), "--out", str(tmp_path / "y")]
+    cases = [["sanitize", *io, "--window", "5"], ["sanitize", *io, "--sigmas", "5"],
+             ["sanitize", *io, "--skip-hampel"], ["decompose", *io, "--estimator", "psd"]]
+    for command in TRAIN_ARGV, LOSO_ARGV:
+        cases += [command + ["--skip-hampel"], command + ["--estimator", "psd"]]
+    for argv in cases:
         with pytest.raises(SystemExit) as exc:
-            main(["sanitize", "--in", str(csit), "--out", str(tmp_path / "y.csit"), flag, "5"])
-        assert exc.value.code == 2, flag
-        assert "unrecognized arguments" in capsys.readouterr().err
+            main(argv)
+        assert exc.value.code == 2, argv
+        assert "unrecognized arguments" in capsys.readouterr().err, argv
+
+
+def test_pipeline_and_training_flags_default_to_their_records(capsys):
+    """`train` and `loso` with no optional flag give the records' defaults, and
+    `features` draws its bank from the same flags, so its `--seed` is gone."""
+    from moric import cli
+    from moric.classifier import ModelDims, TrainConfig
+    from moric.core import PipelineConfig
+
+    parser = cli.build_parser()
+    for argv in TRAIN_ARGV, LOSO_ARGV:
+        args = parser.parse_args(argv)
+        assert cli._pipeline_config(args) == PipelineConfig(), argv
+        assert cli._train_config(args) == TrainConfig(), argv
+        assert args.heads == ModelDims.n_heads, argv
+    args = parser.parse_args(["features", "--in", "v.dvel", "--out", "f.feat"])
+    bank_defaults = PipelineConfig()
+    assert (args.kernel_seed, args.kernels, args.biases) == (
+        bank_defaults.kernel_seed, bank_defaults.n_kernels, bank_defaults.n_biases
+    )
+    with pytest.raises(SystemExit) as exc:
+        main(["features", "--in", "v.dvel", "--out", "f.feat", "--seed", "3"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
 
 
 def test_calibrate_sweep_counts_are_checked_before_featurizing(tmp_path, capsys, flagged_model):

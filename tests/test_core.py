@@ -356,8 +356,8 @@ def test_core_records_round_trip_through_json():
     records = [
         SampleMeta("s1", "alice", 180, "circle", "ap5"),
         RadioConfig(carrier_hz=5e9, subcarrier_spacing_hz=312500.0, n_subcarriers=52, sample_rate_hz=100.0),
-        DopplerParams(window_len=16, estimator="phase_derivative"),
-        PipelineConfig(snr_threshold_db=-1.25, use_hampel=False),
+        DopplerParams(window_len=16, hop=3),
+        PipelineConfig(snr_threshold_db=-1.25, n_biases=4),
     ]
     for record in records:
         back = type(record).from_dict(json.loads(json.dumps(record.to_dict())))
@@ -373,16 +373,15 @@ def test_pipeline_config_dict_round_trip_and_rejections():
     from moric.core import DopplerParams, PipelineConfig
 
     cfg = PipelineConfig(
-        doppler=DopplerParams(window_len=32, hop=2, fft_pad=256, estimator="phase_derivative"),
+        doppler=DopplerParams(window_len=32, hop=2, fft_pad=256),
         snr_threshold_db=1.5,
-        use_hampel=False,
         kernel_seed=7,
         n_kernels=20,
         n_biases=2,
     )
     doc = json.loads(json.dumps(cfg.to_dict()))
     assert PipelineConfig.from_dict(doc) == cfg
-    assert set(doc) == {"doppler", "snr_threshold_db", "use_hampel", "kernel_seed", "n_kernels", "n_biases"}
+    assert set(doc) == {"doppler", "snr_threshold_db", "kernel_seed", "n_kernels", "n_biases"}
     # an integer is a valid JSON number for a float field
     assert PipelineConfig.from_dict({**doc, "snr_threshold_db": 2}).snr_threshold_db == 2.0
     bad = {
@@ -392,11 +391,11 @@ def test_pipeline_config_dict_round_trip_and_rejections():
         "nested missing": {**doc, "doppler": {"window_len": 32}},
         "string for int": {**doc, "n_kernels": "20"},
         "bool for int": {**doc, "kernel_seed": True},
-        "int for bool": {**doc, "use_hampel": 1},
+        "bool for float": {**doc, "snr_threshold_db": True},
         "float for int": {**doc, "doppler": {**doc["doppler"], "hop": 2.0}},
         "not an object": [],
         "doppler not an object": {**doc, "doppler": None},
-        "rejected by DopplerParams": {**doc, "doppler": {**doc["doppler"], "estimator": "music"}},
+        "rejected by DopplerParams": {**doc, "doppler": {**doc["doppler"], "hop": 0}},
     }
     for name, value in bad.items():
         with pytest.raises(ValueError):

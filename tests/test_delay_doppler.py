@@ -198,8 +198,6 @@ def test_doppler_params_validation():
         DopplerParams(window_len=64, hop=0)
     with pytest.raises(ValueError):
         DopplerParams(window_len=64, fft_pad=32)
-    with pytest.raises(ValueError):
-        DopplerParams(estimator="nope")
 
 
 # ---------------------------------------------------------------------------
