@@ -17,7 +17,7 @@ from .core import (
 )
 from .classifier import Calibration, MoricModel, TrainConfig, calibrate, forward, predict, train
 from .delay_doppler import decompose, extract_velocity_set
-from .features import KernelBank, apply, build_bank
+from .features import KernelBank, build_bank
 from .harness import Manifest, Report, run_calibration_sweep, run_loso
 from .simulator import NoiseParams, ScatterCluster, Scene, Trajectory, synthesize_csi
 
@@ -39,7 +39,6 @@ __all__ = [
     "TrainConfig",
     "Trajectory",
     "VelocitySet",
-    "apply",
     "build_bank",
     "calibrate",
     "decompose",

@@ -47,6 +47,9 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 ADAM_BLOCK = 1 << 16  # elements per optimizer block: ~256 KiB of float32 per vector
+CALIBRATE_STEPS = 500  # gradient steps of a calibration fit
+CALIBRATE_LR = 0.01  # and their step size
+CALIBRATE_DRAWS = 10  # seeded draws per samples-per-class count of a calibration sweep
 
 
 @dataclass(frozen=True)
@@ -93,14 +96,17 @@ class TrainConfig:
     weight_decay: float = 1e-4
     seed: int = 0
     val_fraction: float = 0.15
+    n_heads: int = ModelDims.n_heads
 
     def __post_init__(self):
-        if self.lr <= 0 or self.batch_size < 1 or self.max_epochs < 1 or self.patience < 1:
-            raise ValueError("training hyperparameters must be positive")
-        if not (0.0 <= self.label_smoothing < 1.0):
-            raise ValueError("label_smoothing must lie in [0, 1)")
-        if self.weight_decay < 0:
-            raise ValueError("weight_decay must be >= 0")
+        for name in ("batch_size", "max_epochs", "patience", "n_heads"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if not 0 < self.lr < math.inf:
+            raise ValueError(f"lr must be finite and positive, got {self.lr}")
+        for name, top in (("weight_decay", math.inf), ("label_smoothing", 1.0), ("val_fraction", 1.0)):
+            if not 0 <= getattr(self, name) < top:
+                raise ValueError(f"{name} must lie in [0, {top}), got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -355,7 +361,6 @@ def train(
     train_set: Sequence[Tuple[FeatureSet, str]],
     val_set: Sequence[Tuple[FeatureSet, str]],
     cfg: TrainConfig,
-    n_heads: int = 2,
     head_hidden: int = 256,
     reduced_dim: int = 128,
     cls_hidden: int = 128,
@@ -371,6 +376,10 @@ def train(
     """
     if not train_set:
         raise ValueError("empty training set")
+    for name, items in (("training", train_set), ("validation", val_set)):
+        for i, (fs, _) in enumerate(items):
+            if fs.n_rows == 0:
+                raise ValueError(f"feature set {i} of the {name} set has no rows")
     labels = sorted({lbl for _, lbl in train_set} | {lbl for _, lbl in val_set})
     if len(labels) < 2:
         raise ValueError(f"need at least 2 classes, got {labels}")
@@ -378,7 +387,7 @@ def train(
     input_dim = train_set[0][0].dim
     dims = ModelDims(
         input_dim=input_dim,
-        n_heads=n_heads,
+        n_heads=cfg.n_heads,
         head_hidden=head_hidden,
         reduced_dim=reduced_dim,
         cls_hidden=cls_hidden,
@@ -440,7 +449,7 @@ def train(
     # fold the feature standardization into the first layer:
     # ((x - mu) / sd) @ w1 + b1  ==  x @ (w1 / sd) + (b1 - (mu / sd) @ w1)
     best_params = _param_views(dims, best.astype(np.float64))
-    for k in range(n_heads):
+    for k in range(dims.n_heads):
         w1 = best_params[f"head{k}_w1"]
         best_params[f"head{k}_b1"] -= (feat_mean / feat_scale) @ w1
         w1 /= feat_scale[:, None]
@@ -504,8 +513,8 @@ def check_calibrate_args(steps: int, lr: float) -> None:
 def calibrate(
     logits: np.ndarray,
     labels: np.ndarray,
-    steps: int = 500,
-    lr: float = 0.01,
+    steps: int = CALIBRATE_STEPS,
+    lr: float = CALIBRATE_LR,
 ) -> Tuple[Calibration, ...]:
     """Fit a temperature and per-class bias per draw by gradient descent on
     the negative log likelihood of that draw's calibration samples.
@@ -603,11 +612,10 @@ def load_model(path) -> MoricModel:
             raise FormatError(f"{path}: {exc}") from None
         if used != n_bank:
             raise FormatError(f"{path}: the kernel bank takes {used} bytes, the header says {n_bank}")
-    trailer = _read_json_trailer(r)
-    if trailer is None:
+    meta = _read_json_trailer(r, _ModelMeta)
+    if meta is None:
         raise FormatError(f"{path}: missing the model trailer")
     with format_errors(path):
-        meta = _ModelMeta.from_dict(trailer)
         if n_weights != _weight_count(meta.dims):
             raise FormatError(f"{path}: {n_weights} weights where the dims need {_weight_count(meta.dims)}")
         params = _param_views(meta.dims, weights.astype(np.float64))

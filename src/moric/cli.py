@@ -17,7 +17,7 @@ from pathlib import Path
 
 
 from . import classifier, features, harness, sanitize, simulator
-from .classifier import ModelDims, TrainConfig
+from .classifier import TrainConfig
 from .core import DopplerParams, FormatError, PipelineConfig, read_csit, read_dvel
 from .core import write_csit, write_dvel, write_feat
 from .delay_doppler import extract_velocity_set
@@ -58,7 +58,7 @@ def _add_train_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--patience", type=int, default=TrainConfig.patience)
     p.add_argument("--weight-decay", type=float, default=TrainConfig.weight_decay)
     p.add_argument("--val-frac", type=float, default=TrainConfig.val_fraction)
-    p.add_argument("--heads", type=int, default=ModelDims.n_heads)
+    p.add_argument("--heads", type=int, default=TrainConfig.n_heads)
 
 
 def _train_config(args) -> TrainConfig:
@@ -70,6 +70,7 @@ def _train_config(args) -> TrainConfig:
         weight_decay=args.weight_decay,
         seed=args.seed,
         val_fraction=args.val_frac,
+        n_heads=args.heads,
     )
 
 
@@ -124,13 +125,7 @@ def cmd_train(args) -> int:
     tcfg = _train_config(args)
     bank = harness.kernel_bank(manifest, pcfg)
     samples = harness.featurize_manifest(manifest, pcfg, bank, threads=args.threads)
-    labels = [s.label for s in samples]
-    tr_idx, va_idx = harness.stratified_split(
-        labels, tcfg.val_fraction, derive_seed(tcfg.seed, "split")
-    )
-    train_items = [(samples[i].feature_set, samples[i].label) for i in tr_idx]
-    val_items = [(samples[i].feature_set, samples[i].label) for i in va_idx]
-    model = classifier.train(train_items, val_items, tcfg, n_heads=args.heads, kernel_bank=bank)
+    model, tr_idx = harness.train_on_split(samples, tcfg, "split", kernel_bank=bank)
     model = replace(model, pipeline=pcfg)
     classifier.save_model(model, args.out)
     acc, _ = harness.evaluate_samples(model, [samples[i] for i in tr_idx])
@@ -203,9 +198,7 @@ def cmd_loso(args) -> int:
     manifest = Manifest.load(args.manifest)
     pcfg = _pipeline_config(args)
     tcfg = _train_config(args)
-    report = harness.run_loso(
-        manifest, pcfg, tcfg, threads=args.threads, n_heads=args.heads
-    )
+    report = harness.run_loso(manifest, pcfg, tcfg, threads=args.threads)
     files = harness.report_emit(report, args.report)
     print(
         f"LOSO accuracy {100 * report.mean_accuracy:.1f}% +- {100 * report.sd_accuracy:.1f}% "
@@ -277,10 +270,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", help="output model path (fit) or JSON path (sweep)")
-    p.add_argument("--steps", type=int, default=500)
-    p.add_argument("--lr", type=float, default=0.01)
+    p.add_argument("--steps", type=int, default=classifier.CALIBRATE_STEPS)
+    p.add_argument("--lr", type=float, default=classifier.CALIBRATE_LR)
     p.add_argument("--sweep", help="comma-separated samples-per-class counts")
-    p.add_argument("--draws", type=int, default=10)
+    p.add_argument("--draws", type=int, default=classifier.CALIBRATE_DRAWS)
     p.set_defaults(func=cmd_calibrate)
 
     p = sub.add_parser("loso", help="leave-one-subject-out evaluation")

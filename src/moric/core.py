@@ -9,7 +9,9 @@ scene) is a `JsonRecord`. Its codec maps float (a JSON int is accepted, a
 bool never), int, str, Optional, tuples, List, Dict[str, X], float64
 np.ndarray and nested dataclass or NamedTuple records; a complex field `x` is
 the two numbers `x_re` and `x_im`. An unknown key, a wrong JSON type or a
-missing required key is a ValueError naming the key path.
+missing required key is a ValueError naming the key path. Only standard JSON
+is read or written: a float is finite, so the NaN and Infinity tokens and a
+number beyond the float range are of a wrong JSON type.
 """
 
 from __future__ import annotations
@@ -86,7 +88,7 @@ class JsonRecord:
         return _encode(self, type(self))
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True, allow_nan=False)
 
     @classmethod
     def from_dict(cls, doc):
@@ -145,7 +147,7 @@ def _encode(value, tp):
 def _decode(value, tp, path: str):
     """The value of annotation `tp` that the JSON value at key path `path` holds."""
     origin = get_origin(tp)
-    if (tp is float and type(value) is float) or (tp in (int, str) and type(value) is tp):
+    if (tp is float and type(value) is float and np.isfinite(value)) or (tp in (int, str) and type(value) is tp):
         return value
     if tp is float and type(value) is int and abs(value) <= sys.float_info.max:
         return float(value)  # a larger integer would raise OverflowError
@@ -249,6 +251,10 @@ class PipelineConfig(JsonRecord):
     n_kernels: int = 250
     n_biases: int = 3
 
+    def __post_init__(self):
+        if not np.isfinite(self.snr_threshold_db):
+            raise ValueError(f"snr_threshold_db must be finite, got {self.snr_threshold_db}")
+
 
 @dataclass(frozen=True)
 class SampleMeta(JsonRecord):
@@ -279,6 +285,8 @@ class CsiFrame:
         data = np.asarray(self.data, dtype=np.complex128)
         if data.ndim != 3:
             raise ValueError(f"CSI tensor must be [stream, subcarrier, time], got shape {data.shape}")
+        if data.shape[0] < 1:
+            raise ValueError("need at least one stream")
         if data.shape[1] != self.config.n_subcarriers:
             raise ValueError(
                 f"subcarrier axis {data.shape[1]} does not match config N={self.config.n_subcarriers}"
@@ -420,12 +428,11 @@ def read_csit(path) -> CsiFrame:
     magic, version, s, n, t, fs, fc, df = r.unpack(_CSIT_HEADER.format)
     _check_magic_version(path, CSIT_MAGIC, magic, version)
     pairs = r.array("<f4", s * n * t * 2).reshape(s, n, t, 2).astype(np.float64)
-    trailer = _read_json_trailer(r)
+    meta = _read_json_trailer(r, SampleMeta)
     with format_errors(path):
         config = RadioConfig(
             carrier_hz=fc, subcarrier_spacing_hz=df, n_subcarriers=n, sample_rate_hz=fs
         )
-        meta = SampleMeta.from_dict(trailer) if trailer is not None else None
         return CsiFrame(config=config, data=pairs[..., 0] + 1j * pairs[..., 1], meta=meta)
 
 
@@ -437,12 +444,13 @@ def _check_magic_version(path, expected: bytes, magic: bytes, version: int) -> N
 
 
 def _json_trailer(doc: dict) -> bytes:
-    blob = json.dumps(doc, sort_keys=True).encode("utf-8")
+    blob = json.dumps(doc, sort_keys=True, allow_nan=False).encode("utf-8")
     return struct.pack("<I", len(blob)) + blob
 
 
-def _read_json_trailer(r: ByteReader) -> Optional[dict]:
-    """The optional `u32 length, UTF-8 JSON object` trailer, which must end the file."""
+def _read_json_trailer(r: ByteReader, record):
+    """The optional `u32 length, UTF-8 JSON object` trailer, which must end the
+    file, decoded as the JsonRecord type `record`; None if the file ends first."""
     if r.pos == len(r.raw):
         return None
     (blob_len,) = r.unpack("<I")
@@ -452,7 +460,8 @@ def _read_json_trailer(r: ByteReader) -> Optional[dict]:
         raise FormatError(f"{r.source}: metadata trailer is not a JSON object")
     if r.pos != len(r.raw):
         raise FormatError(f"{r.source}: {len(r.raw) - r.pos} bytes after the trailer")
-    return trailer
+    with format_errors(r.source):
+        return record.from_dict(trailer)
 
 
 # ---------------------------------------------------------------------------
@@ -460,9 +469,21 @@ def _read_json_trailer(r: ByteReader) -> Optional[dict]:
 # ---------------------------------------------------------------------------
 # Both are a header (magic, u32 version, u32 rows, u32 width) followed by one
 # packed record per row, whose last field holds `width` f32 values, then the
-# optional JSON trailer.
+# optional JSON trailer: the source sample id of a DVEL, the label of a FEAT.
 
 _RECORD_HEADER = struct.Struct("<4sIII")
+
+
+@dataclass(frozen=True)
+class _DvelTrailer(JsonRecord):
+    _json_name = "DVEL trailer"
+    source: str
+
+
+@dataclass(frozen=True)
+class _FeatTrailer(JsonRecord):
+    _json_name = "FEAT trailer"
+    label: str
 
 
 def _dvel_record(n_time: int) -> np.dtype:
@@ -475,7 +496,7 @@ def _feat_record(dim: int) -> np.dtype:
     return np.dtype([("bin", "<u4"), ("stream", "<u4"), ("gated", "u1"), ("features", "<f4", (dim,))])
 
 
-def _write_records(path, magic: bytes, record: np.dtype, columns: tuple, trailer: Optional[dict]):
+def _write_records(path, magic: bytes, record: np.dtype, columns: tuple, trailer: Optional[JsonRecord]):
     """Write one record per row; `columns` are the per-row arrays in field order."""
     records = np.empty(len(columns[0]), dtype=record)
     for name, column in zip(record.names, columns):
@@ -485,12 +506,12 @@ def _write_records(path, magic: bytes, record: np.dtype, columns: tuple, trailer
         fh.write(_RECORD_HEADER.pack(magic, FORMAT_VERSION, len(records), width))
         fh.write(records.tobytes())
         if trailer is not None:
-            fh.write(_json_trailer(trailer))
+            fh.write(_json_trailer(trailer.to_dict()))
 
 
-def _read_records(path, magic: bytes, record) -> tuple:
+def _read_records(path, magic: bytes, record, trailer) -> tuple:
     """Inverse of _write_records: (the per-row columns in field order, the
-    trailer or None). `record` maps the header's width to the record dtype."""
+    `trailer` record or None); `record` maps the header's width to the dtype."""
     with open(path, "rb") as fh:
         r = ByteReader(fh.read(), path)
     got, version, rows, width = r.unpack(_RECORD_HEADER.format)
@@ -501,17 +522,17 @@ def _read_records(path, magic: bytes, record) -> tuple:
     bad = np.flatnonzero(records["gated"] > 1)
     if bad.size:
         raise FormatError(f"{path}: gated flag other than 0/1 in row {bad[0]}")
-    return [records[name] for name in dtype.names], _read_json_trailer(r)
+    return [records[name] for name in dtype.names], _read_json_trailer(r, trailer)
 
 
 def write_dvel(vs: VelocitySet, path) -> None:
     columns = (vs.delay_bins, vs.streams, vs.snr_db, vs.gated, vs.values)
-    trailer = {"source": vs.source} if vs.source else None
+    trailer = _DvelTrailer(vs.source) if vs.source else None
     _write_records(path, DVEL_MAGIC, _dvel_record(vs.n_time), columns, trailer)
 
 
 def read_dvel(path) -> VelocitySet:
-    (bins, streams, snr_db, gated, values), trailer = _read_records(path, DVEL_MAGIC, _dvel_record)
+    (bins, streams, snr_db, gated, values), trailer = _read_records(path, DVEL_MAGIC, _dvel_record, _DvelTrailer)
     with format_errors(path):
         return VelocitySet(
             values=values,
@@ -519,19 +540,19 @@ def read_dvel(path) -> VelocitySet:
             streams=streams,
             snr_db=snr_db,
             gated=gated,
-            source=trailer.get("source", "") if trailer else "",
+            source=trailer.source if trailer else "",
         )
 
 
 def write_feat(fs: FeatureSet, path) -> None:
     columns = (fs.delay_bins, fs.streams, fs.gated, fs.features)
-    trailer = {"label": fs.label} if fs.label is not None else None
+    trailer = _FeatTrailer(fs.label) if fs.label is not None else None
     _write_records(path, FEAT_MAGIC, _feat_record(fs.dim), columns, trailer)
 
 
 def read_feat(path) -> FeatureSet:
-    (bins, streams, gated, features), trailer = _read_records(path, FEAT_MAGIC, _feat_record)
-    label = trailer.get("label") if trailer else None
+    (bins, streams, gated, features), trailer = _read_records(path, FEAT_MAGIC, _feat_record, _FeatTrailer)
+    label = trailer.label if trailer else None
     with format_errors(path):
         return FeatureSet(
             features=features, delay_bins=bins, streams=streams, gated=gated, label=label

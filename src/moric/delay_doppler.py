@@ -5,15 +5,11 @@ tau_i = i / (N * df); each bin's complex time series is turned into a Doppler
 velocity series by a sliding-window PSD argmax, and the [stream x bin, time]
 velocity rows are SNR gated and z-normalized. The phase derivative Im{h'/h}
 (`estimate_velocity_phase`) is the PSD estimator's reference, not a stage.
-
-The PSD estimator is planned once per velocity set: the window, gather index,
-speed table and one zero-padded FFT buffer serve every row.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -25,45 +21,19 @@ STATIC_FRAC = 0.10  # the SNR gate's static segments: this share of T at each en
 MOTION_FRAC = 0.60  # and its motion segment: this central share of T
 
 
-@dataclass(frozen=True)
-class DelayProfile:
-    """Per-stream delay decomposition: bins[i, s] = h(s; tau_i)."""
+def decompose(frame: CsiFrame, remove_static: bool = True) -> np.ndarray:
+    """The IDFT over subcarriers as a complex [stream, bin, time] array:
+    h(s; tau_i) = (1/N) sum_n H_n(s) e^{j 2 pi n i / N}.
 
-    bins: np.ndarray
-    stream: int
-    bin_delay_s: np.ndarray
-    delta_tau_min_s: float
-    delta_d_min_m: float
-
-    def __post_init__(self):
-        if self.bins.shape[0] != len(self.bin_delay_s):
-            raise ValueError("one delay value per bin required")
-
-
-def decompose(frame: CsiFrame, remove_static: bool = True) -> List[DelayProfile]:
-    """IDFT over subcarriers: h(s; tau_i) = (1/N) sum_n H_n(s) e^{j 2 pi n i / N}.
-
-    With remove_static=True (the pipeline default) each bin's temporal mean is
-    subtracted so the static path phasor does not mask motion; pass False to
-    inspect the raw decomposition (energy conservation, leakage).
+    Bin i lies at delay i / RadioConfig.bandwidth_hz, so the delay resolution
+    is 1 / bandwidth and the path-length resolution c / bandwidth. With
+    remove_static=True (the pipeline default) each bin's time mean is
+    subtracted, so the static path phasor does not mask motion.
     """
-    n = frame.config.n_subcarriers
-    df = frame.config.subcarrier_spacing_hz
-    bins_all = np.fft.ifft(frame.data, axis=1)  # [S, N, T]
+    bins = np.fft.ifft(frame.data, axis=1)
     if remove_static:
-        bins_all = bins_all - bins_all.mean(axis=2, keepdims=True)
-    delta_tau = 1.0 / (n * df)
-    delays = np.arange(n) * delta_tau
-    return [
-        DelayProfile(
-            bins=bins_all[m],
-            stream=m,
-            bin_delay_s=delays,
-            delta_tau_min_s=delta_tau,
-            delta_d_min_m=SPEED_OF_LIGHT * delta_tau,
-        )
-        for m in range(frame.n_streams)
-    ]
+        bins = bins - bins.mean(axis=2, keepdims=True)
+    return bins
 
 
 def periodic_sinc(x, n: int):
@@ -81,28 +51,21 @@ def periodic_sinc(x, n: int):
     return np.where(near_int, limit, vals)
 
 
-def estimate_velocity_psd(
-    bin_series: np.ndarray, radio: RadioConfig, params: DopplerParams
-) -> np.ndarray:
-    """Velocity per frame from the argmax of a sliding Hann-windowed PSD.
+def estimate_velocity_psd(series: np.ndarray, radio: RadioConfig, params: DopplerParams) -> np.ndarray:
+    """Velocity per frame of every row of a complex [rows, T] array, from the
+    argmax of a sliding Hann-windowed PSD.
 
     Each window is zero-padded to params.fft_pad; the two-sided frequency grid
     spans (-fs/2, fs/2]; the window estimates are linearly interpolated back to
-    the input length.
-    """
-    x = np.asarray(bin_series, dtype=np.complex128)
-    return _psd_velocity_rows(x[None, :], radio, params)[0]
-
-
-def _psd_velocity_rows(series: np.ndarray, radio: RadioConfig, params: DopplerParams) -> np.ndarray:
-    """estimate_velocity_psd for every row of a complex [rows, T] array.
-
-    The gather index, window, speed table, window centres and interpolation
-    grid are built once, and every row's windows are written into one
-    zero-padded [windows, fft_pad] buffer: an FFT of the padded buffer is
-    bitwise the FFT with n=fft_pad, and faster. Buffers are per call, so
+    the input length. The gather index, window, speed table, window centres
+    and interpolation grid are built once, and every row's windows are written
+    into one zero-padded [windows, fft_pad] buffer: an FFT of the padded buffer
+    is bitwise the FFT with n=fft_pad, and faster. Buffers are per call, so
     threads may run this concurrently.
     """
+    series = np.asarray(series, dtype=np.complex128)
+    if series.ndim != 2:
+        raise ValueError(f"expected a [rows, T] batch, got shape {series.shape}")
     t = series.shape[1]
     w = params.window_len
     if w > t:
@@ -167,6 +130,8 @@ def snr_gate(
     """
     values = np.asarray(values, dtype=np.float64)
     t = values.shape[1]
+    if not np.isfinite(threshold_db):
+        raise ValueError(f"threshold_db must be finite, got {threshold_db}")
     if t < 20:
         raise ValueError(f"need at least 20 samples to gate, got {t}")
     n_edge = max(1, int(round(STATIC_FRAC * t)))
@@ -200,17 +165,16 @@ def extract_velocity_set(
     """Decompose a (sanitized) frame and estimate one velocity row per
     (stream, delay bin), stream-major, gated and normalized."""
     params = params or DopplerParams()
-    radio = frame.config
-    n_bins = radio.n_subcarriers
-    series = np.concatenate([p.bins for p in decompose(frame, remove_static=True)])
-    values = _psd_velocity_rows(series, radio, params)
+    bins = decompose(frame)
+    values = estimate_velocity_psd(bins.reshape(-1, frame.n_time), frame.config, params)
     values, snr_db, gated = snr_gate(values, threshold_db=snr_threshold_db)
     if apply_normalize:
         values = normalize(values)
+    streams, delay_bins = np.indices(bins.shape[:2]).reshape(2, -1)
     return VelocitySet(
         values=values,
-        delay_bins=np.tile(np.arange(n_bins), frame.n_streams),
-        streams=np.repeat(np.arange(frame.n_streams), n_bins),
+        delay_bins=delay_bins,
+        streams=streams,
         snr_db=snr_db,
         gated=gated,
         source=frame.meta.sample_id if frame.meta is not None else "",

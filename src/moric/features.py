@@ -186,7 +186,7 @@ def apply_batch(bank: KernelBank, x: np.ndarray) -> np.ndarray:
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
-        raise ValueError("expected a [rows, T] batch")
+        raise ValueError(f"expected a [rows, T] batch, got shape {x.shape}")
     if x.shape[1] != bank.input_length:
         raise ValueError(
             f"series length {x.shape[1]} does not match bank length {bank.input_length}"
@@ -209,14 +209,6 @@ def apply_batch(bank: KernelBank, x: np.ndarray) -> np.ndarray:
             feats[:, :, 1:] = (above.sum(axis=3, dtype=np.int32) / z.shape[2]).transpose(2, 0, 1)
             out[np.ix_(rows, g.index)] = feats
     return out.reshape(x.shape[0], bank.dim)
-
-
-def apply(bank: KernelBank, series: np.ndarray) -> np.ndarray:
-    """Feature vector of length D for a single series of the bank's length."""
-    series = np.asarray(series, dtype=np.float64)
-    if series.ndim != 1:
-        raise ValueError("series must be 1-D")
-    return apply_batch(bank, series[None, :])[0]
 
 
 # ---------------------------------------------------------------------------

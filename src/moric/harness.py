@@ -99,7 +99,7 @@ class Manifest:
 
     def save(self, path) -> None:
         doc = {"entries": [{"path": str(e.path), "meta": e.meta.to_dict()} for e in self.entries]}
-        Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True))
+        Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True, allow_nan=False))
 
 
 @dataclass(frozen=True)
@@ -193,6 +193,14 @@ def stratified_split(labels: Sequence[str], val_fraction: float, seed: int):
     return sorted(train_idx), sorted(val_idx)
 
 
+def train_on_split(samples: Sequence[PipelineSample], cfg: TrainConfig, split: str, kernel_bank=None):
+    """classifier.train on a stratified train/validation split of the samples,
+    seeded by the label `split`; returns the model and the training indices."""
+    tr_idx, va_idx = stratified_split([s.label for s in samples], cfg.val_fraction, derive_seed(cfg.seed, split))
+    items = [[(samples[i].feature_set, samples[i].label) for i in idx] for idx in (tr_idx, va_idx)]
+    return classifier.train(*items, cfg, kernel_bank=kernel_bank), tr_idx
+
+
 @dataclass
 class Report(JsonRecord):
     """LOSO evaluation summary."""
@@ -257,7 +265,6 @@ def run_loso(
     pipeline_cfg: PipelineConfig,
     train_cfg: TrainConfig,
     threads: int = 1,
-    n_heads: int = 2,
     samples: Optional[List[PipelineSample]] = None,
 ) -> Report:
     """Leave-one-subject-out cross-validation over a manifest.
@@ -292,15 +299,9 @@ def run_loso(
     class_labels = sorted({s.label for s in samples})
     counts_total = np.zeros((len(class_labels), len(class_labels)), dtype=np.int64)
     fold_acc = []
-    for fold, held_out in enumerate(subjects):
+    for held_out in subjects:
         train_samples = [s for s in samples if s.subject != held_out]
-        split_seed = derive_seed(train_cfg.seed, f"split-{held_out}")
-        tr_idx, va_idx = stratified_split(
-            [s.label for s in train_samples], train_cfg.val_fraction, split_seed
-        )
-        train_items = [(train_samples[i].feature_set, train_samples[i].label) for i in tr_idx]
-        val_items = [(train_samples[i].feature_set, train_samples[i].label) for i in va_idx]
-        model = classifier.train(train_items, val_items, train_cfg, n_heads=n_heads)
+        model, _ = train_on_split(train_samples, train_cfg, f"split-{held_out}")
         acc, counts = evaluate_samples(model, per_subject[held_out])
         fold_acc.append(acc)
         counts_total += counts
@@ -349,7 +350,7 @@ def run_calibration_sweep(
     samples: Sequence[PipelineSample],
     model: MoricModel,
     samples_per_class: Sequence[int],
-    n_draws: int = 10,
+    n_draws: int = classifier.CALIBRATE_DRAWS,
     seed: int = 0,
 ) -> dict:
     """Calibration benefit for a held-out subject's samples.

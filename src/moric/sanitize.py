@@ -19,6 +19,7 @@ from typing import List, Tuple
 import numpy as np
 
 from .core import CsiFrame
+from .delay_doppler import decompose
 
 HAMPEL_MAD_SCALE = 1.4826  # MAD-to-sigma factor for Gaussian data
 HAMPEL_MAD_FLOOR = 1e-9
@@ -66,19 +67,6 @@ def compensate_phase(frame: CsiFrame) -> CsiFrame:
     residual = theta - eps * k - tau
     out = np.abs(data) * np.exp(1j * residual)
     return CsiFrame(config=frame.config, data=out, meta=frame.meta)
-
-
-def hampel(series, window: int = 11, n_sigmas: float = 3.0) -> np.ndarray:
-    """Hampel filter over a real 1-D series.
-
-    Each sample is compared against the median of its centered window
-    (truncated at the edges); samples deviating by more than
-    n_sigmas * 1.4826 * max(MAD, floor) are replaced by that median.
-    """
-    x = np.asarray(series, dtype=np.float64)
-    if x.ndim != 1:
-        raise ValueError("series must be 1-D")
-    return hampel_batch(x[None, :], window, n_sigmas)[0]
 
 
 def _replace_outliers(
@@ -143,7 +131,9 @@ def _select_median(values: List[np.ndarray], spare: np.ndarray) -> np.ndarray:
 
 
 def hampel_batch(x: np.ndarray, window: int = 11, n_sigmas: float = 3.0) -> np.ndarray:
-    """Hampel filter applied independently to every row of a [rows, T] array.
+    """Hampel filter applied independently to every row of a [rows, T] array:
+    a sample more than n_sigmas * 1.4826 * max(MAD, floor) away from the median
+    of its centered window (truncated at the edges) is replaced by that median.
 
     Columns whose centered window fits inside the series are filtered by a
     median selection network over the `window` shifted column slices, in
@@ -155,6 +145,8 @@ def hampel_batch(x: np.ndarray, window: int = 11, n_sigmas: float = 3.0) -> np.n
     if window < 3 or window % 2 == 0:
         raise ValueError(f"window must be odd and >= 3, got {window}")
     x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2:
+        raise ValueError(f"expected a [rows, T] batch, got shape {x.shape}")
     rows, t = x.shape
     half = window // 2
     out = x.copy()
@@ -185,13 +177,13 @@ def hampel_batch(x: np.ndarray, window: int = 11, n_sigmas: float = 3.0) -> np.n
 
 
 def hampel_complex(series: np.ndarray, window: int = 11, n_sigmas: float = 3.0) -> np.ndarray:
-    """Filter real and imaginary parts independently; accepts [rows, T] or 1-D."""
+    """hampel_batch of the real and imaginary parts of a complex [rows, T]
+    array, each filtered independently, as one batch of 2 * rows rows."""
     z = np.asarray(series, dtype=np.complex128)
-    batch = np.atleast_2d(z)
-    rows = batch.shape[0]
-    parts = hampel_batch(np.concatenate([batch.real, batch.imag]), window, n_sigmas)
-    filtered = parts[:rows] + 1j * parts[rows:]
-    return filtered[0] if z.ndim == 1 else filtered
+    if z.ndim != 2:
+        raise ValueError(f"expected a [rows, T] batch, got shape {z.shape}")
+    parts = hampel_batch(np.concatenate([z.real, z.imag]), window, n_sigmas)
+    return parts[: len(z)] + 1j * parts[len(z) :]
 
 
 def sanitize_frame(frame: CsiFrame) -> CsiFrame:
@@ -204,8 +196,7 @@ def sanitize_frame(frame: CsiFrame) -> CsiFrame:
     so the stage still consumes and produces subcarrier-domain CSI.
     """
     out = compensate_phase(frame)
-    s, n, t = out.data.shape
-    bins = np.fft.ifft(out.data, axis=1).reshape(s * n, t)
-    filtered = hampel_complex(bins).reshape(s, n, t)
+    bins = decompose(out, remove_static=False)
+    filtered = hampel_complex(bins.reshape(-1, out.n_time)).reshape(bins.shape)
     restored = np.fft.fft(filtered, axis=1)
     return CsiFrame(config=out.config, data=restored, meta=out.meta)

@@ -226,12 +226,20 @@ def split_model(raw: bytes):
     return raw[start:bank_at], raw[bank_at:trailer_at], json.loads(raw[trailer_at + 4 :])
 
 
+def json_trailer(doc) -> bytes:
+    """A length-prefixed JSON trailer of any document, `NaN` and `Infinity`
+    tokens included, as the file writers lay one out."""
+    import json
+    import struct
+
+    blob = json.dumps(doc, sort_keys=True).encode("utf-8")
+    return struct.pack("<I", len(blob)) + blob
+
+
 def join_model(weights: bytes, bank: bytes, meta: dict, n_weights=None, n_bank=None, version=4) -> bytes:
     """A MORM file of the given parts; the header counts default to the parts' sizes."""
     import struct
 
-    from moric.core import _json_trailer
-
     n_weights = len(weights) // 4 if n_weights is None else n_weights
     n_bank = len(bank) if n_bank is None else n_bank
-    return struct.pack(MORM_HEADER, b"MORM", version, n_weights, n_bank) + weights + bank + _json_trailer(meta)
+    return struct.pack(MORM_HEADER, b"MORM", version, n_weights, n_bank) + weights + bank + json_trailer(meta)

@@ -137,8 +137,7 @@ def test_criterion_2_delay_recovery():
             hits = 0
             for _ in range(100):
                 frame, bin_a, bin_b = _two_path_frame(rng, sep)
-                profile = decompose(frame, remove_static=False)[0]
-                mags = np.mean(np.abs(profile.bins), axis=1)
+                mags = np.mean(np.abs(decompose(frame, remove_static=False)[0]), axis=1)
                 top2 = set(np.argsort(mags)[-2:].tolist())
                 hits += top2 == {bin_a, bin_b}
             assert hits >= 99, f"separation {sep}: only {hits}/100 exact recoveries"
@@ -147,8 +146,7 @@ def test_criterion_2_delay_recovery():
         rng = np.random.default_rng([2026, 99])
         for _ in range(20):
             frame, bin_a, _ = _two_path_frame(rng, 0.25, equal_phase=True)
-            profile = decompose(frame, remove_static=False)[0]
-            mags = np.mean(np.abs(profile.bins), axis=1)
+            mags = np.mean(np.abs(decompose(frame, remove_static=False)[0]), axis=1)
             peaks = [
                 i
                 for i in range(len(mags))
@@ -185,9 +183,8 @@ def test_criterion_3_doppler_oracle():
                 noise=NoiseParams(awgn_snr_db=40.0),
             )
             frame, truth = synthesize_csi(scene, seed=3000 + i)
-            profile = decompose(frame, remove_static=True)[0]
-            series = profile.bins[5]
-            v_psd = estimate_velocity_psd(series, RADIO, params)
+            series = decompose(frame, remove_static=True)[0, 5]
+            v_psd = estimate_velocity_psd(series[None], RADIO, params)[0]
             rms_psd = float(np.sqrt(np.mean((v_psd - target) ** 2)))
             assert rms_psd <= tol, f"v.m={target}: PSD RMS {rms_psd:.4f} > {tol:.4f}"
 
@@ -328,8 +325,7 @@ def test_criterion_8_parseval_and_leakage():
         for _ in range(20):
             data = rng.normal(size=(1, n, 6)) + 1j * rng.normal(size=(1, n, 6))
             frame = CsiFrame(config=RADIO, data=data)
-            profile = decompose(frame, remove_static=False)[0]
-            lhs = np.sum(np.abs(profile.bins) ** 2, axis=0)
+            lhs = np.sum(np.abs(decompose(frame, remove_static=False)[0]) ** 2, axis=0)
             rhs = np.sum(np.abs(data[0]) ** 2, axis=0) / n
             assert np.all(np.abs(lhs - rhs) <= 1e-10 * rhs)
 
@@ -337,9 +333,9 @@ def test_criterion_8_parseval_and_leakage():
             tau = rng.uniform(0, (n - 1) / (n * df))
             h = np.exp(-2j * np.pi * np.arange(n) * df * tau)[None, :, None] * np.ones((1, n, 2))
             frame = CsiFrame(config=RADIO, data=h)
-            profile = decompose(frame, remove_static=False)[0]
-            mags = np.abs(profile.bins[:, 0])
-            envelope = np.abs(periodic_sinc(df * (profile.bin_delay_s - tau), n))
+            mags = np.abs(decompose(frame, remove_static=False)[0, :, 0])
+            bin_delay_s = np.arange(n) / RADIO.bandwidth_hz
+            envelope = np.abs(periodic_sinc(df * (bin_delay_s - tau), n))
             assert np.max(np.abs(mags - envelope)) < 1e-6
 
 

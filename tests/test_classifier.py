@@ -402,12 +402,11 @@ def separable_dataset(rng, n_per_class=12, dim=16):
 def test_training_separates_two_constant_classes():
     rng = np.random.default_rng(31)
     data = separable_dataset(rng)
-    cfg = TrainConfig(lr=1e-2, batch_size=8, max_epochs=50, patience=50, seed=5)
+    cfg = TrainConfig(lr=1e-2, batch_size=8, max_epochs=50, patience=50, seed=5, n_heads=2)
     model = train(
         data,
         data[:4],
         cfg,
-        n_heads=2,
         head_hidden=16,
         reduced_dim=8,
         cls_hidden=8,
@@ -501,8 +500,8 @@ def _assert_views_of_one_buffer(params, names):
 def test_trained_and_loaded_params_are_views_of_one_buffer(tmp_path):
     rng = np.random.default_rng(44)
     data = separable_dataset(rng, n_per_class=4)
-    cfg = TrainConfig(lr=1e-2, batch_size=8, max_epochs=3, patience=3, seed=2)
-    model = train(data, data[:2], cfg, n_heads=3, head_hidden=8, reduced_dim=4, cls_hidden=4)
+    cfg = TrainConfig(lr=1e-2, batch_size=8, max_epochs=3, patience=3, seed=2, n_heads=3)
+    model = train(data, data[:2], cfg, head_hidden=8, reduced_dim=4, cls_hidden=4)
     names = param_names(3)
     _assert_views_of_one_buffer(model.params, names)
     first, second = tmp_path / "a.morm", tmp_path / "b.morm"
@@ -553,6 +552,39 @@ def test_training_rejects_single_class():
     data = [(make_feature_set(rng, label="a"), "a") for _ in range(4)]
     with pytest.raises(ValueError):
         train(data, data, TrainConfig(seed=0))
+
+
+def test_training_rejects_a_feature_set_with_no_rows():
+    rng = np.random.default_rng(48)
+    data = separable_dataset(rng, n_per_class=2)
+    empty = (make_feature_set(rng, rows=np.zeros((0, 16))), "a")
+    cfg = TrainConfig(max_epochs=1, patience=1)
+    with pytest.raises(ValueError, match="feature set 2 of the training set has no rows"):
+        train(data[:2] + [empty] + data[2:], data, cfg)
+    with pytest.raises(ValueError, match="feature set 1 of the validation set has no rows"):
+        train(data, [data[0], empty], cfg)
+
+
+def test_train_config_rejects_bad_values_and_carries_the_head_count():
+    assert TrainConfig().n_heads == ModelDims.n_heads
+    for kwargs, message in (
+        ({"lr": float("nan")}, "lr must be finite and positive"),
+        ({"lr": float("inf")}, "lr must be finite and positive"),
+        ({"lr": 0.0}, "lr must be finite and positive"),
+        ({"weight_decay": float("inf")}, "weight_decay must lie in"),
+        ({"weight_decay": float("nan")}, "weight_decay must lie in"),
+        ({"weight_decay": -1e-4}, "weight_decay must lie in"),
+        ({"val_fraction": -0.1}, r"val_fraction must lie in \[0, 1.0\)"),
+        ({"val_fraction": 1.0}, "val_fraction must lie in"),
+        ({"val_fraction": float("nan")}, "val_fraction must lie in"),
+        ({"label_smoothing": 1.0}, "label_smoothing must lie in"),
+        ({"n_heads": 0}, "n_heads must be >= 1, got 0"),
+        ({"batch_size": 0}, "batch_size must be >= 1"),
+        ({"max_epochs": 0}, "max_epochs must be >= 1"),
+        ({"patience": 0}, "patience must be >= 1"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            TrainConfig(**kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -882,9 +914,13 @@ def test_load_model_rejects_version_2_bad_counts_and_bad_trailer(tmp_path):
         ),
         "null dims field": (join_model(weights, bank, {**meta, "dims": {**meta["dims"], "n_heads": None}}),
                             "bad model.dims.n_heads: expected an integer"),
-        "non-finite bias": (
+        "NaN bias": (
             join_model(weights, bank, {**meta, "calibration": {**meta["calibration"], "bias": [0.0, float("nan"), 0.0]}}),
-            "bias must be a vector of finite values",
+            r"bad model.calibration.bias\[1\]: expected a number, got nan",
+        ),
+        "infinite bias": (
+            join_model(weights, bank, {**meta, "calibration": {**meta["calibration"], "bias": [0.0, float("-inf"), 0.0]}}),
+            r"bad model.calibration.bias\[1\]: expected a number, got -inf",
         ),
         "bias length": (join_model(weights, bank, {**meta, "calibration": {**meta["calibration"], "bias": [0.0]}}),
                         "calibration bias must hold 3 values"),
@@ -898,6 +934,9 @@ def test_load_model_rejects_version_2_bad_counts_and_bad_trailer(tmp_path):
         with pytest.raises(FormatError, match=message) as exc:
             load_model(path)
         assert str(path) in str(exc.value), name
+    # no JSON number is non-finite, so only a constructor call can pass one
+    with pytest.raises(ValueError, match="bias must be a vector of finite values"):
+        Calibration(temperature=1.0, bias=[0.0, np.nan, 0.0])
     # the untouched trailer loads, and a model without a pipeline or a
     # calibration stores null
     path.write_bytes(_with_pipeline(raw, doc))

@@ -13,6 +13,7 @@ from moric.simulator import Scene
 from conftest import (
     bank_field_patches,
     join_model,
+    json_trailer,
     make_gesture_scene,
     make_radio,
     split_model,
@@ -116,6 +117,28 @@ def test_corrupt_input_exits_3(tmp_path, scene_file, capsys):
         bad.write_bytes(csit.read_bytes() + struct.pack("<I", len(blob)) + blob)
         assert main(["sanitize", "--in", str(bad), "--out", str(tmp_path / "y")]) == 3, trailer
         assert f"{bad}: bad sample metadata" in capsys.readouterr().err, trailer
+    # a metadata trailer holding a non-standard JSON token
+    bad.write_bytes(csit.read_bytes() + json_trailer({**meta, "orientation_deg": float("nan")}))
+    assert main(["sanitize", "--in", str(bad), "--out", str(tmp_path / "y")]) == 3
+    assert f"{bad}: bad sample metadata.orientation_deg: expected an integer, got nan" in capsys.readouterr().err
+    # a CSIT header of 0 streams
+    bad.write_bytes(struct.pack("<4sIIIIddd", b"CSIT", 1, 0, 16, 500, 100.0, 2.4e9, 312.5e3))
+    for command in ("sanitize", "decompose"):
+        assert main([command, "--in", str(bad), "--out", str(tmp_path / "y")]) == 3, command
+        assert f"{bad}: need at least one stream" in capsys.readouterr().err, command
+    # a DVEL trailer that is not {"source": <string>}
+    dvel = tmp_path / "x.dvel"
+    assert main(["decompose", "--in", str(csit), "--out", str(dvel)]) == 0
+    rows = dvel.read_bytes()  # the simulated capture has no sample id, so no trailer
+    for trailer, message in (
+        ({"source": 5}, "bad DVEL trailer.source: expected a string, got 5"),
+        ({"bogus": 1}, "bad DVEL trailer: unknown keys ['bogus']"),
+        ({"source": float("inf")}, "bad DVEL trailer.source: expected a string, got inf"),
+    ):
+        bad.write_bytes(rows + json_trailer(trailer))
+        assert main(["features", "--in", str(bad), "--out", str(tmp_path / "f.feat")]) == 3, trailer
+        assert f"{bad}: {message}" in capsys.readouterr().err, trailer
+    assert not (tmp_path / "f.feat").exists()
 
 
 def test_empty_manifest_exits_2(tmp_path, capsys):
@@ -135,6 +158,8 @@ def test_empty_manifest_exits_2(tmp_path, capsys):
         ({"entries": [{"path": str(model)}]}, "entry 0 needs"),
         ({"entries": [{"path": str(model), "meta": {"a": 1}}]}, "bad sample metadata"),
         *(({"entries": [{"path": str(model), "meta": meta}]}, "bad sample metadata") for meta in COERCIBLE_METADATA),
+        ({"entries": [{"path": str(model), "meta": {**meta, "orientation_deg": float("nan")}}]},
+         "bad sample metadata.orientation_deg: expected an integer, got nan"),
     ]
     for doc, message in malformed:
         manifest.write_text(json.dumps(doc))
@@ -193,6 +218,10 @@ def test_validation_error_exits_2(tmp_path, scene_file):
     assert main(
         ["decompose", "--in", str(csit), "--out", str(tmp_path / "v.dvel"), "--window", "1024"]
     ) == 2
+    # so is an SNR gate that is not a finite number
+    for value in ("nan", "inf"):
+        assert main(["decompose", "--in", str(csit), "--out", str(tmp_path / "v.dvel"), "--snr-db", value]) == 2
+    assert not (tmp_path / "v.dvel").exists()
 
 
 def test_full_experiment_via_cli(tmp_path):
@@ -547,6 +576,43 @@ def test_model_with_a_foreign_bank_or_duplicate_labels_exits_3(tmp_path, capsys,
     assert featurized == []
 
 
+def test_capture_of_no_streams_exits_3(tmp_path, capsys, flagged_model):
+    model_path, _, _ = flagged_model
+    empty = tmp_path / "empty.csit"
+    empty.write_bytes(struct.pack("<4sIIIIddd", b"CSIT", 1, 0, 16, 500, 100.0, 2.4e9, 312.5e3))
+    meta = {"sample_id": "a", "subject": "s", "orientation_deg": 0, "gesture": "circle", "access_point": "p"}
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"entries": [{"path": str(empty), "meta": meta}]}))
+    assert main(["eval", "--model", str(model_path), "--manifest", str(manifest)]) == 3
+    assert f"{empty}: need at least one stream" in capsys.readouterr().err
+
+
+def test_bad_training_and_pipeline_values_exit_2_before_featurizing(tmp_path, capsys, flagged_model, monkeypatch):
+    from moric import harness
+
+    featurized = []
+    monkeypatch.setattr(harness, "featurize_manifest", lambda *args, **kw: featurized.append(args))
+    _, manifest_path, _ = flagged_model
+    for flags, message in (
+        (["--snr-db", "nan"], "snr_threshold_db must be finite, got nan"),
+        (["--snr-db=-inf"], "snr_threshold_db must be finite, got -inf"),
+        (["--val-frac", "-1"], "val_fraction must lie in [0, 1.0), got -1.0"),
+        (["--val-frac", "2"], "val_fraction must lie in [0, 1.0), got 2.0"),
+        (["--lr", "inf"], "lr must be finite and positive, got inf"),
+        (["--lr", "nan"], "lr must be finite and positive, got nan"),
+        (["--weight-decay", "inf"], "weight_decay must lie in [0, inf), got inf"),
+        (["--heads", "0"], "n_heads must be >= 1, got 0"),
+    ):
+        for argv in (
+            ["train", "--manifest", str(manifest_path), "--out", str(tmp_path / "out.morm")],
+            ["loso", "--manifest", str(manifest_path), "--report", str(tmp_path / "r")],
+        ):
+            assert main(argv + flags) == 2, (argv[0], flags)
+            assert message in capsys.readouterr().err, (argv[0], flags)
+    assert featurized == []
+    assert not (tmp_path / "out.morm").exists() and not (tmp_path / "r").exists()
+
+
 TRAIN_ARGV = ["train", "--manifest", "m.json", "--out", "m.morm"]  # the required flags alone
 LOSO_ARGV = ["loso", "--manifest", "m.json", "--report", "r"]
 
@@ -570,9 +636,12 @@ def test_sanitize_takes_no_hampel_flags(tmp_path, capsys, scene_file):
 
 def test_pipeline_and_training_flags_default_to_their_records(capsys):
     """`train` and `loso` with no optional flag give the records' defaults, and
-    `features` draws its bank from the same flags, so its `--seed` is gone."""
-    from moric import cli
-    from moric.classifier import ModelDims, TrainConfig
+    `features` draws its bank from the same flags, so its `--seed` is gone;
+    `calibrate` gets the defaults of the functions it calls."""
+    import inspect
+
+    from moric import cli, classifier, harness
+    from moric.classifier import TrainConfig
     from moric.core import PipelineConfig
 
     parser = cli.build_parser()
@@ -580,7 +649,12 @@ def test_pipeline_and_training_flags_default_to_their_records(capsys):
         args = parser.parse_args(argv)
         assert cli._pipeline_config(args) == PipelineConfig(), argv
         assert cli._train_config(args) == TrainConfig(), argv
-        assert args.heads == ModelDims.n_heads, argv
+        assert args.heads == TrainConfig.n_heads, argv
+    args = parser.parse_args(["calibrate", "--model", "m.morm", "--manifest", "m.json"])
+    fit = inspect.signature(classifier.calibrate).parameters
+    sweep = inspect.signature(harness.run_calibration_sweep).parameters
+    assert (args.steps, args.lr, args.draws) == (fit["steps"].default, fit["lr"].default, sweep["n_draws"].default)
+    assert (args.steps, args.lr, args.draws) == (500, 0.01, 10)
     args = parser.parse_args(["features", "--in", "v.dvel", "--out", "f.feat"])
     bank_defaults = PipelineConfig()
     assert (args.kernel_seed, args.kernels, args.biases) == (
@@ -665,6 +739,11 @@ def test_report_rejects_malformed_report_exits_2(tmp_path, capsys):
     assert not (tmp_path / "ragged" / "fold_accuracy.csv").exists()
     path.write_text(json.dumps({**good, "fold_accuracies": [1.0, 1.0, 1.0]}))
     assert main(["report", "--in", str(path), "--out", str(tmp_path / "even")]) == 0
+    # a non-standard JSON token
+    path.write_text(json.dumps({**good, "fold_accuracies": [1.0, float("nan"), 1.0]}))
+    assert main(["report", "--in", str(path), "--out", str(tmp_path / "nan")]) == 2
+    assert "bad report.fold_accuracies[1]: expected a number, got nan" in capsys.readouterr().err
+    assert not (tmp_path / "nan").exists()
 
 
 def test_malformed_scene_exits_2(tmp_path, scene_file, capsys):
@@ -678,6 +757,8 @@ def test_malformed_scene_exits_2(tmp_path, scene_file, capsys):
         ({**doc, "duration_s": "1"}, "bad scene.duration_s: expected a number, got '1'"),
         ({**doc, "n_streams": 1.5}, "bad scene.n_streams: expected an integer, got 1.5"),
         ({**doc, "duration_s": 10**400}, "bad scene.duration_s: expected a number"),  # beyond float range
+        ({**doc, "duration_s": float("nan")}, "bad scene.duration_s: expected a number, got nan"),
+        ({**doc, "duration_s": float("-inf")}, "bad scene.duration_s: expected a number, got -inf"),
         (
             {**doc, "clusters": [{"mean_direction": cluster["mean_direction"]}]},
             "bad scene.clusters[0]: missing keys ['concentration', 'delay_s', 'n_scatterers']",

@@ -20,7 +20,7 @@ from moric.core import (
     write_feat,
 )
 
-from conftest import make_radio, random_frame
+from conftest import json_trailer, make_radio, random_frame
 
 
 def test_radio_config_wavelength_identity():
@@ -45,6 +45,8 @@ def test_csi_frame_validates_shape_and_finiteness():
     bad[0, 0, 0] = np.nan
     with pytest.raises(ValueError):
         CsiFrame(config=cfg, data=bad)
+    with pytest.raises(ValueError, match="need at least one stream"):
+        CsiFrame(config=cfg, data=np.ones((0, 4, 3), dtype=complex))
 
 
 def test_csit_identity_payload(tmp_path):
@@ -115,6 +117,18 @@ def test_csit_rejects_bad_magic_version_truncation(tmp_path):
         bad.write_bytes(bytes(raw) + struct.pack("<I", len(blob)) + blob)
         with pytest.raises(FormatError):
             read_csit(bad)
+
+    # a non-standard JSON token in the trailer
+    meta = {"sample_id": "a", "subject": "s", "orientation_deg": 0, "gesture": "g", "access_point": "p"}
+    for value in (float("nan"), float("inf")):
+        bad.write_bytes(bytes(raw) + json_trailer({**meta, "orientation_deg": value}))
+        with pytest.raises(FormatError, match=f"orientation_deg: expected an integer, got {value}"):
+            read_csit(bad)
+
+    # a header of 0 streams, whose payload is empty
+    bad.write_bytes(struct.pack("<4sIIIIddd", b"CSIT", 1, 0, 4, 3, 100.0, 2.4e9, 312.5e3))
+    with pytest.raises(FormatError, match="need at least one stream"):
+        read_csit(bad)
 
 
 def _velocity_set(rng, n_rows=3, t=30, source="sample-1"):
@@ -245,6 +259,34 @@ def test_dvel_truncation_detected(tmp_path):
     bad.write_bytes(raw[:28] + b"\x07" + raw[29:])
     with pytest.raises(FormatError, match="gated flag"):
         read_dvel(bad)
+
+
+def test_dvel_and_feat_trailers_are_strict_records(tmp_path):
+    """A DVEL trailer holds exactly a string `source` and a FEAT trailer
+    exactly a string `label`; anything else names the file and the key."""
+    rng = np.random.default_rng(12)
+    cases = []
+    for write, read, record, key in (
+        (write_dvel, read_dvel, _velocity_set(rng, source=""), "source"),
+        (write_feat, read_feat, _feature_set(rng, label=None), "label"),
+    ):
+        path = tmp_path / f"plain.{key}"
+        write(record, path)  # no trailer: the file ends after the rows
+        payload = path.read_bytes()
+        name = "DVEL" if key == "source" else "FEAT"
+        cases += [
+            (read, payload + json_trailer({key: 5}), rf"bad {name} trailer.{key}: expected a string, got 5"),
+            (read, payload + json_trailer({key: None}), rf"bad {name} trailer.{key}: expected a string"),
+            (read, payload + json_trailer({key: "x", "bogus": 1}), rf"bad {name} trailer: unknown keys \['bogus'\]"),
+            (read, payload + json_trailer({}), rf"bad {name} trailer: missing keys \['{key}'\]"),
+            (read, payload + json_trailer({key: float("nan")}), rf"bad {name} trailer.{key}: expected a string, got nan"),
+        ]
+    bad = tmp_path / "bad"
+    for read, blob, message in cases:
+        bad.write_bytes(blob)
+        with pytest.raises(FormatError, match=message) as exc:
+            read(bad)
+        assert str(exc.value).startswith(f"{bad}: "), message
 
 
 def test_feat_round_trip(tmp_path):
@@ -396,7 +438,31 @@ def test_pipeline_config_dict_round_trip_and_rejections():
         "not an object": [],
         "doppler not an object": {**doc, "doppler": None},
         "rejected by DopplerParams": {**doc, "doppler": {**doc["doppler"], "hop": 0}},
+        "NaN threshold": {**doc, "snr_threshold_db": float("nan")},
+        "infinite threshold": {**doc, "snr_threshold_db": float("inf")},
     }
     for name, value in bad.items():
         with pytest.raises(ValueError):
             PipelineConfig.from_dict(value)
+
+
+def test_only_standard_finite_json_is_read_or_written():
+    """A float field holds a finite number: the NaN and Infinity tokens and a
+    number beyond the float range are of a wrong JSON type, and a record
+    holding a non-finite float is not written."""
+    from moric.core import PipelineConfig
+
+    good = PipelineConfig().to_json()
+    assert '"snr_threshold_db": 2.0' in good
+    for token, value in (("NaN", "nan"), ("Infinity", "inf"), ("-Infinity", "-inf"), ("1e400", "inf")):
+        with pytest.raises(ValueError, match=f"bad pipeline.snr_threshold_db: expected a number, got {value}"):
+            PipelineConfig.from_json(good.replace('"snr_threshold_db": 2.0', f'"snr_threshold_db": {token}'))
+    with pytest.raises(ValueError, match="bad pipeline.snr_threshold_db: expected a number, got nan"):
+        PipelineConfig.from_dict({**json.loads(good), "snr_threshold_db": float("nan")})
+    with pytest.raises(ValueError, match="snr_threshold_db must be finite"):
+        PipelineConfig(snr_threshold_db=float("nan"))
+    radio = make_radio()
+    assert RadioConfig.from_json(radio.to_json()) == radio
+    object.__setattr__(radio, "sample_rate_hz", float("inf"))  # past the constructor's check
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        radio.to_json()

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from moric.core import CsiFrame, SPEED_OF_LIGHT
+from moric.core import CsiFrame
 from moric.delay_doppler import (
     STD_FLOOR,
     VAR_FLOOR,
@@ -19,7 +19,7 @@ from moric.delay_doppler import (
 from moric.sanitize import sanitize_frame
 from moric.simulator import NoiseParams, Scene, ScatterCluster, Trajectory, synthesize_csi
 
-from conftest import make_gesture_scene, make_radio
+from conftest import make_gesture_scene, make_radio, random_frame
 
 
 def _frame(data, sample_rate_hz=100.0):
@@ -36,22 +36,22 @@ def _frame(data, sample_rate_hz=100.0):
 def test_decompose_constant_channel_hits_bin_zero():
     n, t = 16, 3
     frame = _frame(np.ones((1, n, t)))
-    profile = decompose(frame, remove_static=False)[0]
-    assert np.allclose(profile.bins[0], 1.0, atol=1e-12)
-    assert np.allclose(profile.bins[1:], 0.0, atol=1e-12)
+    bins = decompose(frame, remove_static=False)[0]
+    assert np.allclose(bins[0], 1.0, atol=1e-12)
+    assert np.allclose(bins[1:], 0.0, atol=1e-12)
 
 
 def test_decompose_tone_lands_in_bin_three():
     n, t = 52, 4
     h = np.exp(-2j * np.pi * np.arange(n) * 3 / n)[None, :, None] * np.ones((1, n, t))
     frame = _frame(h)
-    profile = decompose(frame, remove_static=False)[0]
+    bins = decompose(frame, remove_static=False)[0]
     # independent direct-summation oracle
     expected = np.array(
         [np.mean(h[0, :, 0] * np.exp(2j * np.pi * np.arange(n) * i / n)) for i in range(n)]
     )
-    assert np.allclose(profile.bins[:, 0], expected, atol=1e-12)
-    energy = np.abs(profile.bins[:, 0]) ** 2
+    assert np.allclose(bins[:, 0], expected, atol=1e-12)
+    energy = np.abs(bins[:, 0]) ** 2
     assert energy[3] > 0.999 * energy.sum()
 
 
@@ -61,21 +61,23 @@ def test_decompose_two_paths_two_maxima():
     h = (
         np.exp(-2j * np.pi * k * 3 / n) + np.exp(-2j * np.pi * k * 9 / n)
     )[None, :, None] * np.ones((1, n, t))
-    profile = decompose(_frame(h), remove_static=False)[0]
-    mags = np.abs(profile.bins[:, 0])
+    mags = np.abs(decompose(_frame(h), remove_static=False)[0, :, 0])
     top2 = set(np.argsort(mags)[-2:])
     assert top2 == {3, 9}
 
 
 def test_decompose_profile_metadata():
+    # one [bin, time] block per stream, stream-major
     frame = _frame(np.ones((2, 52, 3)))
-    profiles = decompose(frame)
-    assert len(profiles) == 2
-    p = profiles[0]
-    df = frame.config.subcarrier_spacing_hz
-    assert p.delta_tau_min_s == pytest.approx(1.0 / (52 * df))
-    assert p.delta_d_min_m * frame.config.bandwidth_hz == pytest.approx(SPEED_OF_LIGHT)
-    assert np.allclose(p.bin_delay_s, np.arange(52) / (52 * df))
+    bins = decompose(frame)
+    assert bins.shape == (2, 52, 3) and bins.dtype == np.complex128
+
+
+def test_decompose_is_the_ifft_over_subcarriers_bitwise():
+    frame = random_frame(np.random.default_rng(19), n_streams=3, n_subcarriers=16, n_time=40)
+    raw = np.fft.ifft(frame.data, axis=1)
+    assert decompose(frame, remove_static=False).tobytes() == raw.tobytes()
+    assert decompose(frame).tobytes() == (raw - raw.mean(axis=2, keepdims=True)).tobytes()
 
 
 def test_parseval_identity():
@@ -83,8 +85,8 @@ def test_parseval_identity():
     n, t = 52, 8
     data = rng.normal(size=(1, n, t)) + 1j * rng.normal(size=(1, n, t))
     frame = _frame(data)
-    profile = decompose(frame, remove_static=False)[0]
-    lhs = np.sum(np.abs(profile.bins) ** 2, axis=0)
+    bins = decompose(frame, remove_static=False)[0]
+    lhs = np.sum(np.abs(bins) ** 2, axis=0)
     rhs = np.sum(np.abs(data[0]) ** 2, axis=0) / n
     assert np.allclose(lhs, rhs, rtol=1e-10)
 
@@ -96,9 +98,10 @@ def test_leakage_follows_periodic_sinc_envelope():
     for _ in range(5):
         tau = rng.uniform(0, (n - 1) / (n * df))
         h = np.exp(-2j * np.pi * np.arange(n) * df * tau)[None, :, None] * np.ones((1, n, 2))
-        profile = decompose(_frame(h), remove_static=False)[0]
-        mags = np.abs(profile.bins[:, 0])
-        expected = np.abs(periodic_sinc(df * (profile.bin_delay_s - tau), n))
+        frame = _frame(h)
+        mags = np.abs(decompose(frame, remove_static=False)[0, :, 0])
+        bin_delay_s = np.arange(n) / frame.config.bandwidth_hz
+        expected = np.abs(periodic_sinc(df * (bin_delay_s - tau), n))
         assert np.max(np.abs(mags - expected)) < 1e-6
 
 
@@ -124,8 +127,7 @@ def test_quarter_resolution_paths_merge():
     h = (
         np.exp(-2j * np.pi * k * df * tau0) + np.exp(-2j * np.pi * k * df * (tau0 + dtau / 4))
     )[None, :, None] * np.ones((1, n, 2))
-    profile = decompose(_frame(h), remove_static=False)[0]
-    mags = np.abs(profile.bins[:, 0])
+    mags = np.abs(decompose(_frame(h), remove_static=False)[0, :, 0])
     assert len(significant_local_maxima(mags)) == 1
 
 
@@ -141,8 +143,7 @@ def test_supra_resolution_paths_stay_distinct():
             np.exp(-2j * np.pi * k * df * tau0)
             + np.exp(-2j * np.pi * k * df * (tau0 + sep_bins * dtau))
         )[None, :, None] * np.ones((1, n, 2))
-        profile = decompose(_frame(h), remove_static=False)[0]
-        mags = np.abs(profile.bins[:, 0])
+        mags = np.abs(decompose(_frame(h), remove_static=False)[0, :, 0])
         assert len(significant_local_maxima(mags)) == 2
 
 
@@ -153,7 +154,7 @@ def test_supra_resolution_paths_stay_distinct():
 
 def test_psd_constant_series_is_zero_velocity(radio):
     params = DopplerParams(window_len=64, hop=4, fft_pad=512)
-    v = estimate_velocity_psd(np.ones(200, dtype=complex), radio, params)
+    v = estimate_velocity_psd(np.ones((1, 200), dtype=complex), radio, params)
     assert np.allclose(v, 0.0)
 
 
@@ -163,7 +164,7 @@ def test_psd_positive_tone_velocity(radio):
     fs = radio.sample_rate_hz
     s = np.arange(300)
     x = np.exp(2j * np.pi * 10.0 * s / fs)
-    v = estimate_velocity_psd(x, radio, params)
+    v = estimate_velocity_psd(x[None], radio, params)[0]
     lam = radio.wavelength_m
     grid = lam * fs / params.fft_pad
     assert lam * 10.0 == pytest.approx(1.2491352, rel=1e-6)
@@ -181,7 +182,7 @@ def test_psd_negative_tone_velocity(radio):
     fs = radio.sample_rate_hz
     s = np.arange(300)
     x = np.exp(-2j * np.pi * 20.0 * s / fs)
-    v = estimate_velocity_psd(x, radio, params)
+    v = estimate_velocity_psd(x[None], radio, params)[0]
     lam = radio.wavelength_m
     assert -lam * 20.0 == pytest.approx(-2.4983, rel=1e-4)
     assert np.max(np.abs(v + lam * 20.0)) <= lam * fs / params.fft_pad
@@ -190,7 +191,14 @@ def test_psd_negative_tone_velocity(radio):
 def test_psd_rejects_window_longer_than_series(radio):
     params = DopplerParams(window_len=64, hop=4, fft_pad=512)
     with pytest.raises(ValueError):
-        estimate_velocity_psd(np.ones(32, dtype=complex), radio, params)
+        estimate_velocity_psd(np.ones((1, 32), dtype=complex), radio, params)
+
+
+def test_psd_rejects_input_that_is_not_rows_by_time(radio):
+    params = DopplerParams(window_len=16, hop=4, fft_pad=64)
+    for shape in ((64,), (2, 3, 64)):
+        with pytest.raises(ValueError, match=r"expected a \[rows, T\] batch"):
+            estimate_velocity_psd(np.ones(shape, dtype=complex), radio, params)
 
 
 def test_doppler_params_validation():
@@ -239,7 +247,7 @@ def test_phase_and_psd_agree_on_clean_tone(radio):
     fs = radio.sample_rate_hz
     s = np.arange(400)
     x = np.exp(2j * np.pi * 7.0 * s / fs)
-    v_psd = estimate_velocity_psd(x, radio, params)
+    v_psd = estimate_velocity_psd(x[None], radio, params)[0]
     v_phase = estimate_velocity_phase(x, radio)
     rms = np.sqrt(np.mean((v_psd - v_phase) ** 2))
     assert rms < 0.1
@@ -362,13 +370,13 @@ def _reference_psd(bin_series, radio, params):
 
 def _reference_velocity_rows(frame, params, apply_normalize):
     rows = []
-    for profile in decompose(frame, remove_static=True):
-        for i in range(profile.bins.shape[0]):
-            v = _reference_psd(profile.bins[i], frame.config, params)
+    for stream, bins in enumerate(decompose(frame, remove_static=True)):
+        for i, series in enumerate(bins):
+            v = _reference_psd(series, frame.config, params)
             v, snr_db, gated = _reference_gate(v)
             if apply_normalize:
                 v = _reference_normalize(v, gated)
-            rows.append((v, i, profile.stream, snr_db, gated))
+            rows.append((v, i, stream, snr_db, gated))
     values, bins, streams, snr_db, gated = zip(*rows)
     return np.stack(values), np.array(bins), np.array(streams), np.array(snr_db), np.array(gated)
 
@@ -413,15 +421,16 @@ def test_extract_velocity_set_matches_per_row_reference_bitwise():
 
 
 def test_estimate_velocity_psd_is_one_row_of_the_set():
-    # the single-series estimator and the set's rows before gating agree bitwise
+    # one delay-bin row run through the estimator alone and the set's rows
+    # before gating agree bitwise
     for frame in _sanitized_frames()[1:]:
         for params in _PARAM_SETS:
             vs = extract_velocity_set(frame, params, apply_normalize=False)
-            series = np.concatenate([p.bins for p in decompose(frame, remove_static=True)])
+            series = decompose(frame, remove_static=True).reshape(-1, frame.n_time)
             kept = np.flatnonzero(~vs.gated)
             assert kept.size > 0
             for row in kept:
-                v = estimate_velocity_psd(series[row], frame.config, params)
+                v = estimate_velocity_psd(series[row][None], frame.config, params)[0]
                 assert v.tobytes() == vs.values[row].tobytes()
                 assert v.tobytes() == _reference_psd(series[row], frame.config, params).tobytes()
 
@@ -486,8 +495,8 @@ def test_psd_recovers_projection_on_moderate_cluster(radio):
             noise=NoiseParams(awgn_snr_db=30.0),
         )
         frame, _ = synthesize_csi(scene, seed=81)
-        series = decompose(frame, remove_static=True)[0].bins[4]
-        v = estimate_velocity_psd(series, radio, params)
+        series = decompose(frame, remove_static=True)[0, 4]
+        v = estimate_velocity_psd(series[None], radio, params)[0]
         tol = max(0.05, radio.wavelength_m * radio.sample_rate_hz / params.fft_pad)
         rms = np.sqrt(np.mean((v - target) ** 2))
         assert rms <= tol, f"target {target}: rms {rms:.4f} > {tol:.4f}"

@@ -5,7 +5,6 @@ from moric.features import (
     BLOCK_SAMPLES,
     Kernel,
     KernelBank,
-    apply,
     apply_batch,
     build_bank,
     deserialize_bank,
@@ -105,7 +104,7 @@ def test_zero_input_features_reflect_bias():
     )
     for k, max_expected, ppv_expected in ((pos, 0.5, 1.0), (neg, -0.5, 0.0)):
         b = KernelBank(seed=0, input_length=50, n_biases=1, kernels=(k,))
-        feats = apply(b, np.zeros(50))
+        feats = apply_batch(b, np.zeros((1, 50)))[0]
         assert feats[0] == pytest.approx(max_expected)
         assert feats[1] == pytest.approx(ppv_expected)
 
@@ -123,7 +122,7 @@ def test_impulse_matches_brute_force_oracle():
             padded=padded,
         )
         bank = KernelBank(seed=0, input_length=20, n_biases=3, kernels=(kernel,))
-        got = apply(bank, x)
+        got = apply_batch(bank, x[None])[0]
         expected = brute_force_features(kernel, x)
         assert np.allclose(got, expected, atol=1e-12)
 
@@ -132,7 +131,7 @@ def test_random_series_match_brute_force_oracle():
     rng = np.random.default_rng(77)
     bank = build_bank(42, 8, 3, 64)
     x = rng.normal(size=64)
-    got = apply(bank, x)
+    got = apply_batch(bank, x[None])[0]
     expected = np.concatenate([brute_force_features(k, x) for k in bank.kernels])
     assert np.allclose(got, expected, atol=1e-12)
 
@@ -167,8 +166,11 @@ def test_dimension_bookkeeping():
 
 def test_apply_validates_length():
     bank = build_bank(1, 5, 2, 64)
-    with pytest.raises(ValueError):
-        apply(bank, np.zeros(65))
+    with pytest.raises(ValueError, match="does not match bank length"):
+        apply_batch(bank, np.zeros((1, 65)))
+    for shape in ((64,), (2, 3, 64)):
+        with pytest.raises(ValueError, match=r"expected a \[rows, T\] batch"):
+            apply_batch(bank, np.zeros(shape))
 
 
 def test_build_bank_validates_args():
@@ -219,7 +221,7 @@ def test_zero_rows_are_not_convolved_and_match_row_by_row():
     x[zero_rows] = 0.0
     x[4] = -0.0
     feats = apply_batch(bank, x)
-    one_by_one = np.stack([apply(bank, row) for row in x])
+    one_by_one = np.concatenate([apply_batch(bank, row[None]) for row in x])
     assert np.allclose(feats, one_by_one, atol=1e-12, rtol=0)
     zero = np.concatenate([np.concatenate([k.biases[:1], k.biases > 0]) for k in bank.kernels])
     for r in zero_rows:

@@ -294,6 +294,12 @@ def test_report_from_dict_rejects_malformed_documents():
     for doc in bad:
         with pytest.raises(ValueError, match="report"):
             Report.from_dict(doc)
+    # only standard JSON: a NaN token is not read, and a NaN field is not written
+    for token in ("NaN", "Infinity", "-Infinity"):
+        with pytest.raises(ValueError, match="bad report.sd_accuracy: expected a number"):
+            Report.from_json(json.dumps(good).replace('"sd_accuracy": 0.0', f'"sd_accuracy": {token}'))
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        replace(Report.from_dict(good), sd_accuracy=float("nan")).to_json()
     # well-typed, but the fold lists disagree in length
     ragged = Report.from_dict({**good, "fold_subjects": ["s1", "s2", "s3"]})
     with pytest.raises(ValueError, match="3 fold subjects but 1 fold accuracies"):

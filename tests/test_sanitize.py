@@ -9,7 +9,6 @@ from moric.sanitize import (
     _median_network,
     _select_median,
     compensate_phase,
-    hampel,
     hampel_batch,
     hampel_complex,
     sanitize_frame,
@@ -134,12 +133,12 @@ def test_compensation_restores_sto_sfo_phase_variance(radio):
 
 def test_hampel_constant_series_unchanged():
     x = np.full(20, 3.5)
-    assert np.array_equal(hampel(x, window=5, n_sigmas=3.0), x)
+    assert np.array_equal(hampel_batch(x[None], window=5, n_sigmas=3.0)[0], x)
 
 
 def test_hampel_replaces_isolated_spike():
     x = np.array([0.0, 0, 0, 10.0, 0, 0, 0])
-    out = hampel(x, window=5, n_sigmas=3.0)
+    out = hampel_batch(x[None], window=5, n_sigmas=3.0)[0]
     # oracle: median of the spike's window is 0, MAD is 0 (floored), so the
     # spike exceeds any threshold and is replaced by the median
     assert out[3] == 0.0
@@ -148,7 +147,7 @@ def test_hampel_replaces_isolated_spike():
 
 def test_hampel_ramp_unchanged():
     x = np.arange(10, dtype=float)
-    out = hampel(x, window=5, n_sigmas=3.0)
+    out = hampel_batch(x[None], window=5, n_sigmas=3.0)[0]
     # oracle: in every centered window of a ramp, |x - med| <= 2 while
     # 3 * 1.4826 * MAD >= 3 * 1.4826 * 1, so nothing is flagged
     assert np.array_equal(out, x)
@@ -158,7 +157,7 @@ def test_hampel_never_leaves_window_range():
     rng = np.random.default_rng(12)
     x = rng.normal(size=200)
     x[::17] += rng.normal(scale=20.0, size=len(x[::17]))
-    out = hampel(x, window=11, n_sigmas=3.0)
+    out = hampel_batch(x[None], window=11, n_sigmas=3.0)[0]
     half = 5
     for j in range(len(x)):
         lo, hi = max(0, j - half), min(len(x), j + half + 1)
@@ -167,15 +166,23 @@ def test_hampel_never_leaves_window_range():
 
 def test_hampel_validates_window():
     with pytest.raises(ValueError):
-        hampel(np.zeros(10), window=4)
+        hampel_batch(np.zeros((1, 10)), window=4)
     with pytest.raises(ValueError):
-        hampel(np.zeros(10), window=1)
+        hampel_batch(np.zeros((1, 10)), window=1)
+
+
+def test_hampel_rejects_input_that_is_not_rows_by_time():
+    for shape in ((10,), (2, 3, 10)):
+        with pytest.raises(ValueError, match=r"expected a \[rows, T\] batch"):
+            hampel_batch(np.zeros(shape))
+        with pytest.raises(ValueError, match=r"expected a \[rows, T\] batch"):
+            hampel_complex(np.zeros(shape, dtype=complex))
 
 
 def test_hampel_complex_filters_parts_independently():
     re = np.array([0.0, 0, 0, 10.0, 0, 0, 0])
     im = np.array([1.0, 1, 1, 1, 1, 1, -9.0])
-    out = hampel_complex(re + 1j * im, window=5, n_sigmas=3.0)
+    out = hampel_complex((re + 1j * im)[None], window=5, n_sigmas=3.0)[0]
     assert out[3].real == 0.0
     assert out[6].imag == 1.0
     assert np.array_equal(out.real[[0, 1, 2, 4, 5, 6]], re[[0, 1, 2, 4, 5, 6]])

@@ -199,10 +199,10 @@ def test_single_cluster_bin_velocity_tone(radio):
     assert np.allclose(truth.projected_velocity[0], 1.0)
     assert truth.cluster_delay_bins[0] == 3
 
-    profile = decompose(frame, remove_static=False)[0]
-    series = profile.bins[3]
+    bins = decompose(frame, remove_static=False)[0]
+    series = bins[3]
     # nearly all the energy lands in bin 3
-    energy = np.abs(profile.bins) ** 2
+    energy = np.abs(bins) ** 2
     assert energy[3].sum() > 0.99 * energy.sum()
 
     fd = 2.4e9 / SPEED_OF_LIGHT  # 8.00554 Hz
@@ -521,7 +521,7 @@ def test_phase_derivative_recovers_projection_within_two_percent(radio):
         noise=NoiseParams(awgn_snr_db=40.0),
     )
     frame, truth = synthesize_csi(scene, seed=71)
-    series = decompose(frame, remove_static=False)[0].bins[7]
+    series = decompose(frame, remove_static=False)[0, 7]
     v = estimate_velocity_phase(series, radio)
     target = truth.projected_velocity[0]
     rel = np.abs(v[2:-2] - target[2:-2]) / np.abs(target[2:-2])
