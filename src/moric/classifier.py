@@ -14,16 +14,17 @@ A post-hoc temperature + per-class-bias calibration can be fitted on the fixed
 logits of a handful of held-out samples; `calibrate` fits many draws of them
 as one batched descent.
 
-A model file (MORM, version 4) is framed like CSIT, DVEL and FEAT: a header
-that sizes the payload, the f32 weights and the kernel bank, then a JSON
-trailer holding the dims, class labels, seed, calibration and the
-`PipelineConfig` that made the features.
+A model file (MORM, version 4) goes through `core.write_framed` and
+`core.read_framed` like CSIT, DVEL and FEAT: a header that sizes the payload,
+the f32 weights and the kernel bank, then a JSON trailer holding the dims,
+class labels, seed, calibration and the `PipelineConfig` that made the
+features.
 
 The parameters live in one flat vector, packed in `param_names` order (the
 MORM weight layout); the named arrays are views of it. Training runs in
 float32: weights, optimizer state, gradients and every matrix product, with
-only the softmax and the loss taken in float64. The returned model is float64,
-and inference runs in float64.
+only the softmax and the loss taken in float64. The returned model is float64
+holding the f32 values its file stores, and inference runs in float64.
 """
 
 from __future__ import annotations
@@ -35,8 +36,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import ByteReader, FeatureSet, FormatError, JsonRecord, PipelineConfig, format_errors
-from .core import _json_trailer, _read_json_trailer
+from .core import FeatureSet, FormatError, JsonRecord, PipelineConfig, format_errors, read_framed, write_framed
 from .features import KernelBank, deserialize_bank, serialize_bank
 
 MODEL_MAGIC = b"MORM"
@@ -361,9 +361,9 @@ def train(
     train_set: Sequence[Tuple[FeatureSet, str]],
     val_set: Sequence[Tuple[FeatureSet, str]],
     cfg: TrainConfig,
-    head_hidden: int = 256,
-    reduced_dim: int = 128,
-    cls_hidden: int = 128,
+    head_hidden: int = ModelDims.head_hidden,
+    reduced_dim: int = ModelDims.reduced_dim,
+    cls_hidden: int = ModelDims.cls_hidden,
     kernel_bank: Optional[KernelBank] = None,
 ) -> MoricModel:
     """Train a set classifier, returning the checkpoint with the lowest
@@ -448,11 +448,14 @@ def train(
 
     # fold the feature standardization into the first layer:
     # ((x - mu) / sd) @ w1 + b1  ==  x @ (w1 / sd) + (b1 - (mu / sd) @ w1)
-    best_params = _param_views(dims, best.astype(np.float64))
+    folded = best.astype(np.float64)
+    best_params = _param_views(dims, folded)
     for k in range(dims.n_heads):
         w1 = best_params[f"head{k}_w1"]
         best_params[f"head{k}_b1"] -= (feat_mean / feat_scale) @ w1
         w1 /= feat_scale[:, None]
+    # MORM stores f32: rounding here makes the returned model the one a file holds
+    folded[...] = folded.astype(np.float32)
 
     return MoricModel(
         dims=dims,
@@ -581,11 +584,8 @@ def save_model(model: MoricModel, path) -> None:
         calibration=model.calibration,
         pipeline=model.pipeline,
     )
-    with open(path, "wb") as fh:
-        fh.write(_MODEL_HEADER.pack(MODEL_MAGIC, MODEL_VERSION, weights.size, len(bank)))
-        fh.write(weights.tobytes())
-        fh.write(bank)
-        fh.write(_json_trailer(meta.to_dict()))
+    header = _MODEL_HEADER.pack(MODEL_MAGIC, MODEL_VERSION, weights.size, len(bank))
+    write_framed(path, header, weights.tobytes() + bank, meta)
 
 
 def load_model(path) -> MoricModel:
@@ -594,13 +594,7 @@ def load_model(path) -> MoricModel:
     imply, a bad embedded bank, a missing or malformed trailer, any truncation
     or trailing bytes, and on a decoded field that MoricModel or the records
     it holds reject."""
-    with open(path, "rb") as fh:
-        r = ByteReader(fh.read(), path)
-    magic, version, n_weights, n_bank = r.unpack(_MODEL_HEADER.format)
-    if magic != MODEL_MAGIC:
-        raise FormatError(f"{path}: bad magic {magic!r}")
-    if version != MODEL_VERSION:
-        raise FormatError(f"{path}: unsupported model version {version}")
+    r, (n_weights, n_bank) = read_framed(path, _MODEL_HEADER, MODEL_MAGIC, MODEL_VERSION, "model")
     weights = r.array("<f4", n_weights)  # bounded by the file size before it allocates
     bank_at = r.pos
     r.take(n_bank)  # a file too short for the bank is truncated, whatever the bank holds
@@ -612,7 +606,7 @@ def load_model(path) -> MoricModel:
             raise FormatError(f"{path}: {exc}") from None
         if used != n_bank:
             raise FormatError(f"{path}: the kernel bank takes {used} bytes, the header says {n_bank}")
-    meta = _read_json_trailer(r, _ModelMeta)
+    meta = r.trailer(_ModelMeta)
     if meta is None:
         raise FormatError(f"{path}: missing the model trailer")
     with format_errors(path):

@@ -2,13 +2,17 @@
 
 All on-disk formats are little-endian, use 32-bit floats for bulk payloads,
 and carry headers that fully determine the payload length so a reader can
-validate file size before parsing. In-memory computation is 64-bit.
+validate file size before parsing. In-memory computation is 64-bit. Every
+binary file (CSIT, DVEL, FEAT and the classifier's MORM) is framed the same
+way and goes through `write_framed` and `read_framed`: a struct header that
+opens with the 4-byte magic and a u32 version, the payload, then an optional
+length-prefixed JSON trailer that must end the file.
 
-Every record stored as JSON (sample metadata, pipeline config, report,
-scene) is a `JsonRecord`. Its codec maps float (a JSON int is accepted, a
-bool never), int, str, Optional, tuples, List, Dict[str, X], float64
-np.ndarray and nested dataclass or NamedTuple records; a complex field `x` is
-the two numbers `x_re` and `x_im`. An unknown key, a wrong JSON type or a
+Every record stored as JSON (sample metadata, pipeline config, manifest,
+report, scene, file trailers) is a `JsonRecord`. Its codec maps float (a JSON int is accepted, a
+bool never), int, str, Path (a string), Optional, tuples, List, Dict[str, X],
+float64 np.ndarray and nested dataclass or NamedTuple records; a complex field
+`x` is the two numbers `x_re` and `x_im`. An unknown key, a wrong JSON type or a
 missing required key is a ValueError naming the key path. Only standard JSON
 is read or written: a float is finite, so the NaN and Infinity tokens and a
 number beyond the float range are of a wrong JSON type.
@@ -22,6 +26,7 @@ import sys
 from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from functools import lru_cache
+from pathlib import Path
 from typing import Optional, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
@@ -63,6 +68,44 @@ class ByteReader:
         """A writable copy of `count` items of `dtype`."""
         dt = np.dtype(dtype)
         return np.frombuffer(self.take(dt.itemsize * count), dtype=dt).copy()
+
+    def trailer(self, record):
+        """The optional `u32 length, UTF-8 JSON object` trailer, which must end
+        the bytes, decoded as the JsonRecord type `record`; None if the bytes
+        end first."""
+        if self.pos == len(self.raw):
+            return None
+        (blob_len,) = self.unpack("<I")
+        blob = self.take(blob_len)
+        if self.pos != len(self.raw):
+            raise FormatError(f"{self.source}: {len(self.raw) - self.pos} bytes after the trailer")
+        with format_errors(self.source):  # JSONDecodeError and UnicodeDecodeError are ValueErrors
+            return record.from_json(blob.decode("utf-8"))
+
+
+def read_framed(path, header: struct.Struct, magic: bytes, version: int, name: Optional[str] = None):
+    """A ByteReader over the file `path`, past its `header`, and the header
+    fields after the magic and the version. Raises FormatError on a short
+    header, a magic other than `magic` or a version other than `version`;
+    `name` names the format in that message, its magic if None."""
+    r = ByteReader(Path(path).read_bytes(), path)
+    got_magic, got_version, *fields = r.unpack(header.format)
+    if got_magic != magic:
+        raise FormatError(f"{path}: bad magic {got_magic!r}")
+    if got_version != version:
+        raise FormatError(f"{path}: unsupported {name or magic.decode()} version {got_version}")
+    return r, fields
+
+
+def write_framed(path, header: bytes, payload: bytes, trailer: Optional[JsonRecord]) -> None:
+    """Write the packed `header`, the payload and, unless it is None, the
+    trailer record as a `u32 length, UTF-8 JSON object` trailer."""
+    with open(path, "wb") as fh:
+        fh.write(header)
+        fh.write(payload)
+        if trailer is not None:
+            blob = json.dumps(trailer.to_dict(), sort_keys=True, allow_nan=False).encode("utf-8")
+            fh.write(struct.pack("<I", len(blob)) + blob)
 
 
 @contextmanager
@@ -131,6 +174,8 @@ def _encode(value, tp):
         return None if value is None else _encode(value, get_args(tp)[0])
     if tp in (float, int, str):
         return tp(value)
+    if tp is Path:
+        return str(value)
     if tp is np.ndarray:
         return np.asarray(value, dtype=np.float64).tolist()
     if origin in (tuple, list):
@@ -151,6 +196,8 @@ def _decode(value, tp, path: str):
         return value
     if tp is float and type(value) is int and abs(value) <= sys.float_info.max:
         return float(value)  # a larger integer would raise OverflowError
+    if tp is Path and type(value) is str:
+        return Path(value)
     if origin is Union:
         return None if value is None else _decode(value, get_args(tp)[0], path)
     if type(value) is list and tp is np.ndarray:
@@ -168,7 +215,7 @@ def _decode(value, tp, path: str):
         return {k: _decode(v, get_args(tp)[1], f"{path}.{k}") for k, v in value.items()}
     if type(value) is dict and (is_dataclass(tp) or hasattr(tp, "_fields")):
         return _decode_record(value, tp, path)
-    names = {float: "a number", int: "an integer", str: "a string"}
+    names = {float: "a number", int: "an integer", str: "a string", Path: "a string"}
     want = names.get(tp, "a list" if origin in (tuple, list) or tp is np.ndarray else "an object")
     raise ValueError(f"bad {path}: expected {want}, got {value!r}")
 
@@ -413,55 +460,20 @@ def write_csit(frame: CsiFrame, path) -> None:
         frame.config.carrier_hz,
         frame.config.subcarrier_spacing_hz,
     )
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(payload.tobytes())
-        if frame.meta is not None:
-            fh.write(_json_trailer(frame.meta.to_dict()))
+    write_framed(path, header, payload.tobytes(), frame.meta)
 
 
 def read_csit(path) -> CsiFrame:
     """Inverse of write_csit. Raises FormatError on bad magic/version/truncation
     and on a header, payload or metadata trailer the constructors reject."""
-    with open(path, "rb") as fh:
-        r = ByteReader(fh.read(), path)
-    magic, version, s, n, t, fs, fc, df = r.unpack(_CSIT_HEADER.format)
-    _check_magic_version(path, CSIT_MAGIC, magic, version)
+    r, (s, n, t, fs, fc, df) = read_framed(path, _CSIT_HEADER, CSIT_MAGIC, FORMAT_VERSION)
     pairs = r.array("<f4", s * n * t * 2).reshape(s, n, t, 2).astype(np.float64)
-    meta = _read_json_trailer(r, SampleMeta)
+    meta = r.trailer(SampleMeta)
     with format_errors(path):
         config = RadioConfig(
             carrier_hz=fc, subcarrier_spacing_hz=df, n_subcarriers=n, sample_rate_hz=fs
         )
         return CsiFrame(config=config, data=pairs[..., 0] + 1j * pairs[..., 1], meta=meta)
-
-
-def _check_magic_version(path, expected: bytes, magic: bytes, version: int) -> None:
-    if magic != expected:
-        raise FormatError(f"{path}: bad magic {magic!r}")
-    if version != FORMAT_VERSION:
-        raise FormatError(f"{path}: unsupported {expected.decode()} version {version}")
-
-
-def _json_trailer(doc: dict) -> bytes:
-    blob = json.dumps(doc, sort_keys=True, allow_nan=False).encode("utf-8")
-    return struct.pack("<I", len(blob)) + blob
-
-
-def _read_json_trailer(r: ByteReader, record):
-    """The optional `u32 length, UTF-8 JSON object` trailer, which must end the
-    file, decoded as the JsonRecord type `record`; None if the file ends first."""
-    if r.pos == len(r.raw):
-        return None
-    (blob_len,) = r.unpack("<I")
-    with format_errors(r.source):  # JSONDecodeError and UnicodeDecodeError are ValueErrors
-        trailer = json.loads(r.take(blob_len).decode("utf-8"))
-    if not isinstance(trailer, dict):
-        raise FormatError(f"{r.source}: metadata trailer is not a JSON object")
-    if r.pos != len(r.raw):
-        raise FormatError(f"{r.source}: {len(r.raw) - r.pos} bytes after the trailer")
-    with format_errors(r.source):
-        return record.from_dict(trailer)
 
 
 # ---------------------------------------------------------------------------
@@ -502,27 +514,20 @@ def _write_records(path, magic: bytes, record: np.dtype, columns: tuple, trailer
     for name, column in zip(record.names, columns):
         records[name] = column
     (width,) = record[-1].shape
-    with open(path, "wb") as fh:
-        fh.write(_RECORD_HEADER.pack(magic, FORMAT_VERSION, len(records), width))
-        fh.write(records.tobytes())
-        if trailer is not None:
-            fh.write(_json_trailer(trailer.to_dict()))
+    write_framed(path, _RECORD_HEADER.pack(magic, FORMAT_VERSION, len(records), width), records.tobytes(), trailer)
 
 
 def _read_records(path, magic: bytes, record, trailer) -> tuple:
     """Inverse of _write_records: (the per-row columns in field order, the
     `trailer` record or None); `record` maps the header's width to the dtype."""
-    with open(path, "rb") as fh:
-        r = ByteReader(fh.read(), path)
-    got, version, rows, width = r.unpack(_RECORD_HEADER.format)
-    _check_magic_version(path, magic, got, version)
+    r, (rows, width) = read_framed(path, _RECORD_HEADER, magic, FORMAT_VERSION)
     with format_errors(path):  # numpy rejects a record wider than 2 GiB
         dtype = record(width)
     records = r.array(dtype, rows)
     bad = np.flatnonzero(records["gated"] > 1)
     if bad.size:
         raise FormatError(f"{path}: gated flag other than 0/1 in row {bad[0]}")
-    return [records[name] for name in dtype.names], _read_json_trailer(r, trailer)
+    return [records[name] for name in dtype.names], r.trailer(trailer)
 
 
 def write_dvel(vs: VelocitySet, path) -> None:

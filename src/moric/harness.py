@@ -6,17 +6,19 @@ Scoring has one path: `sample_logits` runs one forward pass per sample and
 `evaluate_samples` is the two in turn, and a calibration sweep computes the
 logits once and scores every draw on rows of them.
 
-`Report` and each manifest entry's `SampleMeta` are `moric.core.JsonRecord`s:
-a malformed one is a ValueError that names the bad key path."""
+`Manifest` and `Report` are `moric.core.JsonRecord`s: a malformed one is a
+ValueError that names the bad key path. A manifest is `{"entries": [{"path":
+<string>, "meta": <SampleMeta>}, ...]}`; a relative entry path is relative to
+the manifest's directory, and `Manifest.save` writes every path that way."""
 
 from __future__ import annotations
 
 import csv
-import json
+import os
 import time
 import zlib
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -34,14 +36,16 @@ def derive_seed(root: int, label: str) -> int:
 
 
 @dataclass(frozen=True)
-class ManifestEntry:
+class ManifestEntry(JsonRecord):
     path: Path
     meta: SampleMeta
 
 
 @dataclass(frozen=True)
-class Manifest:
+class Manifest(JsonRecord):
     """JSON-described experiment input: one CSIT file plus metadata per sample."""
+
+    _json_name = "manifest"
 
     entries: Tuple[ManifestEntry, ...]
 
@@ -76,30 +80,23 @@ class Manifest:
             kept.append(e)
         return Manifest(entries=tuple(kept))
 
-    @staticmethod
-    def load(path) -> "Manifest":
+    @classmethod
+    def load(cls, path) -> "Manifest":
+        """The manifest at `path`, each relative entry path joined to its directory."""
         path = Path(path)
-        doc = json.loads(path.read_text())
-        items = doc.get("entries") if isinstance(doc, dict) else None
-        if not isinstance(items, list):
-            raise ValueError(f"{path}: a manifest is an object with an 'entries' list")
-        if not items:
+        entries = tuple(replace(e, path=path.parent / e.path) for e in cls.from_json(path.read_text()).entries)
+        if not entries:
             raise ValueError(f"{path}: manifest has no entries")
-        entries = []
-        for i, item in enumerate(items):
-            if not (isinstance(item, dict) and isinstance(item.get("path"), str) and "meta" in item):
-                raise ValueError(f"{path}: manifest entry {i} needs a 'path' string and a 'meta'")
-            p = Path(item["path"])
-            if not p.is_absolute():
-                p = path.parent / p
-            if not p.exists():
-                raise ValueError(f"manifest references missing file {p}")
-            entries.append(ManifestEntry(path=p, meta=SampleMeta.from_dict(item["meta"])))
-        return Manifest(entries=tuple(entries))
+        for e in entries:
+            if not e.path.exists():
+                raise ValueError(f"manifest references missing file {e.path}")
+        return cls(entries=entries)
 
     def save(self, path) -> None:
-        doc = {"entries": [{"path": str(e.path), "meta": e.meta.to_dict()} for e in self.entries]}
-        Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True, allow_nan=False))
+        """Write the manifest, each entry path relative to the manifest's directory."""
+        path = Path(path)
+        entries = tuple(replace(e, path=Path(os.path.relpath(e.path, path.parent))) for e in self.entries)
+        path.write_text(replace(self, entries=entries).to_json())
 
 
 @dataclass(frozen=True)

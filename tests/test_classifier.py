@@ -512,6 +512,22 @@ def test_trained_and_loaded_params_are_views_of_one_buffer(tmp_path):
     assert first.read_bytes() == second.read_bytes()
 
 
+def test_trained_model_equals_the_model_its_file_holds(tmp_path):
+    # train folds the feature standardization into w1/b1 in float64 and then
+    # rounds every parameter to the f32 value a model file stores
+    rng = np.random.default_rng(47)
+    data = separable_dataset(rng, n_per_class=6)
+    cfg = TrainConfig(lr=1e-2, batch_size=8, max_epochs=5, patience=5, seed=4)
+    model = train(data, data[:4], cfg, head_hidden=8, reduced_dim=4, cls_hidden=4)
+    path = tmp_path / "model.morm"
+    save_model(model, path)
+    loaded = load_model(path)
+    for name in param_names(model.dims.n_heads):
+        assert loaded.params[name].tobytes() == model.params[name].tobytes(), name
+    for fs, _ in data:
+        assert forward(loaded, fs)[0].tobytes() == forward(model, fs)[0].tobytes()
+
+
 def _reference_init_params(dims, seed):
     """One array per parameter, drawn name by name in param_names order."""
     shapes = {}
@@ -924,7 +940,7 @@ def test_load_model_rejects_version_2_bad_counts_and_bad_trailer(tmp_path):
         ),
         "bias length": (join_model(weights, bank, {**meta, "calibration": {**meta["calibration"], "bias": [0.0]}}),
                         "calibration bias must hold 3 values"),
-        "trailer not an object": (join_model(weights, bank, [meta]), "not a JSON object"),
+        "trailer not an object": (join_model(weights, bank, [meta]), r"bad model: expected an object, got \["),
         "kernel_seed": (_with_pipeline(raw, {**doc, "kernel_seed": 22}), "differ from the bank"),
         "n_kernels": (_with_pipeline(raw, {**doc, "n_kernels": 5}), "differ from the bank"),
         "n_biases": (_with_pipeline(raw, {**doc, "n_biases": 2}), "differ from the bank"),

@@ -149,17 +149,22 @@ def test_empty_manifest_exits_2(tmp_path, capsys):
     save_model(MoricModel(dims=dims, class_labels=("a", "b"), params=init_params(dims, 0)), model)
     manifest = tmp_path / "manifest.json"
     meta = {"sample_id": "a", "subject": "s", "orientation_deg": 0, "gesture": "g", "access_point": "p"}
+    entry = {"path": str(model), "meta": meta}
     malformed = [
         ({"entries": []}, "manifest has no entries"),
-        ([], "'entries' list"),
-        ({}, "'entries' list"),
-        ({"entries": [1]}, "entry 0 needs"),
-        ({"entries": [{"meta": meta}]}, "entry 0 needs"),
-        ({"entries": [{"path": str(model)}]}, "entry 0 needs"),
-        ({"entries": [{"path": str(model), "meta": {"a": 1}}]}, "bad sample metadata"),
-        *(({"entries": [{"path": str(model), "meta": meta}]}, "bad sample metadata") for meta in COERCIBLE_METADATA),
+        ([], "bad manifest: expected an object, got []"),
+        ({}, "bad manifest: missing keys ['entries']"),
+        ({"entries": [entry], "bogus": 1}, "bad manifest: unknown keys ['bogus']"),
+        ({"entries": [entry], "bogus": float("nan")}, "bad manifest: unknown keys ['bogus']"),
+        ({"entries": float("nan")}, "bad manifest.entries: expected a list, got nan"),
+        ({"entries": [1]}, "bad manifest.entries[0]: expected an object, got 1"),
+        ({"entries": [{"meta": meta}]}, "bad manifest.entries[0]: missing keys ['path']"),
+        ({"entries": [{"path": str(model)}]}, "bad manifest.entries[0]: missing keys ['meta']"),
+        ({"entries": [{**entry, "path": 5}]}, "bad manifest.entries[0].path: expected a string, got 5"),
+        ({"entries": [{"path": str(model), "meta": {"a": 1}}]}, "bad manifest.entries[0].meta: unknown keys ['a']"),
+        *(({"entries": [{"path": str(model), "meta": meta}]}, "bad manifest.entries[0].meta") for meta in COERCIBLE_METADATA),
         ({"entries": [{"path": str(model), "meta": {**meta, "orientation_deg": float("nan")}}]},
-         "bad sample metadata.orientation_deg: expected an integer, got nan"),
+         "bad manifest.entries[0].meta.orientation_deg: expected an integer, got nan"),
     ]
     for doc, message in malformed:
         manifest.write_text(json.dumps(doc))

@@ -1,5 +1,6 @@
 import json
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -71,6 +72,24 @@ def test_manifest_round_trip_and_filters(tmp_path, corpus):
     assert {e.meta.gesture for e in only_pp.entries} == {"push_pull"}
     only_s1 = loaded.filter(orientation_deg=180).filter(access_point="sim")
     assert len(only_s1.entries) == len(loaded.entries)
+
+
+def test_relative_manifest_loads_from_another_working_directory(tmp_path, monkeypatch):
+    (tmp_path / "site").mkdir()
+    (tmp_path / "elsewhere").mkdir()
+    monkeypatch.chdir(tmp_path / "site")
+    written, _ = write_synthetic_manifest(
+        Path("corpus"), subjects=["s1"], gestures=["circle"], samples_per_class=2, radio=SMALL_RADIO, duration_s=1.0
+    )
+    # save writes each path relative to the manifest's directory
+    doc = json.loads(Path("corpus/manifest.json").read_text())
+    assert [e["path"] for e in doc["entries"]] == ["s1-circle-0.csit", "s1-circle-1.csit"]
+    monkeypatch.chdir(tmp_path / "elsewhere")
+    for path in (Path("../site/corpus/manifest.json"), tmp_path / "site/corpus/manifest.json"):
+        loaded = Manifest.load(path)
+        assert [e.meta for e in loaded.entries] == [e.meta for e in written.entries]
+        for entry, original in zip(loaded.entries, written.entries):
+            assert entry.path.read_bytes() == (tmp_path / "site" / original.path).read_bytes()
 
 
 def test_manifest_rejects_missing_file(tmp_path):
