@@ -25,14 +25,26 @@ MORM weight layout); the named arrays are views of it. Training runs in
 float32: weights, optimizer state, gradients and every matrix product, with
 only the softmax and the loss taken in float64. The returned model is float64
 holding the f32 values its file stores, and inference runs in float64.
+
+Training spreads each step over threads: the heads' forward and backward
+passes, and the AdamW update of the flat vector in contiguous parts, run on
+the calling thread and on up to min(n_heads, usable CPUs) - 1 workers of one
+module-level pool. Each part writes its own memory with the arithmetic of a
+serial step, so the trained bits do not depend on the thread count.
+Inference (`forward`, `predict`) runs on the calling thread. `train` holds
+five float32 weight vectors (weights, gradient, two moments, best checkpoint)
+and frees them before it builds the float64 model it returns.
 """
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
 import struct
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -50,6 +62,41 @@ ADAM_BLOCK = 1 << 16  # elements per optimizer block: ~256 KiB of float32 per ve
 CALIBRATE_STEPS = 500  # gradient steps of a calibration fit
 CALIBRATE_LR = 0.01  # and their step size
 CALIBRATE_DRAWS = 10  # seeded draws per samples-per-class count of a calibration sweep
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+# worker threads beside the caller's for training's per-head work: a step uses
+# min(n_heads, usable CPUs) - 1 of them; none on one CPU. An executor starts
+# its threads on first use, so importing the module starts none
+_POOL_SIZE = _usable_cpus() - 1
+_pool = ThreadPoolExecutor(max_workers=_POOL_SIZE, thread_name_prefix="moric-head") if _POOL_SIZE else None
+
+
+def _lanes(n_heads: int) -> int:
+    """Threads a training step of an n_heads model runs on, the caller's included."""
+    return min(n_heads, _POOL_SIZE + 1)
+
+
+def _in_lanes(fn: Callable[[range], object], n: int, lanes: int) -> list:
+    """fn(part) for `lanes` contiguous parts of range(n): the first part on
+    this thread, the others on the worker pool; the results in part order.
+    Each part must write memory that no other part touches: then the bits do
+    not depend on `lanes`."""
+    parts = [range(i * n // lanes, (i + 1) * n // lanes) for i in range(lanes)]
+    if lanes == 1:
+        return [fn(parts[0])]
+    # each part runs in a copy of the caller's context: numpy's error state too
+    futures = [_pool.submit(contextvars.copy_context().run, fn, part) for part in parts[1:]]
+    try:
+        first = fn(parts[0])
+    finally:
+        wait(futures)
+    return [first] + [f.result() for f in futures]
 
 
 @dataclass(frozen=True)
@@ -174,11 +221,11 @@ def _param_views(dims: ModelDims, flat: np.ndarray) -> Dict[str, np.ndarray]:
     return views
 
 
-def _init_weights(dims: ModelDims, seed: int) -> np.ndarray:
+def _init_weights(dims: ModelDims, seed: int, dtype=np.float64) -> np.ndarray:
     """Uniform fan-in initialization of the flat weight vector, drawn in
-    param_names order."""
+    param_names order in float64 and stored as `dtype`."""
     rng = np.random.default_rng(seed)
-    flat = np.empty(_weight_count(dims))
+    flat = np.empty(_weight_count(dims), dtype=dtype)
     params = _param_views(dims, flat)
     for name, p in params.items():
         bound = 1.0 / np.sqrt(params[name.replace("_b", "_w")].shape[0])
@@ -258,32 +305,36 @@ def _pack_sets(row_matrices: Sequence[np.ndarray]):
     return rows, offsets
 
 
-def _batch_forward(params, dims: ModelDims, rows: np.ndarray, offsets: np.ndarray):
-    """Forward pass over a packed batch; returns logits plus the cache needed
-    for backprop."""
+def _batch_forward(params, dims: ModelDims, rows: np.ndarray, offsets: np.ndarray, lanes: int = 1):
+    """Forward pass over a packed batch, the heads spread over `lanes`
+    threads; returns logits plus the cache needed for backprop."""
     n_sets = len(offsets) - 1
-    cache = {"rows": rows, "offsets": offsets, "heads": []}
     pooled = np.empty((n_sets, dims.n_heads * dims.reduced_dim), dtype=rows.dtype)
-    dr_idx = np.arange(dims.reduced_dim)
-    for k in range(dims.n_heads):
-        w1, b1 = params[f"head{k}_w1"], params[f"head{k}_b1"]
-        w2, b2 = params[f"head{k}_w2"], params[f"head{k}_b2"]
-        z1 = rows @ w1
-        z1 += b1
-        np.maximum(z1, 0.0, out=z1)
-        f_red = z1 @ w2 + b2  # [total_rows, Dr]
-        amax = np.empty((n_sets, dims.reduced_dim), dtype=np.int64)
-        for b in range(n_sets):
-            # first max: ties route to the lowest row
-            amax[b] = np.argmax(f_red[offsets[b] : offsets[b + 1]], axis=0)
-        amax += offsets[:-1, None]
-        pooled[:, k * dims.reduced_dim : (k + 1) * dims.reduced_dim] = f_red[amax, dr_idx]
-        cache["heads"].append({"z1": z1, "amax": amax})
+
+    def run(heads: range):
+        return [_head_forward(params, dims, k, rows, offsets, pooled) for k in heads]
+
+    heads = [c for part in _in_lanes(run, dims.n_heads, lanes) for c in part]
     h = np.maximum(pooled @ params["cls_w1"] + params["cls_b1"], 0.0)
     logits = h @ params["cls_w2"] + params["cls_b2"]
-    cache["pooled"] = pooled
-    cache["h"] = h
-    return logits, cache
+    return logits, {"rows": rows, "offsets": offsets, "heads": heads, "pooled": pooled, "h": h}
+
+
+def _head_forward(params, dims: ModelDims, k: int, rows, offsets, pooled) -> dict:
+    """Head k's shared MLP over every row and its max-pool per set, written
+    into head k's columns of `pooled`; returns the head's backprop cache."""
+    dr = dims.reduced_dim
+    z1 = rows @ params[f"head{k}_w1"]
+    z1 += params[f"head{k}_b1"]
+    np.maximum(z1, 0.0, out=z1)
+    f_red = z1 @ params[f"head{k}_w2"] + params[f"head{k}_b2"]  # [total_rows, Dr]
+    amax = np.empty((len(offsets) - 1, dr), dtype=np.int64)
+    for b in range(len(amax)):
+        # first max: ties route to the lowest row
+        amax[b] = np.argmax(f_red[offsets[b] : offsets[b + 1]], axis=0)
+    amax += offsets[:-1, None]
+    pooled[:, k * dr : (k + 1) * dr] = f_red[amax, np.arange(dr)]
+    return {"z1": z1, "amax": amax}
 
 
 def smoothed_targets(labels_idx: np.ndarray, n_classes: int, smoothing: float) -> np.ndarray:
@@ -300,20 +351,22 @@ def loss_and_grads(params, dims: ModelDims, rows, offsets, labels_idx, smoothing
     dimension (the first maximum); each head's backward pass runs over the
     rows that are an argmax of some dimension.
     """
-    loss, grad = _loss_and_flat_grad(params, dims, rows, offsets, labels_idx, smoothing)
+    grad = np.empty(_weight_count(dims), dtype=rows.dtype)
+    loss = _loss_and_flat_grad(params, dims, rows, offsets, labels_idx, smoothing, grad)
     return loss, _param_views(dims, grad)
 
 
-def _loss_and_flat_grad(params, dims: ModelDims, rows, offsets, labels_idx, smoothing: float):
-    """loss_and_grads with the gradient as the flat vector itself."""
-    logits, cache = _batch_forward(params, dims, rows, offsets)
+def _loss_and_flat_grad(params, dims: ModelDims, rows, offsets, labels_idx, smoothing: float, grad) -> float:
+    """loss_and_grads writing the gradient into the flat vector `grad`, the
+    heads' forward and backward passes spread over the training threads."""
+    lanes = _lanes(dims.n_heads)
+    logits, cache = _batch_forward(params, dims, rows, offsets, lanes)
     n = logits.shape[0]
     # float64 softmax: a float32 probability can underflow to 0 and the loss to inf
     probs = softmax(logits.astype(np.float64), axis=1)
     q = smoothed_targets(labels_idx, dims.n_classes, smoothing)
     loss = float(-np.sum(q * np.log(np.maximum(probs, 1e-300))) / n)
 
-    grad = np.empty(_weight_count(dims), dtype=rows.dtype)
     grads = _param_views(dims, grad)
     dz = ((probs - q) / n).astype(rows.dtype)
     np.matmul(cache["h"].T, dz, out=grads["cls_w2"])
@@ -323,26 +376,34 @@ def _loss_and_flat_grad(params, dims: ModelDims, rows, offsets, labels_idx, smoo
     np.matmul(cache["pooled"].T, da, out=grads["cls_w1"])
     grads["cls_b1"][...] = da.sum(axis=0)
     du = da @ params["cls_w1"].T  # [n_sets, K*Dr]
-    dr_idx = np.arange(dims.reduced_dim)
-    for k in range(dims.n_heads):
-        head = cache["heads"][k]
-        d_fmax = du[:, k * dims.reduced_dim : (k + 1) * dims.reduced_dim]
-        # only a head's argmax rows get gradient; run its backward on those
-        hit = np.zeros(rows.shape[0], dtype=bool)
-        hit[head["amax"]] = True
-        active = np.flatnonzero(hit)
-        compact = np.cumsum(hit) - 1  # row -> index among the active rows
-        d_fred = np.zeros((active.size, dims.reduced_dim), dtype=rows.dtype)
-        # each row belongs to one set, so the (row, dim) pairs are unique
-        d_fred[compact[head["amax"]], dr_idx] = d_fmax
-        z1 = head["z1"][active]
-        np.matmul(z1.T, d_fred, out=grads[f"head{k}_w2"])
-        grads[f"head{k}_b2"][...] = d_fred.sum(axis=0)
-        dz1 = d_fred @ params[f"head{k}_w2"].T
-        da1 = dz1 * (z1 > 0)
-        np.matmul(rows[active].T, da1, out=grads[f"head{k}_w1"])
-        grads[f"head{k}_b1"][...] = da1.sum(axis=0)
-    return loss, grad
+    dr = dims.reduced_dim
+
+    def backward(heads: range) -> None:
+        for k in heads:
+            _head_backward(params, dims, k, rows, cache["heads"][k], du[:, k * dr : (k + 1) * dr], grads)
+
+    _in_lanes(backward, dims.n_heads, lanes)
+    return loss
+
+
+def _head_backward(params, dims: ModelDims, k: int, rows, head: dict, d_fmax, grads) -> None:
+    """Head k's parameter gradients, written into `grads`, from the gradient
+    of its pooled outputs d_fmax [n_sets, Dr]."""
+    # only a head's argmax rows get gradient; run its backward on those
+    hit = np.zeros(rows.shape[0], dtype=bool)
+    hit[head["amax"]] = True
+    active = np.flatnonzero(hit)
+    compact = np.cumsum(hit) - 1  # row -> index among the active rows
+    d_fred = np.zeros((active.size, dims.reduced_dim), dtype=rows.dtype)
+    # each row belongs to one set, so the (row, dim) pairs are unique
+    d_fred[compact[head["amax"]], np.arange(dims.reduced_dim)] = d_fmax
+    z1 = head["z1"][active]
+    np.matmul(z1.T, d_fred, out=grads[f"head{k}_w2"])
+    grads[f"head{k}_b2"][...] = d_fred.sum(axis=0)
+    dz1 = d_fred @ params[f"head{k}_w2"].T
+    da1 = dz1 * (z1 > 0)
+    np.matmul(rows[active].T, da1, out=grads[f"head{k}_w1"])
+    grads[f"head{k}_b1"][...] = da1.sum(axis=0)
 
 
 def _batch_loss(params, dims, row_matrices, labels_idx, smoothing, batch_size=256):
@@ -350,7 +411,7 @@ def _batch_loss(params, dims, row_matrices, labels_idx, smoothing, batch_size=25
     for start in range(0, len(row_matrices), batch_size):
         chunk = row_matrices[start : start + batch_size]
         rows, offsets = _pack_sets(chunk)
-        logits, _ = _batch_forward(params, dims, rows, offsets)
+        logits, _ = _batch_forward(params, dims, rows, offsets, _lanes(dims.n_heads))
         probs = softmax(logits.astype(np.float64), axis=1)
         q = smoothed_targets(labels_idx[start : start + batch_size], dims.n_classes, smoothing)
         total += float(-np.sum(q * np.log(np.maximum(probs, 1e-300))))
@@ -407,8 +468,9 @@ def train(
     train_rows = [((_distinct_rows(fs.features) - feat_mean) / feat_scale).astype(np.float32) for fs, _ in train_set]
     val_rows = [((_distinct_rows(fs.features) - feat_mean) / feat_scale).astype(np.float32) for fs, _ in val_set]
 
-    flat = _init_weights(dims, cfg.seed).astype(np.float32)
+    flat = _init_weights(dims, cfg.seed, np.float32)
     params = _param_views(dims, flat)
+    grad = np.empty_like(flat)
     m_state = np.zeros_like(flat)
     v_state = np.zeros_like(flat)
     step = 0
@@ -423,15 +485,16 @@ def train(
         for start in range(0, len(order), cfg.batch_size):
             batch = order[start : start + cfg.batch_size]
             rows, offsets = _pack_sets([train_rows[i] for i in batch])
-            loss, grad = _loss_and_flat_grad(
-                params, dims, rows, offsets, train_labels[batch], cfg.label_smoothing
+            loss = _loss_and_flat_grad(
+                params, dims, rows, offsets, train_labels[batch], cfg.label_smoothing, grad
             )
+            del rows, offsets  # the packed batch is not kept through the validation pass
             if not np.isfinite(loss):
                 raise ValueError(
                     f"non-finite training loss at epoch {epoch}, batch starting {start}"
                 )
             step += 1
-            _adam_step(flat, grad, m_state, v_state, step, cfg)
+            _adam_step(flat, grad, m_state, v_state, step, cfg, _lanes(dims.n_heads))
 
         if val_rows:
             val_loss = _batch_loss(params, dims, val_rows, val_labels, cfg.label_smoothing)
@@ -446,16 +509,20 @@ def train(
             if stale >= cfg.patience:
                 break
 
+    # the float64 model below is the largest allocation: drop the training state first
+    del flat, params, grad, m_state, v_state, train_rows, val_rows
+    folded = best.astype(np.float64)
+    del best
+    best_params = _param_views(dims, folded)
     # fold the feature standardization into the first layer:
     # ((x - mu) / sd) @ w1 + b1  ==  x @ (w1 / sd) + (b1 - (mu / sd) @ w1)
-    folded = best.astype(np.float64)
-    best_params = _param_views(dims, folded)
     for k in range(dims.n_heads):
         w1 = best_params[f"head{k}_w1"]
         best_params[f"head{k}_b1"] -= (feat_mean / feat_scale) @ w1
         w1 /= feat_scale[:, None]
     # MORM stores f32: rounding here makes the returned model the one a file holds
-    folded[...] = folded.astype(np.float32)
+    for p in best_params.values():
+        p[...] = p.astype(np.float32)
 
     return MoricModel(
         dims=dims,
@@ -466,21 +533,28 @@ def train(
     )
 
 
-def _adam_step(flat, grad, m, v, step: int, cfg: TrainConfig) -> None:
-    """One AdamW update of the flat weights and moment vectors, in place,
-    block by block so that each block's temporaries stay in cache."""
+def _adam_step(flat, grad, m, v, step: int, cfg: TrainConfig, lanes: int) -> None:
+    """One AdamW update of the flat weights and moment vectors, in place, in
+    `lanes` contiguous parts on the training threads. The update is
+    elementwise, so the split leaves the bits alone; each part runs block by
+    block so that each block's temporaries stay in cache."""
     bc1 = 1.0 - ADAM_BETA1**step
     bc2 = 1.0 - ADAM_BETA2**step
-    for i in range(0, flat.size, ADAM_BLOCK):
-        w, g, mb, vb = (a[i : i + ADAM_BLOCK] for a in (flat, grad, m, v))
-        mb += (1 - ADAM_BETA1) * (g - mb)
-        vb += (1 - ADAM_BETA2) * (g * g - vb)
-        update = np.sqrt(vb / bc2)
-        update += ADAM_EPS
-        np.divide(mb / bc1, update, out=update)
-        update += cfg.weight_decay * w
-        update *= cfg.lr
-        w -= update
+
+    def update_part(part: range) -> None:
+        for i in range(part.start, part.stop, ADAM_BLOCK):
+            j = min(i + ADAM_BLOCK, part.stop)
+            w, g, mb, vb = (a[i:j] for a in (flat, grad, m, v))
+            mb += (1 - ADAM_BETA1) * (g - mb)
+            vb += (1 - ADAM_BETA2) * (g * g - vb)
+            update = np.sqrt(vb / bc2)
+            update += ADAM_EPS
+            np.divide(mb / bc1, update, out=update)
+            update += cfg.weight_decay * w
+            update *= cfg.lr
+            w -= update
+
+    _in_lanes(update_part, flat.size, lanes)
 
 
 # ---------------------------------------------------------------------------

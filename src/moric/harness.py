@@ -269,6 +269,7 @@ def run_loso(
     Features are extracted once and shared across folds; each fold trains on
     the remaining subjects with a stratified train/validation split and tests
     on the held-out subject. Fold order follows the sorted subject names.
+    A sample whose subject the manifest does not list is a ValueError.
     """
     t0 = time.monotonic()
     subjects = manifest.subjects()
@@ -288,6 +289,8 @@ def run_loso(
         samples = build_feature_table(manifest, pipeline_cfg, threads=threads)
     per_subject: Dict[str, List[PipelineSample]] = {s: [] for s in subjects}
     for s in samples:
+        if s.subject not in per_subject:
+            raise ValueError(f"sample {s.sample_id} has subject {s.subject!r}, which the manifest does not list {subjects}")
         per_subject[s.subject].append(s)
     for subj, items in per_subject.items():
         if not items:

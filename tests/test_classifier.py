@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from moric import classifier
 from moric.classifier import (
     Calibration,
     ModelDims,
@@ -26,6 +27,7 @@ from moric.classifier import (
     _batch_loss,
     _distinct_rows,
     _pack_sets,
+    _weight_count,
 )
 from moric.core import DopplerParams, FeatureSet, PipelineConfig
 from moric.features import build_bank
@@ -860,6 +862,51 @@ def test_model_rejects_a_bank_of_another_dimension_and_duplicate_labels(tmp_path
         with pytest.raises(FormatError, match=message) as exc:
             load_model(path)
         assert str(path) in str(exc.value)
+
+
+def test_training_bits_do_not_depend_on_the_head_pool(tmp_path, monkeypatch):
+    # the default pool spreads a step's heads and its AdamW update over the
+    # usable CPUs; with no workers every part runs on the calling thread
+    rng = np.random.default_rng(61)
+    data = separable_dataset(rng, n_per_class=6, dim=40)
+    dims = ModelDims(input_dim=40, n_heads=3, head_hidden=16, reduced_dim=8, cls_hidden=8, n_classes=3)
+    params = {k: v.astype(np.float32) for k, v in init_params(dims, 9).items()}
+    rows, offsets = _pack_sets([rng.normal(size=(int(rng.integers(1, 9)), 40)).astype(np.float32) for _ in range(6)])
+    labels = np.array([0, 1, 2, 2, 1, 0])
+
+    def outputs(path):
+        cfg = TrainConfig(lr=1e-2, batch_size=4, max_epochs=6, patience=6, seed=8, n_heads=3)
+        save_model(train(data, data[:4], cfg, head_hidden=16, reduced_dim=8, cls_hidden=8), path)
+        return path.read_bytes(), loss_and_grads(params, dims, rows, offsets, labels, 0.1)
+
+    pooled_file, (pooled_loss, pooled_grads) = outputs(tmp_path / "pooled.morm")
+    monkeypatch.setattr(classifier, "_POOL_SIZE", 0)
+    serial_file, (serial_loss, serial_grads) = outputs(tmp_path / "serial.morm")
+    assert pooled_file == serial_file
+    assert pooled_loss == serial_loss
+    for name in param_names(3):
+        assert pooled_grads[name].tobytes() == serial_grads[name].tobytes(), name
+
+
+def test_training_memory_peak_in_weight_vectors():
+    # in float32 weight vectors, train's state is the weights, the gradient,
+    # the two AdamW moments and the best checkpoint (5), plus the AdamW
+    # blocks' temporaries; the float64 model it returns (2) is built after the
+    # training state is freed. Measured tracemalloc peaks on this corpus:
+    # 5.4 (serial) and 5.5 (two threads) vectors; 8.1 while train also held a
+    # second gradient per step and folded through full float64 and float32
+    # copies with the training state alive
+    rng = np.random.default_rng(67)
+    data = separable_dataset(rng, n_per_class=4, dim=1000)
+    cfg = TrainConfig(lr=1e-2, batch_size=4, max_epochs=2, patience=2, seed=1)
+    vector_bytes = 4 * _weight_count(ModelDims(input_dim=1000))
+    tracemalloc.start()
+    try:
+        train(data, data[:2], cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 6.5 * vector_bytes, peak / vector_bytes
 
 
 def test_train_aborts_on_divergent_loss():

@@ -176,6 +176,23 @@ def test_loso_rejects_gesture_of_one_subject(corpus, corpus_samples):
         run_loso(Manifest(entries=tuple(keep)), SMALL_PIPELINE, FAST_TRAIN, samples=samples)
 
 
+def test_loso_names_a_sample_whose_subject_the_manifest_lacks(corpus, corpus_samples):
+    manifest, _ = corpus
+    stray = replace(corpus_samples[0], subject="zz")
+    with pytest.raises(ValueError, match=f"sample {stray.sample_id} has subject 'zz'"):
+        run_loso(manifest, SMALL_PIPELINE, FAST_TRAIN, samples=[stray] + corpus_samples[1:])
+
+
+def test_loso_report_does_not_depend_on_the_head_pool(corpus, corpus_samples, monkeypatch):
+    manifest, _ = corpus
+    cfg = replace(FAST_TRAIN, max_epochs=10, patience=10)
+    pooled = run_loso(manifest, SMALL_PIPELINE, cfg, samples=corpus_samples).to_dict()
+    monkeypatch.setattr(classifier, "_POOL_SIZE", 0)
+    serial = run_loso(manifest, SMALL_PIPELINE, cfg, samples=corpus_samples).to_dict()
+    pooled.pop("runtime_s"), serial.pop("runtime_s")
+    assert json.dumps(pooled, sort_keys=True) == json.dumps(serial, sort_keys=True)
+
+
 def test_loso_determinism_excluding_runtime(corpus, corpus_samples):
     manifest, _ = corpus
     r1 = run_loso(manifest, SMALL_PIPELINE, FAST_TRAIN, samples=corpus_samples)
