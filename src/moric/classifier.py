@@ -59,6 +59,7 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 ADAM_BLOCK = 1 << 16  # elements per optimizer block: ~256 KiB of float32 per vector
+LOSS_CHUNK_SETS = 256  # sets per forward pass of an epoch's validation loss
 CALIBRATE_STEPS = 500  # gradient steps of a calibration fit
 CALIBRATE_LR = 0.01  # and their step size
 CALIBRATE_DRAWS = 10  # seeded draws per samples-per-class count of a calibration sweep
@@ -149,6 +150,8 @@ class TrainConfig:
         for name in ("batch_size", "max_epochs", "patience", "n_heads"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not 0 < self.lr < math.inf:
             raise ValueError(f"lr must be finite and positive, got {self.lr}")
         for name, top in (("weight_decay", math.inf), ("label_smoothing", 1.0), ("val_fraction", 1.0)):
@@ -343,6 +346,14 @@ def smoothed_targets(labels_idx: np.ndarray, n_classes: int, smoothing: float) -
     return q
 
 
+def _smoothed_cross_entropy(logits: np.ndarray, labels_idx: np.ndarray, smoothing: float):
+    """Summed smoothed cross-entropy of logits [n, C], the float64 softmax and the targets."""
+    # float64 softmax: a float32 probability can underflow to 0 and the loss to inf
+    probs = softmax(logits.astype(np.float64), axis=1)
+    q = smoothed_targets(labels_idx, logits.shape[1], smoothing)
+    return float(-np.sum(q * np.log(np.maximum(probs, 1e-300)))), probs, q
+
+
 def loss_and_grads(params, dims: ModelDims, rows, offsets, labels_idx, smoothing: float):
     """Mean smoothed cross-entropy over the batch plus analytic gradients,
     named views of one flat vector of `rows.dtype` in param_names order.
@@ -362,10 +373,7 @@ def _loss_and_flat_grad(params, dims: ModelDims, rows, offsets, labels_idx, smoo
     lanes = _lanes(dims.n_heads)
     logits, cache = _batch_forward(params, dims, rows, offsets, lanes)
     n = logits.shape[0]
-    # float64 softmax: a float32 probability can underflow to 0 and the loss to inf
-    probs = softmax(logits.astype(np.float64), axis=1)
-    q = smoothed_targets(labels_idx, dims.n_classes, smoothing)
-    loss = float(-np.sum(q * np.log(np.maximum(probs, 1e-300))) / n)
+    total, probs, q = _smoothed_cross_entropy(logits, labels_idx, smoothing)
 
     grads = _param_views(dims, grad)
     dz = ((probs - q) / n).astype(rows.dtype)
@@ -383,7 +391,7 @@ def _loss_and_flat_grad(params, dims: ModelDims, rows, offsets, labels_idx, smoo
             _head_backward(params, dims, k, rows, cache["heads"][k], du[:, k * dr : (k + 1) * dr], grads)
 
     _in_lanes(backward, dims.n_heads, lanes)
-    return loss
+    return total / n
 
 
 def _head_backward(params, dims: ModelDims, k: int, rows, head: dict, d_fmax, grads) -> None:
@@ -406,15 +414,12 @@ def _head_backward(params, dims: ModelDims, k: int, rows, head: dict, d_fmax, gr
     grads[f"head{k}_b1"][...] = da1.sum(axis=0)
 
 
-def _batch_loss(params, dims, row_matrices, labels_idx, smoothing, batch_size=256):
+def _batch_loss(params, dims, row_matrices, labels_idx, smoothing):
     total = 0.0
-    for start in range(0, len(row_matrices), batch_size):
-        chunk = row_matrices[start : start + batch_size]
-        rows, offsets = _pack_sets(chunk)
+    for start in range(0, len(row_matrices), LOSS_CHUNK_SETS):
+        rows, offsets = _pack_sets(row_matrices[start : start + LOSS_CHUNK_SETS])
         logits, _ = _batch_forward(params, dims, rows, offsets, _lanes(dims.n_heads))
-        probs = softmax(logits.astype(np.float64), axis=1)
-        q = smoothed_targets(labels_idx[start : start + batch_size], dims.n_classes, smoothing)
-        total += float(-np.sum(q * np.log(np.maximum(probs, 1e-300))))
+        total += _smoothed_cross_entropy(logits, labels_idx[start : start + LOSS_CHUNK_SETS], smoothing)[0]
     return total / len(row_matrices)
 
 

@@ -125,8 +125,8 @@ def cmd_train(args) -> int:
     tcfg = _train_config(args)
     bank = harness.kernel_bank(manifest, pcfg)
     samples = harness.featurize_manifest(manifest, pcfg, bank, threads=args.threads)
-    model, tr_idx = harness.train_on_split(samples, tcfg, "split", kernel_bank=bank)
-    model = replace(model, pipeline=pcfg)
+    model, tr_idx = harness.train_on_split(samples, tcfg, "split")
+    model = replace(model, kernel_bank=bank, pipeline=pcfg)
     classifier.save_model(model, args.out)
     acc, _ = harness.evaluate_samples(model, [samples[i] for i in tr_idx])
     print(f"wrote {args.out}: train accuracy {acc:.3f} over {len(tr_idx)} samples")
@@ -145,6 +145,8 @@ def _model_feature_table(model: classifier.MoricModel, args):
 
 def cmd_eval(args) -> int:
     model = classifier.load_model(args.model)
+    if args.calibrated and model.calibration is None:
+        raise ValueError(f"--calibrated: {args.model} carries no calibration; fit one with `moric calibrate`")
     samples = _model_feature_table(model, args)
     acc, counts = harness.evaluate_samples(model, samples, use_calibration=args.calibrated)
     print(f"accuracy {acc:.4f} over {len(samples)} samples")
@@ -171,6 +173,8 @@ def cmd_calibrate(args) -> int:
     model = classifier.load_model(args.model)
     if args.sweep:  # a non-integer count is a ValueError too, so exits 2
         counts = harness.check_sweep_args([int(x) for x in args.sweep.split(",")], args.draws)
+        if (args.steps, args.lr) != (classifier.CALIBRATE_STEPS, classifier.CALIBRATE_LR):
+            raise ValueError(f"--steps and --lr set a fit only, not a sweep: got --steps {args.steps} --lr {args.lr}")
     elif not args.out:
         raise ValueError("--out is required when fitting a calibration")
     else:
@@ -296,6 +300,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.seed < 0:  # before any command reads a file
+            raise ValueError(f"seed must be >= 0, got {args.seed}")
         return args.func(args)
     except (FormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -301,6 +301,8 @@ class PipelineConfig(JsonRecord):
     def __post_init__(self):
         if not np.isfinite(self.snr_threshold_db):
             raise ValueError(f"snr_threshold_db must be finite, got {self.snr_threshold_db}")
+        if self.kernel_seed < 0:
+            raise ValueError(f"kernel_seed must be >= 0, got {self.kernel_seed}")
 
 
 @dataclass(frozen=True)

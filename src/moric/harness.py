@@ -190,12 +190,12 @@ def stratified_split(labels: Sequence[str], val_fraction: float, seed: int):
     return sorted(train_idx), sorted(val_idx)
 
 
-def train_on_split(samples: Sequence[PipelineSample], cfg: TrainConfig, split: str, kernel_bank=None):
+def train_on_split(samples: Sequence[PipelineSample], cfg: TrainConfig, split: str):
     """classifier.train on a stratified train/validation split of the samples,
     seeded by the label `split`; returns the model and the training indices."""
     tr_idx, va_idx = stratified_split([s.label for s in samples], cfg.val_fraction, derive_seed(cfg.seed, split))
     items = [[(samples[i].feature_set, samples[i].label) for i in idx] for idx in (tr_idx, va_idx)]
-    return classifier.train(*items, cfg, kernel_bank=kernel_bank), tr_idx
+    return classifier.train(*items, cfg), tr_idx
 
 
 @dataclass

@@ -54,8 +54,6 @@ def compensate_phase(frame: CsiFrame) -> CsiFrame:
     and the fitted line is subtracted. Magnitudes pass through unchanged.
     """
     n = frame.config.n_subcarriers
-    if n < 2:
-        raise ValueError("phase compensation needs at least 2 subcarriers")
     data = frame.data
     theta = unwrap_phase(np.angle(data), axis=1)  # [S, N, T]
     k = np.arange(1, n + 1, dtype=np.float64)[None, :, None]

@@ -173,9 +173,9 @@ class NoiseParams(JsonRecord):
 
 @dataclass(frozen=True)
 class Scene(JsonRecord):
-    """Full simulation description: geometry, point motion, clusters, static
-    paths, impairments, radio configuration, and capture length. `to_json`
-    writes every field; a scene file may omit any field with a default."""
+    """Full simulation description: point motion, clusters, static paths,
+    impairments, radio configuration, and capture length. `to_json` writes
+    every field; a scene file may omit any field with a default."""
 
     _json_name = "scene"
 
@@ -184,18 +184,13 @@ class Scene(JsonRecord):
     trajectory: Trajectory
     duration_s: float
     frame_rate_hz: float
-    tx_pos: Tuple[float, float, float] = (0.0, 0.0, 0.0)
-    rx_pos: Tuple[float, float, float] = (3.0, 0.0, 0.0)
-    reflectors: Tuple[Tuple[float, float, float], ...] = ()
     clusters: Tuple[ScatterCluster, ...] = ()
     static_paths: Tuple[StaticPath, ...] = ()
     noise: NoiseParams = field(default_factory=NoiseParams)
     n_streams: int = 1
 
     def __post_init__(self):
-        for name in ("point_start", "tx_pos", "rx_pos"):
-            object.__setattr__(self, name, _vec3(getattr(self, name), name))
-        object.__setattr__(self, "reflectors", tuple(_vec3(r, "reflector") for r in self.reflectors))
+        object.__setattr__(self, "point_start", _vec3(self.point_start, "point_start"))
         object.__setattr__(self, "clusters", tuple(self.clusters))
         object.__setattr__(
             self, "static_paths", tuple(StaticPath(float(d), complex(g)) for d, g in self.static_paths)
@@ -218,14 +213,11 @@ class Scene(JsonRecord):
 class GroundTruth:
     """Per-cluster truth emitted next to the synthetic CSI."""
 
-    times_s: np.ndarray
     cluster_mean_directions: np.ndarray  # [cluster, 3]
     cluster_concentrations: np.ndarray
     cluster_delays_s: np.ndarray
     cluster_delay_bins: np.ndarray
     projected_velocity: np.ndarray  # [cluster, T] = v(s) . m_i
-    point_positions: np.ndarray  # [T, 3]
-    point_velocities: np.ndarray  # [T, 3]
 
 
 # ---------------------------------------------------------------------------
@@ -387,8 +379,7 @@ def synthesize_csi(scene: Scene, seed: int):
     rng_sto = np.random.default_rng([int(seed), 0x570])
     rng_awgn = np.random.default_rng([int(seed), 0xA3A3])
 
-    offsets, velocities = scene.trajectory.sample(times)
-    positions = scene.point_start + offsets
+    _, velocities = scene.trajectory.sample(times)
 
     n_idx = np.arange(n_sub)
 
@@ -434,7 +425,6 @@ def synthesize_csi(scene: Scene, seed: int):
         )
 
     truth = GroundTruth(
-        times_s=times,
         cluster_mean_directions=np.array([c.mean_direction for c in scene.clusters]).reshape(-1, 3),
         cluster_concentrations=np.array([c.concentration for c in scene.clusters]),
         cluster_delays_s=np.array([c.delay_s for c in scene.clusters]),
@@ -442,7 +432,5 @@ def synthesize_csi(scene: Scene, seed: int):
             [int(round(c.delay_s * n_sub * df)) for c in scene.clusters], dtype=np.int64
         ),
         projected_velocity=projected,
-        point_positions=positions,
-        point_velocities=velocities,
     )
     return CsiFrame(config=radio, data=data), truth

@@ -600,6 +600,7 @@ def test_train_config_rejects_bad_values_and_carries_the_head_count():
         ({"batch_size": 0}, "batch_size must be >= 1"),
         ({"max_epochs": 0}, "max_epochs must be >= 1"),
         ({"patience": 0}, "patience must be >= 1"),
+        ({"seed": -1}, "seed must be >= 0, got -1"),
     ):
         with pytest.raises(ValueError, match=message):
             TrainConfig(**kwargs)

@@ -533,6 +533,7 @@ def test_bad_or_incomplete_model_file_exits_3(tmp_path, capsys, flagged_model):
                         "bad model.pipeline: missing keys ['n_biases']"),
         "unknown key": (with_pipeline({**doc, "normalize": True}), "bad model.pipeline: unknown keys ['normalize']"),
         "kernel_seed": (with_pipeline({**doc, "kernel_seed": 7}), "differ from the bank"),
+        "negative kernel_seed": (with_pipeline({**doc, "kernel_seed": -3}), "kernel_seed must be >= 0, got -3"),
         "n_kernels": (with_pipeline({**doc, "n_kernels": 21}), "differ from the bank"),
         "n_biases": (with_pipeline({**doc, "n_biases": 3}), "differ from the bank"),
     }
@@ -581,6 +582,17 @@ def test_model_with_a_foreign_bank_or_duplicate_labels_exits_3(tmp_path, capsys,
     assert featurized == []
 
 
+def test_eval_calibrated_without_a_calibration_exits_2_before_featurizing(capsys, flagged_model, monkeypatch):
+    from moric import harness
+
+    model_path, manifest_path, _ = flagged_model
+    featurized = []
+    monkeypatch.setattr(harness, "featurize_manifest", lambda *args, **kw: featurized.append(args))
+    assert main(["eval", "--model", str(model_path), "--manifest", str(manifest_path), "--calibrated"]) == 2
+    assert f"--calibrated: {model_path} carries no calibration" in capsys.readouterr().err
+    assert featurized == []
+
+
 def test_capture_of_no_streams_exits_3(tmp_path, capsys, flagged_model):
     model_path, _, _ = flagged_model
     empty = tmp_path / "empty.csit"
@@ -598,6 +610,10 @@ def test_bad_training_and_pipeline_values_exit_2_before_featurizing(tmp_path, ca
     featurized = []
     monkeypatch.setattr(harness, "featurize_manifest", lambda *args, **kw: featurized.append(args))
     _, manifest_path, _ = flagged_model
+    commands = (
+        ["train", "--manifest", str(manifest_path), "--out", str(tmp_path / "out.morm")],
+        ["loso", "--manifest", str(manifest_path), "--report", str(tmp_path / "r")],
+    )
     for flags, message in (
         (["--snr-db", "nan"], "snr_threshold_db must be finite, got nan"),
         (["--snr-db=-inf"], "snr_threshold_db must be finite, got -inf"),
@@ -607,13 +623,16 @@ def test_bad_training_and_pipeline_values_exit_2_before_featurizing(tmp_path, ca
         (["--lr", "nan"], "lr must be finite and positive, got nan"),
         (["--weight-decay", "inf"], "weight_decay must lie in [0, inf), got inf"),
         (["--heads", "0"], "n_heads must be >= 1, got 0"),
+        (["--kernel-seed", "-3"], "kernel_seed must be >= 0, got -3"),
     ):
-        for argv in (
-            ["train", "--manifest", str(manifest_path), "--out", str(tmp_path / "out.morm")],
-            ["loso", "--manifest", str(manifest_path), "--report", str(tmp_path / "r")],
-        ):
+        for argv in commands:
             assert main(argv + flags) == 2, (argv[0], flags)
             assert message in capsys.readouterr().err, (argv[0], flags)
+    # the root --seed; simulate checks it before it reads the scene
+    simulate = ["simulate", "--scene", str(tmp_path / "absent.json"), "--out", str(tmp_path / "x.csit")]
+    for argv in commands + (simulate,):
+        assert main(["--seed", "-1"] + argv) == 2, argv[0]
+        assert "seed must be >= 0, got -1" in capsys.readouterr().err, argv[0]
     assert featurized == []
     assert not (tmp_path / "out.morm").exists() and not (tmp_path / "r").exists()
 
@@ -694,11 +713,15 @@ def test_calibrate_rejects_bad_sweep_and_fit_arguments(tmp_path, capsys, flagged
         (out + ["--steps", "0"], "steps must be >= 1"),
         (out + ["--lr", "0"], "lr must be finite and positive"),
         (out + ["--lr", "nan"], "lr must be finite and positive"),
+        (["--sweep", "1", "--steps", "0"], "--steps and --lr set a fit only, not a sweep: got --steps 0 --lr 0.01"),
+        (["--sweep", "1", "--lr", "nan"], "got --steps 500 --lr nan"),
     ):
         assert main(base + extra) == 2, extra
         captured = capsys.readouterr()
         assert message in captured.err, extra
         assert "NaN" not in captured.out, extra
+    assert main(["--seed", "-1"] + base + ["--sweep", "1"]) == 2  # the root --seed precedes the command
+    assert "seed must be >= 0, got -1" in capsys.readouterr().err
     assert not (tmp_path / "cal.morm").exists()
     assert featurized == []  # every argument is checked before the manifest is featurized
 
@@ -759,6 +782,9 @@ def test_malformed_scene_exits_2(tmp_path, scene_file, capsys):
         ([1], "bad scene: expected an object"),
         ({**doc, "trajectory": {**doc["trajectory"], "bogus": 1}}, "bad scene.trajectory: unknown keys ['bogus']"),
         ({**doc, "bogus": 1}, "bad scene: unknown keys ['bogus']"),
+        ({**doc, "tx_pos": [0.0, 0.0, 0.0]}, "bad scene: unknown keys ['tx_pos']"),
+        ({**doc, "rx_pos": [3.0, 0.0, 0.0]}, "bad scene: unknown keys ['rx_pos']"),
+        ({**doc, "reflectors": []}, "bad scene: unknown keys ['reflectors']"),
         ({**doc, "duration_s": "1"}, "bad scene.duration_s: expected a number, got '1'"),
         ({**doc, "n_streams": 1.5}, "bad scene.n_streams: expected an integer, got 1.5"),
         ({**doc, "duration_s": 10**400}, "bad scene.duration_s: expected a number"),  # beyond float range
@@ -790,7 +816,6 @@ def test_readme_scene_simulates(tmp_path):
     path = tmp_path / "scene.json"
     path.write_text(_readme_scene())
     scene = Scene.from_json(path.read_text())
-    assert "tx_pos" not in json.loads(path.read_text())  # the README omits defaulted keys
     assert main(["simulate", "--scene", str(path), "--out", str(tmp_path / "x.csit")]) == 0
     frame = read_csit(tmp_path / "x.csit")
     assert frame.data.shape == (scene.n_streams, scene.radio.n_subcarriers, 500)

@@ -440,6 +440,7 @@ def test_pipeline_config_dict_round_trip_and_rejections():
         "rejected by DopplerParams": {**doc, "doppler": {**doc["doppler"], "hop": 0}},
         "NaN threshold": {**doc, "snr_threshold_db": float("nan")},
         "infinite threshold": {**doc, "snr_threshold_db": float("inf")},
+        "negative kernel_seed": {**doc, "kernel_seed": -1},
     }
     for name, value in bad.items():
         with pytest.raises(ValueError):

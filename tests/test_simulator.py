@@ -311,7 +311,8 @@ def test_scene_json_round_trip(radio):
 def _codec_scenes():
     """A constant-velocity scene with every optional part set, and a gesture
     scene, each with the JSON text that the scene codec wrote before it
-    became annotation-driven (whitespace collapsed)."""
+    became annotation-driven (whitespace collapsed, keys the scene no longer
+    has dropped)."""
     radio = RadioConfig(carrier_hz=5.0e9, subcarrier_spacing_hz=312500.0, n_subcarriers=16, sample_rate_hz=200.0)
     constant = Scene(
         radio=radio,
@@ -319,9 +320,6 @@ def _codec_scenes():
         trajectory=Trajectory(kind="constant_velocity", velocity=(0.25, -0.5, 0.125)),
         duration_s=0.5,
         frame_rate_hz=200.0,
-        tx_pos=(0.0, 0.5, 1.0),
-        rx_pos=(4.0, 0.0, 1.5),
-        reflectors=((2.0, 3.0, 0.0), (1.0, -1.0, 2.5)),
         clusters=(
             ScatterCluster(
                 mean_direction=(0.0, 1.0, 0.0), concentration=100.0, n_scatterers=16, delay_s=2e-7, gain=0.5 - 0.25j
@@ -345,10 +343,8 @@ def _codec_scenes():
     "beamforming": [[0.5, 0.25], [1.0, 0.0]], "csd_delay_s": [0.0, 5e-08], "sfo_ratio": 1.00000002,
     "sto_walk_std_s": 1e-09}, "point_start": [1.0, 2.0, 0.5], "radio": {"carrier_hz": 5000000000.0,
     "n_subcarriers": 16, "sample_rate_hz": 200.0, "subcarrier_spacing_hz": 312500.0},
-    "reflectors": [[2.0, 3.0, 0.0], [1.0, -1.0, 2.5]], "rx_pos": [4.0, 0.0, 1.5],
     "static_paths": [{"delay_s": 0.0, "gain_im": 0.0, "gain_re": 1.0}, {"delay_s": 1e-07, "gain_im": 0.75,
-    "gain_re": -0.5}], "trajectory": {"kind": "constant_velocity", "velocity": [0.25, -0.5, 0.125]},
-    "tx_pos": [0.0, 0.5, 1.0]}"""
+    "gain_re": -0.5}], "trajectory": {"kind": "constant_velocity", "velocity": [0.25, -0.5, 0.125]}}"""
     gesture = Scene(
         radio=radio,
         point_start=(1.0, 1.5, 1.0),
@@ -371,10 +367,10 @@ def _codec_scenes():
     "mean_direction": [0.0, 0.0, 1.0], "n_scatterers": 12}], "duration_s": 0.5, "frame_rate_hz": 200.0,
     "n_streams": 1, "noise": {"awgn_snr_db": 30.0, "beamforming": null, "csd_delay_s": [], "sfo_ratio": 1.0,
     "sto_walk_std_s": 0.0}, "point_start": [1.0, 1.5, 1.0], "radio": {"carrier_hz": 5000000000.0,
-    "n_subcarriers": 16, "sample_rate_hz": 200.0, "subcarrier_spacing_hz": 312500.0}, "reflectors": [],
-    "rx_pos": [3.0, 0.0, 0.0], "static_paths": [], "trajectory": {"active_duration_s": 0.3,
+    "n_subcarriers": 16, "sample_rate_hz": 200.0, "subcarrier_spacing_hz": 312500.0},
+    "static_paths": [], "trajectory": {"active_duration_s": 0.3,
     "active_start_s": 0.1, "amplitude_m": 0.1, "gesture": "push_pull", "kind": "gesture",
-    "orientation_deg": 30.0, "period_s": 0.8, "phase_deg": 45.0}, "tx_pos": [0.0, 0.0, 0.0]}"""
+    "orientation_deg": 30.0, "period_s": 0.8, "phase_deg": 45.0}}"""
     return (constant, constant_text), (gesture, gesture_text)
 
 
@@ -423,7 +419,10 @@ def test_scene_json_rejects_malformed_documents():
     # tests/test_cli.py runs the malformed scenes that crashed `moric simulate`
     bad = {
         "bool for float": ({**doc, "frame_rate_hz": True}, "bad scene.frame_rate_hz: expected a number"),
-        "numeric string in a vector": ({**doc, "tx_pos": ["0", 0, 0]}, "bad scene.tx_pos[0]: expected a number"),
+        "numeric string in a vector": (
+            {**doc, "point_start": ["0", 0, 0]},
+            "bad scene.point_start[0]: expected a number",
+        ),
         "2-vector": ({**doc, "point_start": [1.0, 2.0]}, "bad scene.point_start: expected 3 items"),
         "static path without gain_im": (
             {**doc, "static_paths": [{"delay_s": 0.0, "gain_re": 1.0}]},
@@ -442,7 +441,7 @@ def test_scene_json_rejects_malformed_documents():
         assert message in str(exc.value), name
     # an absent key takes the field default, except where the field has none
     minimal = {k: doc[k] for k in ("radio", "point_start", "trajectory", "duration_s", "frame_rate_hz")}
-    assert Scene.from_dict(minimal).rx_pos == (3.0, 0.0, 0.0)
+    assert Scene.from_dict(minimal).noise == NoiseParams()
     assert Scene.from_dict({**doc, "clusters": [{k: v for k, v in cluster.items() if k != "gain_im"}]}).clusters[
         0
     ].gain == complex(cluster["gain_re"], 0.0)
