@@ -10,10 +10,8 @@ from .core import (
     VelocitySet,
     read_csit,
     read_dvel,
-    read_feat,
     write_csit,
     write_dvel,
-    write_feat,
 )
 from .classifier import Calibration, MoricModel, TrainConfig, calibrate, forward, predict, train
 from .delay_doppler import decompose, extract_velocity_set
@@ -47,12 +45,10 @@ __all__ = [
     "predict",
     "read_csit",
     "read_dvel",
-    "read_feat",
     "run_calibration_sweep",
     "run_loso",
     "synthesize_csi",
     "train",
     "write_csit",
     "write_dvel",
-    "write_feat",
 ]

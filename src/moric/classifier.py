@@ -15,7 +15,7 @@ logits of a handful of held-out samples; `calibrate` fits many draws of them
 as one batched descent.
 
 A model file (MORM, version 4) goes through `core.write_framed` and
-`core.read_framed` like CSIT, DVEL and FEAT: a header that sizes the payload,
+`core.read_framed` like CSIT and DVEL: a header that sizes the payload,
 the f32 weights and the kernel bank, then a JSON trailer holding the dims,
 class labels, seed, calibration and the `PipelineConfig` that made the
 features.

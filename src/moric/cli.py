@@ -1,7 +1,7 @@
 """Command-line pipeline driver.
 
-Subcommands cover every stage file-to-file (simulate, sanitize, decompose,
-features), model lifecycle (train, eval, calibrate), and full experiments
+Subcommands cover the front-end stages file-to-file (simulate, sanitize,
+decompose), model lifecycle (train, eval, calibrate), and full experiments
 (loso, report). `train` and `loso` take the pipeline flags; `eval` and
 `calibrate` featurize with the pipeline and kernel bank stored in the model.
 Exit codes: 0 success, 2 validation error, 3 I/O or format error.
@@ -16,10 +16,9 @@ from dataclasses import replace
 from pathlib import Path
 
 
-from . import classifier, features, harness, sanitize, simulator
+from . import classifier, harness, sanitize, simulator
 from .classifier import TrainConfig
-from .core import DopplerParams, FormatError, PipelineConfig, read_csit, read_dvel
-from .core import write_csit, write_dvel, write_feat
+from .core import DopplerParams, FormatError, PipelineConfig, read_csit, write_csit, write_dvel
 from .delay_doppler import extract_velocity_set
 from .harness import Manifest, Report, derive_seed
 
@@ -35,7 +34,8 @@ def _doppler_params(args) -> DopplerParams:
     return DopplerParams(window_len=args.window, hop=args.hop, fft_pad=args.pad)
 
 
-def _add_bank_args(p: argparse.ArgumentParser) -> None:
+def _add_pipeline_args(p: argparse.ArgumentParser) -> None:
+    _add_doppler_args(p)
     p.add_argument("--kernel-seed", type=int, default=PipelineConfig.kernel_seed, help="kernel bank seed")
     p.add_argument("--kernels", type=int, default=PipelineConfig.n_kernels, help="number of random kernels")
     p.add_argument("--biases", type=int, default=PipelineConfig.n_biases, help="PPV biases per kernel")
@@ -98,24 +98,10 @@ def cmd_sanitize(args) -> int:
 
 def cmd_decompose(args) -> int:
     frame = read_csit(args.infile)
-    vs = extract_velocity_set(
-        frame,
-        params=_doppler_params(args),
-        snr_threshold_db=args.snr_db,
-        apply_normalize=not args.no_normalize,
-    )
+    vs = extract_velocity_set(frame, params=_doppler_params(args), snr_threshold_db=args.snr_db)
     write_dvel(vs, args.out)
     gated = int(vs.gated.sum())
     print(f"wrote {args.out}: {len(vs)} rows ({len(vs) - gated} kept, {gated} gated)")
-    return 0
-
-
-def cmd_features(args) -> int:
-    vs = read_dvel(args.infile)
-    bank = features.build_bank(args.kernel_seed, args.kernels, args.biases, vs.n_time)
-    fset = harness.featurize_velocity_set(vs, bank, label=args.label)
-    write_feat(fset, args.out)
-    print(f"wrote {args.out}: {fset.n_rows} rows x {fset.dim} features")
     return 0
 
 
@@ -135,8 +121,10 @@ def cmd_train(args) -> int:
 
 def _model_feature_table(model: classifier.MoricModel, args):
     """The manifest featurized by the pipeline and kernel bank stored in the
-    model; a model without either is a FormatError."""
+    model; a model without either is a FormatError, and a gesture that is not
+    one of its classes a ValueError, both raised before any capture is read."""
     manifest = Manifest.load(args.manifest)
+    classifier.label_indices(model, manifest.gestures())
     for what, value in (("kernel bank", model.kernel_bank), ("pipeline config", model.pipeline)):
         if value is None:
             raise FormatError(f"{args.model}: the model carries no {what}; train it with `moric train`")
@@ -245,21 +233,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
     _add_doppler_args(p)
-    p.add_argument("--no-normalize", action="store_true")
     p.set_defaults(func=cmd_decompose)
-
-    p = sub.add_parser("features", help="random-kernel features for a velocity set")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--out", required=True)
-    _add_bank_args(p)
-    p.add_argument("--label", help="optional class label stored with the features")
-    p.set_defaults(func=cmd_features)
 
     p = sub.add_parser("train", help="train a classifier from a manifest")
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True)
-    _add_doppler_args(p)
-    _add_bank_args(p)
+    _add_pipeline_args(p)
     _add_train_args(p)
     p.set_defaults(func=cmd_train)
 
@@ -283,8 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("loso", help="leave-one-subject-out evaluation")
     p.add_argument("--manifest", required=True)
     p.add_argument("--report", required=True, help="report output directory")
-    _add_doppler_args(p)
-    _add_bank_args(p)
+    _add_pipeline_args(p)
     _add_train_args(p)
     p.set_defaults(func=cmd_loso)
 

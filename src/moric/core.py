@@ -3,7 +3,7 @@
 All on-disk formats are little-endian, use 32-bit floats for bulk payloads,
 and carry headers that fully determine the payload length so a reader can
 validate file size before parsing. In-memory computation is 64-bit. Every
-binary file (CSIT, DVEL, FEAT and the classifier's MORM) is framed the same
+binary file (CSIT, DVEL and the classifier's MORM) is framed the same
 way and goes through `write_framed` and `read_framed`: a struct header that
 opens with the 4-byte magic and a u32 version, the payload, then an optional
 length-prefixed JSON trailer that must end the file.
@@ -37,7 +37,6 @@ CANONICAL_GESTURES = ("circle", "left_right", "up_down", "push_pull")
 
 CSIT_MAGIC = b"CSIT"
 DVEL_MAGIC = b"DVEL"
-FEAT_MAGIC = b"FEAT"
 FORMAT_VERSION = 1
 
 
@@ -479,13 +478,13 @@ def read_csit(path) -> CsiFrame:
 
 
 # ---------------------------------------------------------------------------
-# DVEL and FEAT: fixed-size records
+# DVEL format
 # ---------------------------------------------------------------------------
-# Both are a header (magic, u32 version, u32 rows, u32 width) followed by one
-# packed record per row, whose last field holds `width` f32 values, then the
-# optional JSON trailer: the source sample id of a DVEL, the label of a FEAT.
+# A header (magic, u32 version, u32 rows, u32 length T) followed by one packed
+# record per row, whose last field holds the T f32 values, then the optional
+# JSON trailer holding the source sample id.
 
-_RECORD_HEADER = struct.Struct("<4sIII")
+_DVEL_HEADER = struct.Struct("<4sIII")
 
 
 @dataclass(frozen=True)
@@ -494,73 +493,40 @@ class _DvelTrailer(JsonRecord):
     source: str
 
 
-@dataclass(frozen=True)
-class _FeatTrailer(JsonRecord):
-    _json_name = "FEAT trailer"
-    label: str
-
-
 def _dvel_record(n_time: int) -> np.dtype:
     return np.dtype(
         [("bin", "<u4"), ("stream", "<u4"), ("snr", "<f4"), ("gated", "u1"), ("values", "<f4", (n_time,))]
     )
 
 
-def _feat_record(dim: int) -> np.dtype:
-    return np.dtype([("bin", "<u4"), ("stream", "<u4"), ("gated", "u1"), ("features", "<f4", (dim,))])
-
-
-def _write_records(path, magic: bytes, record: np.dtype, columns: tuple, trailer: Optional[JsonRecord]):
-    """Write one record per row; `columns` are the per-row arrays in field order."""
-    records = np.empty(len(columns[0]), dtype=record)
-    for name, column in zip(record.names, columns):
+def write_dvel(vs: VelocitySet, path) -> None:
+    """Write a VelocitySet: DVEL header, one packed record per row, and the
+    source sample id as the trailer unless it is empty."""
+    records = np.empty(len(vs), dtype=_dvel_record(vs.n_time))
+    for name, column in zip(records.dtype.names, (vs.delay_bins, vs.streams, vs.snr_db, vs.gated, vs.values)):
         records[name] = column
-    (width,) = record[-1].shape
-    write_framed(path, _RECORD_HEADER.pack(magic, FORMAT_VERSION, len(records), width), records.tobytes(), trailer)
+    header = _DVEL_HEADER.pack(DVEL_MAGIC, FORMAT_VERSION, len(vs), vs.n_time)
+    write_framed(path, header, records.tobytes(), _DvelTrailer(vs.source) if vs.source else None)
 
 
-def _read_records(path, magic: bytes, record, trailer) -> tuple:
-    """Inverse of _write_records: (the per-row columns in field order, the
-    `trailer` record or None); `record` maps the header's width to the dtype."""
-    r, (rows, width) = read_framed(path, _RECORD_HEADER, magic, FORMAT_VERSION)
+def read_dvel(path) -> VelocitySet:
+    """Inverse of write_dvel. Raises FormatError on bad magic/version/truncation,
+    a gated flag other than 0/1, a trailer other than {"source": <string>} and
+    rows the VelocitySet constructor rejects."""
+    r, (rows, n_time) = read_framed(path, _DVEL_HEADER, DVEL_MAGIC, FORMAT_VERSION)
     with format_errors(path):  # numpy rejects a record wider than 2 GiB
-        dtype = record(width)
+        dtype = _dvel_record(n_time)
     records = r.array(dtype, rows)
     bad = np.flatnonzero(records["gated"] > 1)
     if bad.size:
         raise FormatError(f"{path}: gated flag other than 0/1 in row {bad[0]}")
-    return [records[name] for name in dtype.names], r.trailer(trailer)
-
-
-def write_dvel(vs: VelocitySet, path) -> None:
-    columns = (vs.delay_bins, vs.streams, vs.snr_db, vs.gated, vs.values)
-    trailer = _DvelTrailer(vs.source) if vs.source else None
-    _write_records(path, DVEL_MAGIC, _dvel_record(vs.n_time), columns, trailer)
-
-
-def read_dvel(path) -> VelocitySet:
-    (bins, streams, snr_db, gated, values), trailer = _read_records(path, DVEL_MAGIC, _dvel_record, _DvelTrailer)
+    trailer = r.trailer(_DvelTrailer)
     with format_errors(path):
         return VelocitySet(
-            values=values,
-            delay_bins=bins,
-            streams=streams,
-            snr_db=snr_db,
-            gated=gated,
+            values=records["values"],
+            delay_bins=records["bin"],
+            streams=records["stream"],
+            snr_db=records["snr"],
+            gated=records["gated"],
             source=trailer.source if trailer else "",
-        )
-
-
-def write_feat(fs: FeatureSet, path) -> None:
-    columns = (fs.delay_bins, fs.streams, fs.gated, fs.features)
-    trailer = _FeatTrailer(fs.label) if fs.label is not None else None
-    _write_records(path, FEAT_MAGIC, _feat_record(fs.dim), columns, trailer)
-
-
-def read_feat(path) -> FeatureSet:
-    (bins, streams, gated, features), trailer = _read_records(path, FEAT_MAGIC, _feat_record, _FeatTrailer)
-    label = trailer.label if trailer else None
-    with format_errors(path):
-        return FeatureSet(
-            features=features, delay_bins=bins, streams=streams, gated=gated, label=label
         )

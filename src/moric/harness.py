@@ -175,7 +175,9 @@ def featurize_manifest(
 
 
 def stratified_split(labels: Sequence[str], val_fraction: float, seed: int):
-    """Per-class random split into train/validation index lists."""
+    """Per-class random split into train/validation index lists. A class of
+    two or more samples gives validation at least one of them unless
+    `val_fraction` is 0, which holds nothing out."""
     rng = np.random.default_rng(seed)
     by_class: Dict[str, list] = {}
     for i, lbl in enumerate(labels):
@@ -184,7 +186,7 @@ def stratified_split(labels: Sequence[str], val_fraction: float, seed: int):
     for lbl in sorted(by_class):
         idx = np.array(by_class[lbl])
         rng.shuffle(idx)
-        n_val = max(1, int(round(val_fraction * len(idx)))) if len(idx) > 1 else 0
+        n_val = max(1, int(round(val_fraction * len(idx)))) if len(idx) > 1 and val_fraction > 0 else 0
         val_idx.extend(idx[:n_val].tolist())
         train_idx.extend(idx[n_val:].tolist())
     return sorted(train_idx), sorted(val_idx)

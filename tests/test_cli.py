@@ -1,3 +1,4 @@
+import argparse
 import json
 import re
 import struct
@@ -6,8 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from moric.cli import main
-from moric.core import read_csit, read_dvel, read_feat
+from moric.cli import build_parser, main
+from moric.core import DopplerParams, read_csit, read_dvel, write_csit, write_dvel
+from moric.delay_doppler import extract_velocity_set
+from moric.sanitize import sanitize_frame
 from moric.simulator import Scene
 
 from conftest import (
@@ -34,29 +37,24 @@ def scene_file(tmp_path_factory):
 
 
 def test_stage_composition(tmp_path, scene_file):
-    """simulate -> sanitize -> decompose -> features runs file-to-file."""
-    csit = tmp_path / "x.csit"
-    clean = tmp_path / "y.csit"
-    dvel = tmp_path / "v.dvel"
-    feat = tmp_path / "f.feat"
+    """simulate -> sanitize -> decompose runs file-to-file, and each stage
+    command writes the bytes its library calls write, flags included."""
+    csit, clean, dvel = tmp_path / "x.csit", tmp_path / "y.csit", tmp_path / "v.dvel"
+    ref = tmp_path / "ref"
 
     assert main(["simulate", "--scene", str(scene_file), "--out", str(csit)]) == 0
-    frame = read_csit(csit)
-    assert frame.config.n_subcarriers == 16
+    assert read_csit(csit).config.n_subcarriers == 16
 
     assert main(["sanitize", "--in", str(csit), "--out", str(clean)]) == 0
-    assert main(
-        ["decompose", "--in", str(clean), "--out", str(dvel), "--window", "64", "--hop", "4"]
-    ) == 0
-    vs = read_dvel(dvel)
-    assert len(vs) == 16
+    write_csit(sanitize_frame(read_csit(csit)), ref)
+    assert clean.read_bytes() == ref.read_bytes()
 
-    assert main(
-        ["features", "--in", str(dvel), "--out", str(feat), "--kernels", "20", "--biases", "2"]
-    ) == 0
-    fs = read_feat(feat)
-    assert fs.n_rows == 16
-    assert fs.dim == 60
+    assert main(["decompose", "--in", str(clean), "--out", str(dvel),
+                 "--window", "32", "--hop", "2", "--pad", "256", "--snr-db", "19"]) == 0
+    write_dvel(extract_velocity_set(read_csit(clean), DopplerParams(32, 2, 256), 19.0), ref)
+    assert dvel.read_bytes() == ref.read_bytes()
+    vs = read_dvel(dvel)
+    assert (len(vs), int(vs.gated.sum())) == (16, 7)  # the default 2 dB gate takes 6 rows
 
 
 def test_simulate_truth_output(tmp_path, scene_file):
@@ -126,19 +124,6 @@ def test_corrupt_input_exits_3(tmp_path, scene_file, capsys):
     for command in ("sanitize", "decompose"):
         assert main([command, "--in", str(bad), "--out", str(tmp_path / "y")]) == 3, command
         assert f"{bad}: need at least one stream" in capsys.readouterr().err, command
-    # a DVEL trailer that is not {"source": <string>}
-    dvel = tmp_path / "x.dvel"
-    assert main(["decompose", "--in", str(csit), "--out", str(dvel)]) == 0
-    rows = dvel.read_bytes()  # the simulated capture has no sample id, so no trailer
-    for trailer, message in (
-        ({"source": 5}, "bad DVEL trailer.source: expected a string, got 5"),
-        ({"bogus": 1}, "bad DVEL trailer: unknown keys ['bogus']"),
-        ({"source": float("inf")}, "bad DVEL trailer.source: expected a string, got inf"),
-    ):
-        bad.write_bytes(rows + json_trailer(trailer))
-        assert main(["features", "--in", str(bad), "--out", str(tmp_path / "f.feat")]) == 3, trailer
-        assert f"{bad}: {message}" in capsys.readouterr().err, trailer
-    assert not (tmp_path / "f.feat").exists()
 
 
 def test_empty_manifest_exits_2(tmp_path, capsys):
@@ -493,10 +478,10 @@ def test_eval_and_calibrate_take_no_pipeline_flags(capsys, flagged_model):
 
 
 def test_unknown_gesture_exits_2(tmp_path, capsys, flagged_model, monkeypatch):
-    from moric import classifier
+    from moric import harness
 
-    calls = []
-    monkeypatch.setattr(classifier, "forward", lambda *args: calls.append(args))
+    featurized = []
+    monkeypatch.setattr(harness, "featurize_manifest", lambda *args, **kw: featurized.append(args))
     model_path, _, foreign_path = flagged_model
     base = ["--model", str(model_path), "--manifest", str(foreign_path)]
     for argv in (
@@ -506,7 +491,7 @@ def test_unknown_gesture_exits_2(tmp_path, capsys, flagged_model, monkeypatch):
     ):
         assert main(argv) == 2, argv
         assert "gesture 'up_down' is not a class of the model" in capsys.readouterr().err, argv
-    assert calls == []  # named before any forward pass
+    assert featurized == []  # named before any capture is featurized
 
 
 def test_bad_or_incomplete_model_file_exits_3(tmp_path, capsys, flagged_model):
@@ -642,26 +627,30 @@ LOSO_ARGV = ["loso", "--manifest", "m.json", "--report", "r"]
 
 
 def test_sanitize_takes_no_hampel_flags(tmp_path, capsys, scene_file):
-    """The front end has one estimator and always filters: no command takes a
-    Hampel setting, a switch to skip the filter or an estimator choice."""
+    """The front end has one estimator and always filters and normalizes: no
+    command takes a Hampel setting, a switch to skip a step or an estimator
+    choice, and no command writes random-kernel features."""
     csit = tmp_path / "x.csit"
     assert main(["simulate", "--scene", str(scene_file), "--out", str(csit)]) == 0
     io = ["--in", str(csit), "--out", str(tmp_path / "y")]
     cases = [["sanitize", *io, "--window", "5"], ["sanitize", *io, "--sigmas", "5"],
-             ["sanitize", *io, "--skip-hampel"], ["decompose", *io, "--estimator", "psd"]]
+             ["sanitize", *io, "--skip-hampel"], ["decompose", *io, "--estimator", "psd"],
+             ["decompose", *io, "--no-normalize"]]
     for command in TRAIN_ARGV, LOSO_ARGV:
         cases += [command + ["--skip-hampel"], command + ["--estimator", "psd"]]
-    for argv in cases:
+    cases = [(argv, "unrecognized arguments") for argv in cases]
+    cases.append((["features", "--in", str(tmp_path / "v.dvel"), "--out", str(tmp_path / "f")], "invalid choice"))
+    for argv, message in cases:
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2, argv
-        assert "unrecognized arguments" in capsys.readouterr().err, argv
+        assert message in capsys.readouterr().err, argv
 
 
-def test_pipeline_and_training_flags_default_to_their_records(capsys):
+def test_pipeline_and_training_flags_default_to_their_records():
     """`train` and `loso` with no optional flag give the records' defaults, and
-    `features` draws its bank from the same flags, so its `--seed` is gone;
-    `calibrate` gets the defaults of the functions it calls."""
+    `decompose` the Doppler ones; `calibrate` gets the defaults of the
+    functions it calls."""
     import inspect
 
     from moric import cli, classifier, harness
@@ -679,15 +668,9 @@ def test_pipeline_and_training_flags_default_to_their_records(capsys):
     sweep = inspect.signature(harness.run_calibration_sweep).parameters
     assert (args.steps, args.lr, args.draws) == (fit["steps"].default, fit["lr"].default, sweep["n_draws"].default)
     assert (args.steps, args.lr, args.draws) == (500, 0.01, 10)
-    args = parser.parse_args(["features", "--in", "v.dvel", "--out", "f.feat"])
-    bank_defaults = PipelineConfig()
-    assert (args.kernel_seed, args.kernels, args.biases) == (
-        bank_defaults.kernel_seed, bank_defaults.n_kernels, bank_defaults.n_biases
-    )
-    with pytest.raises(SystemExit) as exc:
-        main(["features", "--in", "v.dvel", "--out", "f.feat", "--seed", "3"])
-    assert exc.value.code == 2
-    assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+    args = parser.parse_args(["decompose", "--in", "y.csit", "--out", "v.dvel"])
+    assert cli._doppler_params(args) == PipelineConfig().doppler
+    assert args.snr_db == PipelineConfig().snr_threshold_db
 
 
 def test_calibrate_sweep_counts_are_checked_before_featurizing(tmp_path, capsys, flagged_model):
@@ -810,6 +793,16 @@ def _readme_scene() -> str:
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     (block,) = re.findall(r"```json\n(.*?)```", text, flags=re.S)
     return block
+
+
+def test_readme_commands_are_the_cli_commands():
+    """The `moric <command>` lines of README.md's shell blocks name every
+    subcommand, and no other."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    documented = {word for block in re.findall(r"```sh\n(.*?)```", text, flags=re.S)
+                  for word in re.findall(r"^moric (\w+)", block, flags=re.M)}
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert documented == set(sub.choices)
 
 
 def test_readme_scene_simulates(tmp_path):

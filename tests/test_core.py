@@ -14,10 +14,8 @@ from moric.core import (
     VelocitySet,
     read_csit,
     read_dvel,
-    read_feat,
     write_csit,
     write_dvel,
-    write_feat,
 )
 
 from conftest import json_trailer, make_radio, random_frame
@@ -142,16 +140,6 @@ def _velocity_set(rng, n_rows=3, t=30, source="sample-1"):
     )
 
 
-def _feature_set(rng, label="circle"):
-    return FeatureSet(
-        features=rng.normal(size=(4, 6)).astype(np.float32).astype(np.float64),
-        delay_bins=np.arange(4),
-        streams=np.zeros(4, dtype=int),
-        gated=np.array([False, True, False, False]),
-        label=label,
-    )
-
-
 def _struct_dvel(vs):
     """Byte reference: the per-row `struct` writer DVEL had before its rows
     became one packed record array."""
@@ -161,19 +149,6 @@ def _struct_dvel(vs):
         out.append(np.asarray(vs.values[r], dtype="<f4").tobytes())
     if vs.source:
         blob = json.dumps({"source": vs.source}, sort_keys=True).encode("utf-8")
-        out += [struct.pack("<I", len(blob)), blob]
-    return b"".join(out)
-
-
-def _struct_feat(fs):
-    """Byte reference: the per-row `struct` writer of FEAT, with the version
-    field after the magic."""
-    out = [struct.pack("<4sIII", b"FEAT", 1, fs.n_rows, fs.dim)]
-    for i in range(fs.n_rows):
-        out.append(struct.pack("<IIB", int(fs.delay_bins[i]), int(fs.streams[i]), int(fs.gated[i])))
-        out.append(np.asarray(fs.features[i], dtype="<f4").tobytes())
-    if fs.label is not None:
-        blob = json.dumps({"label": fs.label}, sort_keys=True).encode("utf-8")
         out += [struct.pack("<I", len(blob)), blob]
     return b"".join(out)
 
@@ -208,9 +183,6 @@ def test_dvel_and_feat_writers_match_struct_reference(tmp_path):
     for vs in (_velocity_set(rng), gated, _velocity_set(rng, n_rows=0, t=25)):
         write_dvel(vs, tmp_path / "v.dvel")
         assert (tmp_path / "v.dvel").read_bytes() == _struct_dvel(vs)
-    for fs in (_feature_set(rng), _feature_set(rng, label=None)):
-        write_feat(fs, tmp_path / "f.feat")
-        assert (tmp_path / "f.feat").read_bytes() == _struct_feat(fs)
 
 
 def test_dvel_empty_set_legal(tmp_path):
@@ -262,84 +234,32 @@ def test_dvel_truncation_detected(tmp_path):
 
 
 def test_dvel_and_feat_trailers_are_strict_records(tmp_path):
-    """A DVEL trailer holds exactly a string `source` and a FEAT trailer
-    exactly a string `label`; anything else names the file and the key."""
-    rng = np.random.default_rng(12)
-    cases = []
-    for write, read, record, key in (
-        (write_dvel, read_dvel, _velocity_set(rng, source=""), "source"),
-        (write_feat, read_feat, _feature_set(rng, label=None), "label"),
-    ):
-        path = tmp_path / f"plain.{key}"
-        write(record, path)  # no trailer: the file ends after the rows
-        payload = path.read_bytes()
-        name = "DVEL" if key == "source" else "FEAT"
-        cases += [
-            (read, payload + json_trailer({key: 5}), rf"bad {name} trailer.{key}: expected a string, got 5"),
-            (read, payload + json_trailer({key: None}), rf"bad {name} trailer.{key}: expected a string"),
-            (read, payload + json_trailer({key: "x", "bogus": 1}), rf"bad {name} trailer: unknown keys \['bogus'\]"),
-            (read, payload + json_trailer({}), rf"bad {name} trailer: missing keys \['{key}'\]"),
-            (read, payload + json_trailer({key: float("nan")}), rf"bad {name} trailer.{key}: expected a string, got nan"),
-        ]
+    """A DVEL trailer holds exactly a string `source`; anything else names
+    the file and the key."""
+    path = tmp_path / "plain.dvel"
+    write_dvel(_velocity_set(np.random.default_rng(12), source=""), path)
+    payload = path.read_bytes()  # no trailer: the file ends after the rows
     bad = tmp_path / "bad"
-    for read, blob, message in cases:
-        bad.write_bytes(blob)
+    for trailer, message in (
+        ({"source": 5}, r"bad DVEL trailer.source: expected a string, got 5"),
+        ({"source": None}, r"bad DVEL trailer.source: expected a string"),
+        ({"source": "x", "bogus": 1}, r"bad DVEL trailer: unknown keys \['bogus'\]"),
+        ({}, r"bad DVEL trailer: missing keys \['source'\]"),
+        ({"source": float("nan")}, r"bad DVEL trailer.source: expected a string, got nan"),
+    ):
+        bad.write_bytes(payload + json_trailer(trailer))
         with pytest.raises(FormatError, match=message) as exc:
-            read(bad)
+            read_dvel(bad)
         assert str(exc.value).startswith(f"{bad}: "), message
 
 
-def test_feat_round_trip(tmp_path):
-    fs = _feature_set(np.random.default_rng(5))
-    p1, p2 = tmp_path / "a.feat", tmp_path / "b.feat"
-    write_feat(fs, p1)
-    loaded = read_feat(p1)
-    write_feat(loaded, p2)
-    assert p1.read_bytes() == p2.read_bytes()
-    assert loaded.label == "circle"
-    assert np.array_equal(loaded.features, fs.features)
-    assert np.array_equal(loaded.gated, fs.gated)
-
-
-def test_feat_rejects_trailing_bytes_and_versionless_layout(tmp_path):
-    rng = np.random.default_rng(8)
-    path = tmp_path / "f.feat"
-    write_feat(_feature_set(rng), path)
-    raw = path.read_bytes()
-    bad = tmp_path / "bad.feat"
-    bad.write_bytes(raw + b"garbage")
-    with pytest.raises(FormatError, match="after the trailer"):
-        read_feat(bad)
-    # a 1-row file of the layout before FEAT had a version: magic, rows, dim
-    one = FeatureSet(
-        features=rng.normal(size=(1, 6)), delay_bins=[3], streams=[0], gated=[False], label="push_pull"
-    )
-    write_feat(one, path)
-    raw = path.read_bytes()
-    bad.write_bytes(raw[:4] + raw[8:])
-    with pytest.raises(FormatError):
-        read_feat(bad)
-    # a gated flag byte other than 0/1 (header 16 bytes, then bin and stream)
-    bad.write_bytes(raw[:24] + b"\x02" + raw[25:])
-    with pytest.raises(FormatError, match="gated flag"):
-        read_feat(bad)
-
-
-def test_feature_set_and_feat_reader_reject_non_finite_features(tmp_path):
+def test_feature_set_and_feat_reader_reject_non_finite_features():
     rng = np.random.default_rng(11)
     for bad_value in (np.nan, np.inf, -np.inf):
         features = rng.normal(size=(3, 4))
         features[1, 2] = bad_value
         with pytest.raises(ValueError, match="non-finite"):
             FeatureSet(features=features, delay_bins=[0, 1, 2], streams=[0, 0, 0], gated=[0, 0, 0])
-    path = tmp_path / "f.feat"
-    write_feat(_feature_set(rng), path)
-    raw = path.read_bytes()
-    # first feature of the first row: 16-byte header, then bin, stream, gated
-    bad = tmp_path / "nan.feat"
-    bad.write_bytes(raw[:25] + struct.pack("<f", np.nan) + raw[29:])
-    with pytest.raises(FormatError, match="non-finite"):
-        read_feat(bad)
 
 
 def _csit_with_trailer(path):
@@ -354,12 +274,7 @@ def _dvel_with_trailer(path):
     return read_dvel
 
 
-def _feat_with_trailer(path):
-    write_feat(_feature_set(np.random.default_rng(10)), path)
-    return read_feat
-
-
-@pytest.mark.parametrize("make", [_csit_with_trailer, _dvel_with_trailer, _feat_with_trailer])
+@pytest.mark.parametrize("make", [_csit_with_trailer, _dvel_with_trailer])
 def test_every_proper_prefix_raises_format_error(tmp_path, make):
     path = tmp_path / "full"
     read = make(path)

@@ -133,6 +133,14 @@ def test_stratified_split_is_deterministic_and_stratified():
     assert (tr3, va3) != (tr1, va1)
 
 
+def test_zero_val_fraction_holds_nothing_out():
+    labels = ["a", "b"] * 6
+    assert stratified_split(labels, 0.0, seed=1) == (list(range(12)), [])
+    # any fraction above 0 still holds out at least one sample per class
+    _, val = stratified_split(labels, 0.01, seed=1)
+    assert sorted(labels[i] for i in val) == ["a", "b"]
+
+
 def test_derive_seed_stable_and_distinct():
     assert derive_seed(1, "x") == derive_seed(1, "x")
     assert derive_seed(1, "x") != derive_seed(1, "y")
