@@ -26,30 +26,28 @@ float32: weights, optimizer state, gradients and every matrix product, with
 only the softmax and the loss taken in float64. The returned model is float64
 holding the f32 values its file stores, and inference runs in float64.
 
-Training spreads each step over threads: the heads' forward and backward
-passes, and the AdamW update of the flat vector in contiguous parts, run on
-the calling thread and on up to min(n_heads, usable CPUs) - 1 workers of one
-module-level pool. Each part writes its own memory with the arithmetic of a
-serial step, so the trained bits do not depend on the thread count.
-Inference (`forward`, `predict`) runs on the calling thread. `train` holds
-five float32 weight vectors (weights, gradient, two moments, best checkpoint)
-and frees them before it builds the float64 model it returns.
+A training step fans its heads' forward and backward passes, and the AdamW
+update of the flat vector in contiguous parts, out over up to n_heads lanes
+(`moric.lanes`); each part writes its own memory with the arithmetic of a
+serial step. Inference (`forward`, `predict`) runs one set on the calling
+thread. `train` and `forward` hold BLAS at one thread, so their bits depend
+on neither thread count. `train` holds five float32 weight vectors (weights,
+gradient, two moments, best checkpoint) and frees them before it builds the
+float64 model it returns.
 """
 
 from __future__ import annotations
 
-import contextvars
 import math
-import os
 import struct
-from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .core import FeatureSet, FormatError, JsonRecord, PipelineConfig, format_errors, read_framed, write_framed
 from .features import KernelBank, deserialize_bank, serialize_bank
+from .lanes import in_lanes, one_blas_thread
 
 MODEL_MAGIC = b"MORM"
 MODEL_VERSION = 4
@@ -63,41 +61,6 @@ LOSS_CHUNK_SETS = 256  # sets per forward pass of an epoch's validation loss
 CALIBRATE_STEPS = 500  # gradient steps of a calibration fit
 CALIBRATE_LR = 0.01  # and their step size
 CALIBRATE_DRAWS = 10  # seeded draws per samples-per-class count of a calibration sweep
-
-
-def _usable_cpus() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-# worker threads beside the caller's for training's per-head work: a step uses
-# min(n_heads, usable CPUs) - 1 of them; none on one CPU. An executor starts
-# its threads on first use, so importing the module starts none
-_POOL_SIZE = _usable_cpus() - 1
-_pool = ThreadPoolExecutor(max_workers=_POOL_SIZE, thread_name_prefix="moric-head") if _POOL_SIZE else None
-
-
-def _lanes(n_heads: int) -> int:
-    """Threads a training step of an n_heads model runs on, the caller's included."""
-    return min(n_heads, _POOL_SIZE + 1)
-
-
-def _in_lanes(fn: Callable[[range], object], n: int, lanes: int) -> list:
-    """fn(part) for `lanes` contiguous parts of range(n): the first part on
-    this thread, the others on the worker pool; the results in part order.
-    Each part must write memory that no other part touches: then the bits do
-    not depend on `lanes`."""
-    parts = [range(i * n // lanes, (i + 1) * n // lanes) for i in range(lanes)]
-    if lanes == 1:
-        return [fn(parts[0])]
-    # each part runs in a copy of the caller's context: numpy's error state too
-    futures = [_pool.submit(contextvars.copy_context().run, fn, part) for part in parts[1:]]
-    try:
-        first = fn(parts[0])
-    finally:
-        wait(futures)
-    return [first] + [f.result() for f in futures]
 
 
 @dataclass(frozen=True)
@@ -248,6 +211,7 @@ def softmax(z: np.ndarray, axis: int = -1) -> np.ndarray:
     return e / np.sum(e, axis=axis, keepdims=True)
 
 
+@one_blas_thread()
 def forward(model: MoricModel, fs: FeatureSet) -> Tuple[np.ndarray, np.ndarray]:
     """Class logits and probabilities for one feature set.
 
@@ -309,15 +273,15 @@ def _pack_sets(row_matrices: Sequence[np.ndarray]):
 
 
 def _batch_forward(params, dims: ModelDims, rows: np.ndarray, offsets: np.ndarray, lanes: int = 1):
-    """Forward pass over a packed batch, the heads spread over `lanes`
-    threads; returns logits plus the cache needed for backprop."""
+    """Forward pass over a packed batch, the heads spread over up to `lanes`
+    lanes; returns logits plus the cache needed for backprop."""
     n_sets = len(offsets) - 1
     pooled = np.empty((n_sets, dims.n_heads * dims.reduced_dim), dtype=rows.dtype)
 
     def run(heads: range):
         return [_head_forward(params, dims, k, rows, offsets, pooled) for k in heads]
 
-    heads = [c for part in _in_lanes(run, dims.n_heads, lanes) for c in part]
+    heads = [c for part in in_lanes(run, dims.n_heads, lanes) for c in part]
     h = np.maximum(pooled @ params["cls_w1"] + params["cls_b1"], 0.0)
     logits = h @ params["cls_w2"] + params["cls_b2"]
     return logits, {"rows": rows, "offsets": offsets, "heads": heads, "pooled": pooled, "h": h}
@@ -369,9 +333,8 @@ def loss_and_grads(params, dims: ModelDims, rows, offsets, labels_idx, smoothing
 
 def _loss_and_flat_grad(params, dims: ModelDims, rows, offsets, labels_idx, smoothing: float, grad) -> float:
     """loss_and_grads writing the gradient into the flat vector `grad`, the
-    heads' forward and backward passes spread over the training threads."""
-    lanes = _lanes(dims.n_heads)
-    logits, cache = _batch_forward(params, dims, rows, offsets, lanes)
+    heads' forward and backward passes spread over one lane per head."""
+    logits, cache = _batch_forward(params, dims, rows, offsets, dims.n_heads)
     n = logits.shape[0]
     total, probs, q = _smoothed_cross_entropy(logits, labels_idx, smoothing)
 
@@ -390,7 +353,7 @@ def _loss_and_flat_grad(params, dims: ModelDims, rows, offsets, labels_idx, smoo
         for k in heads:
             _head_backward(params, dims, k, rows, cache["heads"][k], du[:, k * dr : (k + 1) * dr], grads)
 
-    _in_lanes(backward, dims.n_heads, lanes)
+    in_lanes(backward, dims.n_heads)
     return total / n
 
 
@@ -418,11 +381,12 @@ def _batch_loss(params, dims, row_matrices, labels_idx, smoothing):
     total = 0.0
     for start in range(0, len(row_matrices), LOSS_CHUNK_SETS):
         rows, offsets = _pack_sets(row_matrices[start : start + LOSS_CHUNK_SETS])
-        logits, _ = _batch_forward(params, dims, rows, offsets, _lanes(dims.n_heads))
+        logits, _ = _batch_forward(params, dims, rows, offsets, dims.n_heads)
         total += _smoothed_cross_entropy(logits, labels_idx[start : start + LOSS_CHUNK_SETS], smoothing)[0]
     return total / len(row_matrices)
 
 
+@one_blas_thread()
 def train(
     train_set: Sequence[Tuple[FeatureSet, str]],
     val_set: Sequence[Tuple[FeatureSet, str]],
@@ -499,7 +463,7 @@ def train(
                     f"non-finite training loss at epoch {epoch}, batch starting {start}"
                 )
             step += 1
-            _adam_step(flat, grad, m_state, v_state, step, cfg, _lanes(dims.n_heads))
+            _adam_step(flat, grad, m_state, v_state, step, cfg, dims.n_heads)
 
         if val_rows:
             val_loss = _batch_loss(params, dims, val_rows, val_labels, cfg.label_smoothing)
@@ -540,7 +504,7 @@ def train(
 
 def _adam_step(flat, grad, m, v, step: int, cfg: TrainConfig, lanes: int) -> None:
     """One AdamW update of the flat weights and moment vectors, in place, in
-    `lanes` contiguous parts on the training threads. The update is
+    up to `lanes` contiguous parts. The update is
     elementwise, so the split leaves the bits alone; each part runs block by
     block so that each block's temporaries stay in cache."""
     bc1 = 1.0 - ADAM_BETA1**step
@@ -559,7 +523,7 @@ def _adam_step(flat, grad, m, v, step: int, cfg: TrainConfig, lanes: int) -> Non
             update *= cfg.lr
             w -= update
 
-    _in_lanes(update_part, flat.size, lanes)
+    in_lanes(update_part, flat.size, lanes)
 
 
 # ---------------------------------------------------------------------------
@@ -604,7 +568,9 @@ def calibrate(
     `logits` [draws, n, C] are the samples' fixed logits and `labels`
     [draws, n] their class indices. All draws run as one batched descent, and
     each draw's arithmetic is that of a fit on the draw alone. The temperature
-    is parameterized as exp(log T) so it stays positive."""
+    is parameterized as exp(log T) so it stays positive. Every step writes
+    into buffers allocated once: a fit of a few samples costs its numpy calls,
+    not its arithmetic."""
     check_calibrate_args(steps, lr)
     logits = np.asarray(logits, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
@@ -620,14 +586,33 @@ def calibrate(
 
     log_t = np.zeros(draws)
     bias = np.zeros((draws, 1, c))
+    t = np.empty((draws, 1, 1))
+    scaled = np.empty_like(logits)  # logits / T
+    z = np.empty_like(logits)  # scaled + bias, then its softmax, then the residual
+    row = np.empty((draws, n, 1))  # per-sample max, then softmax denominator
+    grad_bias = np.empty_like(bias)
+    step_t = np.empty(draws)
+    add, maximum = np.add.reduce, np.maximum.reduce
     for _ in range(steps):
-        t = np.exp(log_t)[:, None, None]
-        q = softmax(logits / t + bias, axis=2)
-        resid = (q - onehot) / n
-        grad_bias = resid.sum(axis=1, keepdims=True)
-        grad_log_t = np.sum(resid * (-logits / t), axis=(1, 2))
-        log_t -= lr * grad_log_t
-        bias -= lr * grad_bias
+        np.exp(log_t, t[:, 0, 0])
+        np.divide(logits, t, scaled)
+        np.add(scaled, bias, z)
+        maximum(z, axis=2, keepdims=True, out=row)
+        np.subtract(z, row, z)
+        np.exp(z, z)
+        add(z, axis=2, keepdims=True, out=row)
+        np.divide(z, row, z)
+        np.subtract(z, onehot, z)
+        np.divide(z, n, z)
+        add(z, axis=1, keepdims=True, out=grad_bias)
+        # d loss / d log T = sum(resid * -scaled); IEEE negation is exact, so
+        # adding lr * sum(resid * scaled) is subtracting lr times the gradient
+        np.multiply(z, scaled, z)
+        add(z, axis=(1, 2), out=step_t)
+        np.multiply(step_t, lr, step_t)
+        np.add(log_t, step_t, log_t)
+        np.multiply(grad_bias, lr, grad_bias)
+        np.subtract(bias, grad_bias, bias)
     return tuple(
         Calibration(temperature=float(np.exp(lt)), bias=b[0]) for lt, b in zip(log_t, bias)
     )

@@ -21,6 +21,7 @@ from .classifier import TrainConfig
 from .core import DopplerParams, FormatError, PipelineConfig, read_csit, write_csit, write_dvel
 from .delay_doppler import extract_velocity_set
 from .harness import Manifest, Report, derive_seed
+from .lanes import one_blas_thread
 
 
 def _add_doppler_args(p: argparse.ArgumentParser) -> None:
@@ -215,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="CSI delay-Doppler decomposition and activity classification pipeline",
     )
     parser.add_argument("--seed", type=int, default=0, help="root random seed")
-    parser.add_argument("--threads", type=int, default=1, help="worker threads for sample stages")
+    parser.add_argument("--threads", type=int, default=1, help="lanes for a manifest's captures, at most the CPUs")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="synthesize CSI from a scene description")
@@ -278,9 +279,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.seed < 0:  # before any command reads a file
+        # before any command reads a file
+        if args.seed < 0:
             raise ValueError(f"seed must be >= 0, got {args.seed}")
-        return args.func(args)
+        if args.threads < 1:
+            raise ValueError(f"threads must be >= 1, got {args.threads}")
+        with one_blas_thread():
+            return args.func(args)
     except (FormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -1,8 +1,9 @@
 """End-to-end experiment harness: manifests, the per-sample pipeline,
 leave-one-subject-out evaluation, calibration sweeps, and report emission.
 
-Scoring has one path: `sample_logits` runs one forward pass per sample and
-`score_logits` turns those logits into accuracy and confusion counts.
+Scoring has one path: `sample_logits` runs one forward pass per sample, the
+samples fanned out in contiguous parts (`moric.lanes`), and `score_logits`
+turns those logits into accuracy and confusion counts.
 `evaluate_samples` is the two in turn, and a calibration sweep computes the
 logits once and scores every draw on rows of them.
 
@@ -17,7 +18,6 @@ import csv
 import os
 import time
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -28,6 +28,7 @@ from . import classifier, delay_doppler, features, sanitize
 from .classifier import MoricModel, TrainConfig
 from .core import CsiFrame, FeatureSet, JsonRecord, PipelineConfig, SampleMeta, read_csit
 from .features import KernelBank
+from .lanes import in_lanes, one_blas_thread
 
 
 def derive_seed(root: int, label: str) -> int:
@@ -142,12 +143,13 @@ def build_feature_table(
     return featurize_manifest(manifest, cfg, kernel_bank(manifest, cfg), threads=threads)
 
 
+@one_blas_thread()
 def featurize_manifest(
     manifest: Manifest, cfg: PipelineConfig, bank: KernelBank, threads: int = 1
 ) -> List[PipelineSample]:
-    """Run the per-sample pipeline over a manifest (optionally with a thread
-    pool); output order follows the manifest. Fewer than 1 thread is a
-    ValueError."""
+    """Run the per-sample pipeline over a manifest, its entries fanned out in
+    up to `threads` contiguous parts (at most one per usable CPU); output
+    order follows the manifest. Fewer than 1 thread is a ValueError."""
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
 
@@ -168,10 +170,9 @@ def featurize_manifest(
             snr_by_stream={int(k): vs.snr_db[vs.streams == k] for k in np.unique(vs.streams)},
         )
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(one, manifest.entries))
-    return [one(e) for e in manifest.entries]
+    entries = manifest.entries
+    parts = in_lanes(lambda part: [one(entries[i]) for i in part], len(entries), threads)
+    return [sample for part in parts for sample in part]
 
 
 def stratified_split(labels: Sequence[str], val_fraction: float, seed: int):
@@ -229,10 +230,19 @@ class Report(JsonRecord):
 
 
 def sample_logits(model: MoricModel, samples: Sequence[PipelineSample]) -> np.ndarray:
-    """Class logits [n, C] of the samples, one forward pass each."""
+    """Class logits [n, C] of the samples, one forward pass each; the samples
+    fan out in contiguous parts, each writing its own rows. A failing sample
+    raises what the serial loop would: the first one's error."""
     if not samples:
         raise ValueError("no samples to evaluate")
-    return np.stack([classifier.forward(model, s.feature_set)[0] for s in samples])
+    logits = np.empty((len(samples), model.dims.n_classes))
+
+    def run(part: range) -> None:
+        for i in part:
+            logits[i] = classifier.forward(model, samples[i].feature_set)[0]
+
+    in_lanes(run, len(samples))
+    return logits
 
 
 def score_logits(logits: np.ndarray, truth: np.ndarray, calibration=None):
@@ -259,6 +269,7 @@ def evaluate_samples(model: MoricModel, samples: Sequence[PipelineSample], use_c
     return score_logits(sample_logits(model, samples), truth, calibration)
 
 
+@one_blas_thread()
 def run_loso(
     manifest: Manifest,
     pipeline_cfg: PipelineConfig,

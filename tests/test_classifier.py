@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from moric import classifier
+from moric import classifier, lanes
 from moric.classifier import (
     Calibration,
     ModelDims,
@@ -881,7 +881,7 @@ def test_training_bits_do_not_depend_on_the_head_pool(tmp_path, monkeypatch):
         return path.read_bytes(), loss_and_grads(params, dims, rows, offsets, labels, 0.1)
 
     pooled_file, (pooled_loss, pooled_grads) = outputs(tmp_path / "pooled.morm")
-    monkeypatch.setattr(classifier, "_POOL_SIZE", 0)
+    monkeypatch.setattr(lanes, "POOL_SIZE", 0)
     serial_file, (serial_loss, serial_grads) = outputs(tmp_path / "serial.morm")
     assert pooled_file == serial_file
     assert pooled_loss == serial_loss

@@ -381,6 +381,11 @@ def _reference_velocity_rows(frame, params, apply_normalize):
     return np.stack(values), np.array(bins), np.array(streams), np.array(snr_db), np.array(gated)
 
 
+def _gated_rows(frame, params):
+    """A frame's velocity rows before normalization: (values, snr_db, gated)."""
+    return snr_gate(estimate_velocity_psd(decompose(frame).reshape(-1, frame.n_time), frame.config, params))
+
+
 def _sanitized_frames():
     """A clean 1-stream and an impaired 3-stream capture of 400 frames, and an
     impaired 3-stream capture of 1000 frames, all 16 subcarriers."""
@@ -406,14 +411,15 @@ def test_extract_velocity_set_matches_per_row_reference_bitwise():
     n_gated = n_rows = 0
     for frame in _sanitized_frames():
         for params in _PARAM_SETS:
-            for apply_normalize in (True, False):
-                vs = extract_velocity_set(frame, params, apply_normalize=apply_normalize)
+            vs = extract_velocity_set(frame, params)
+            outputs = {True: (vs.values, vs.snr_db, vs.gated), False: _gated_rows(frame, params)}
+            for apply_normalize, (got_values, got_snr_db, got_gated) in outputs.items():
                 values, bins, streams, snr_db, gated = _reference_velocity_rows(
                     frame, params, apply_normalize
                 )
-                assert vs.values.tobytes() == values.tobytes()
-                assert vs.snr_db.tobytes() == snr_db.tobytes()
-                assert np.array_equal(vs.gated, gated)
+                assert got_values.tobytes() == values.tobytes()
+                assert got_snr_db.tobytes() == snr_db.tobytes()
+                assert np.array_equal(got_gated, gated)
                 assert np.array_equal(vs.delay_bins, bins) and np.array_equal(vs.streams, streams)
                 n_gated += int(gated.sum())
                 n_rows += len(gated)
@@ -425,14 +431,30 @@ def test_estimate_velocity_psd_is_one_row_of_the_set():
     # before gating agree bitwise
     for frame in _sanitized_frames()[1:]:
         for params in _PARAM_SETS:
-            vs = extract_velocity_set(frame, params, apply_normalize=False)
+            values, _, gated = _gated_rows(frame, params)
             series = decompose(frame, remove_static=True).reshape(-1, frame.n_time)
-            kept = np.flatnonzero(~vs.gated)
+            kept = np.flatnonzero(~gated)
             assert kept.size > 0
             for row in kept:
                 v = estimate_velocity_psd(series[row][None], frame.config, params)[0]
-                assert v.tobytes() == vs.values[row].tobytes()
+                assert v.tobytes() == values[row].tobytes()
                 assert v.tobytes() == _reference_psd(series[row], frame.config, params).tobytes()
+
+
+def test_psd_fan_out_floor_and_bits_do_not_depend_on_the_pool(monkeypatch):
+    from moric import delay_doppler, lanes
+
+    # 16x400 captures stay serial; 16x1000 and 156x400 ones fan out
+    assert 16 * 400 < delay_doppler.PSD_FANOUT_FLOOR <= 16 * 1000
+    rng = np.random.default_rng(12)
+    series = rng.normal(size=(16, 1000)) + 1j * rng.normal(size=(16, 1000))
+    radio = make_radio(n_subcarriers=16)
+    outputs = []
+    for pool_size in (1, 0):  # two lanes whatever the host, then none
+        monkeypatch.setattr(lanes, "POOL_SIZE", pool_size)
+        outputs.append(estimate_velocity_psd(series, radio, DopplerParams()).tobytes())
+    assert outputs[0] == outputs[1]
+    assert outputs[0] == np.stack([_reference_psd(x, radio, DopplerParams()) for x in series]).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -465,11 +487,12 @@ def test_extract_velocity_set_keeps_motion_bin(radio):
         ),
     )
     frame, truth = synthesize_csi(scene, seed=51)
-    vs = extract_velocity_set(frame, DopplerParams(), apply_normalize=False)
+    vs = extract_velocity_set(frame, DopplerParams())
+    values, _, gated = _gated_rows(frame, DopplerParams())
     (target,) = np.flatnonzero((vs.streams == 0) & (vs.delay_bins == 5))
-    assert not vs.gated[target]
+    assert not gated[target]
     truth_series = truth.projected_velocity[0]
-    corr = np.corrcoef(vs.values[target], truth_series)[0, 1]
+    corr = np.corrcoef(values[target], truth_series)[0, 1]
     assert corr > 0.7
     assert vs.n_time == frame.n_time
 

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from moric import classifier
+from moric import classifier, lanes
 from moric.classifier import TrainConfig, calibrate, calibrated_probs, forward, predict, softmax
 from moric.core import SampleMeta
 from moric.delay_doppler import DopplerParams
@@ -157,6 +157,62 @@ def test_feature_table_threads_match_serial(corpus):
         assert np.array_equal(a.feature_set.features, b.feature_set.features)
 
 
+def test_feature_table_and_logits_do_not_depend_on_the_pool(corpus, held_out, monkeypatch):
+    manifest, _ = corpus
+    sub = Manifest(entries=manifest.entries[:5])
+    model, samples = held_out
+    outputs = {}
+    for pool_size in (1, 0):  # two lanes whatever the host, then none
+        monkeypatch.setattr(lanes, "POOL_SIZE", pool_size)
+        tables = [build_feature_table(sub, SMALL_PIPELINE, threads=k) for k in (1, 2)]
+        outputs[pool_size] = [[s.feature_set.features.tobytes() for s in t] for t in tables]
+        outputs[pool_size].append(sample_logits(model, samples).tobytes())
+    assert outputs[1][0] == outputs[1][1]
+    assert outputs[1] == outputs[0]
+
+
+def test_fanned_out_evaluation_raises_the_first_bad_samples_error(held_out, monkeypatch):
+    monkeypatch.setattr(lanes, "POOL_SIZE", 1)  # two lanes whatever the host
+    model, samples = held_out
+    dim = model.dims.input_dim
+
+    def widened(s, extra):
+        fs = s.feature_set
+        rows = np.hstack([fs.features, np.zeros((fs.n_rows, extra))])
+        return replace(s, feature_set=replace(fs, features=rows))
+
+    first, last = 1, len(samples) - 1  # one in each lane
+    bad = list(samples)
+    bad[last] = widened(samples[last], 2)
+    with pytest.raises(ValueError, match=f"feature dimension {dim + 2} "):
+        sample_logits(model, bad)
+    bad[first] = widened(samples[first], 1)
+    with pytest.raises(ValueError, match=f"feature dimension {dim + 1} "):
+        sample_logits(model, bad)
+
+
+def test_feature_table_threads_are_capped_by_the_usable_cpus(corpus, monkeypatch):
+    import threading
+
+    from moric import harness
+
+    manifest, _ = corpus
+    sub = Manifest(entries=manifest.entries[:4])
+    seen = []
+    original = harness.velocity_set_for_frame
+
+    def counted(frame, cfg):
+        seen.append((threading.active_count(), threading.get_ident()))
+        return original(frame, cfg)
+
+    monkeypatch.setattr(harness, "velocity_set_for_frame", counted)
+    before = threading.active_count()
+    build_feature_table(sub, SMALL_PIPELINE, threads=64)
+    assert len(seen) == 4
+    assert max(count for count, _ in seen) <= before + lanes.POOL_SIZE
+    assert len({ident for _, ident in seen}) <= min(4, lanes.usable_cpus())
+
+
 def test_loso_two_subjects_separable(corpus, corpus_samples):
     manifest, _ = corpus
     report = run_loso(manifest, SMALL_PIPELINE, FAST_TRAIN, samples=corpus_samples)
@@ -195,7 +251,7 @@ def test_loso_report_does_not_depend_on_the_head_pool(corpus, corpus_samples, mo
     manifest, _ = corpus
     cfg = replace(FAST_TRAIN, max_epochs=10, patience=10)
     pooled = run_loso(manifest, SMALL_PIPELINE, cfg, samples=corpus_samples).to_dict()
-    monkeypatch.setattr(classifier, "_POOL_SIZE", 0)
+    monkeypatch.setattr(lanes, "POOL_SIZE", 0)
     serial = run_loso(manifest, SMALL_PIPELINE, cfg, samples=corpus_samples).to_dict()
     pooled.pop("runtime_s"), serial.pop("runtime_s")
     assert json.dumps(pooled, sort_keys=True) == json.dumps(serial, sort_keys=True)
@@ -501,7 +557,8 @@ def test_sweep_runs_one_forward_pass_per_sample(held_out, monkeypatch):
     calls = _counting_forward(monkeypatch)
     run_calibration_sweep(samples, model, [0, 1, 2], n_draws=3, seed=4)
     assert len(calls) == len(samples)
-    assert [id(fs) for fs in calls] == [id(s.feature_set) for s in samples]
+    # the samples fan out over lanes, which fix no call order
+    assert sorted(id(fs) for fs in calls) == sorted(id(s.feature_set) for s in samples)
 
 
 def test_sweep_and_evaluate_reject_bad_arguments_before_any_forward_pass(held_out, monkeypatch):
