@@ -21,7 +21,6 @@ from .classifier import TrainConfig
 from .core import DopplerParams, FormatError, PipelineConfig, read_csit, write_csit, write_dvel
 from .delay_doppler import extract_velocity_set
 from .harness import Manifest, Report, derive_seed
-from .lanes import one_blas_thread
 
 
 def _add_doppler_args(p: argparse.ArgumentParser) -> None:
@@ -284,8 +283,7 @@ def main(argv=None) -> int:
             raise ValueError(f"seed must be >= 0, got {args.seed}")
         if args.threads < 1:
             raise ValueError(f"threads must be >= 1, got {args.threads}")
-        with one_blas_thread():
-            return args.func(args)
+        return args.func(args)
     except (FormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -14,15 +14,11 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .core import SPEED_OF_LIGHT, CsiFrame, DopplerParams, PipelineConfig, RadioConfig, VelocitySet
-from .lanes import in_lanes, lane_count
 
 VAR_FLOOR = 1e-12
 STD_FLOOR = 1e-9
 STATIC_FRAC = 0.10  # the SNR gate's static segments: this share of T at each end
 MOTION_FRAC = 0.60  # and its motion segment: this central share of T
-# rows x T from which the PSD fans its rows out: a 16x400 capture runs
-# serially, where a thread costs more than it saves; 16x1000 and 156x400 gain
-PSD_FANOUT_FLOOR = 10_000
 
 
 def decompose(frame: CsiFrame, remove_static: bool = True) -> np.ndarray:
@@ -63,11 +59,9 @@ def estimate_velocity_psd(series: np.ndarray, radio: RadioConfig, params: Dopple
     spans (-fs/2, fs/2]; the window estimates are linearly interpolated back to
     the input length. The gather index, window, speed table, window centres
     and interpolation grid are built once, and every row's windows are written
-    into a zero-padded [windows, fft_pad] buffer: an FFT of the padded buffer
-    is bitwise the FFT with n=fft_pad, and faster. From PSD_FANOUT_FLOOR
-    rows x T on, the rows fan out in contiguous parts (`moric.lanes`); the
-    calling thread allocates every part's buffers, and each part writes its
-    own rows, so the bits do not depend on the split.
+    into one zero-padded [windows, fft_pad] buffer: an FFT of the padded buffer
+    is bitwise the FFT with n=fft_pad, and faster. Buffers are per call, so
+    threads may run this concurrently.
     """
     series = np.asarray(series, dtype=np.complex128)
     if series.ndim != 2:
@@ -85,25 +79,14 @@ def estimate_velocity_psd(series: np.ndarray, radio: RadioConfig, params: Dopple
     speeds = radio.wavelength_m * freqs
     centers = starts + (w - 1) / 2.0
     grid = np.arange(t, dtype=np.float64)
-    rows = series.shape[0]
-    lanes = lane_count(rows) if rows * t >= PSD_FANOUT_FLOOR else 1
-    shape = (lanes, len(starts), params.fft_pad)
-    padded = np.zeros(shape, dtype=np.complex128)
-    spectrum = np.empty(shape, dtype=np.complex128)
-    power = np.empty(shape)
+    padded = np.zeros((len(starts), params.fft_pad), dtype=np.complex128)
+    power = np.empty(padded.shape)
     out = np.empty(series.shape)
-
-    def run(lane_part: range) -> None:
-        for lane in lane_part:
-            pad, spec, pw = padded[lane], spectrum[lane], power[lane]
-            for row in range(lane * rows // lanes, (lane + 1) * rows // lanes):
-                np.multiply(series[row, index], window, out=pad[:, :w])
-                np.fft.fft(pad, axis=1, out=spec)
-                np.abs(spec, out=pw)
-                np.square(pw, out=pw)
-                out[row] = np.interp(grid, centers, speeds[np.argmax(pw, axis=1)])
-
-    in_lanes(run, lanes)
+    for row, x in enumerate(series):
+        np.multiply(x[index], window, out=padded[:, :w])
+        np.abs(np.fft.fft(padded, axis=1), out=power)
+        np.square(power, out=power)
+        out[row] = np.interp(grid, centers, speeds[np.argmax(power, axis=1)])
     return out
 
 

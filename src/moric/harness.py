@@ -15,6 +15,7 @@ the manifest's directory, and `Manifest.save` writes every path that way."""
 from __future__ import annotations
 
 import csv
+import itertools
 import os
 import time
 import zlib
@@ -28,7 +29,7 @@ from . import classifier, delay_doppler, features, sanitize
 from .classifier import MoricModel, TrainConfig
 from .core import CsiFrame, FeatureSet, JsonRecord, PipelineConfig, SampleMeta, read_csit
 from .features import KernelBank
-from .lanes import in_lanes, one_blas_thread
+from .lanes import in_lanes, lane_count, one_blas_thread
 
 
 def derive_seed(root: int, label: str) -> int:
@@ -147,9 +148,9 @@ def build_feature_table(
 def featurize_manifest(
     manifest: Manifest, cfg: PipelineConfig, bank: KernelBank, threads: int = 1
 ) -> List[PipelineSample]:
-    """Run the per-sample pipeline over a manifest, its entries fanned out in
-    up to `threads` contiguous parts (at most one per usable CPU); output
-    order follows the manifest. Fewer than 1 thread is a ValueError."""
+    """Run the per-sample pipeline over a manifest, its entries handed one at
+    a time to up to `threads` lanes (at most one per usable CPU); output order
+    follows the manifest. Fewer than 1 thread is a ValueError."""
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
 
@@ -170,9 +171,25 @@ def featurize_manifest(
             snr_by_stream={int(k): vs.snr_db[vs.streams == k] for k in np.unique(vs.streams)},
         )
 
+    # lanes take the next entry as they come free, so captures of different
+    # sizes still share the lanes' work; the first failing entry's error wins,
+    # as in a serial loop
     entries = manifest.entries
-    parts = in_lanes(lambda part: [one(entries[i]) for i in part], len(entries), threads)
-    return [sample for part in parts for sample in part]
+    samples: List[Optional[PipelineSample]] = [None] * len(entries)
+    errors: Dict[int, Exception] = {}
+    todo = itertools.count()  # next() on it is atomic
+
+    def run(_lanes: range) -> None:
+        while not errors and (i := next(todo)) < len(entries):
+            try:
+                samples[i] = one(entries[i])
+            except Exception as exc:
+                errors[i] = exc
+
+    in_lanes(run, lane_count(len(entries), threads))
+    if errors:
+        raise errors[min(errors)]
+    return samples
 
 
 def stratified_split(labels: Sequence[str], val_fraction: float, seed: int):
@@ -269,7 +286,6 @@ def evaluate_samples(model: MoricModel, samples: Sequence[PipelineSample], use_c
     return score_logits(sample_logits(model, samples), truth, calibration)
 
 
-@one_blas_thread()
 def run_loso(
     manifest: Manifest,
     pipeline_cfg: PipelineConfig,

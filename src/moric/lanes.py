@@ -9,23 +9,22 @@ depend on the number of parts. A part never fans out again: `in_lanes`
 called inside a part runs inline, so at most one thread per usable CPU
 computes and the pool never waits on itself. What fans out: training's
 heads and AdamW update (`classifier`), an evaluation's samples and
-`--threads` manifest entries (`harness`), and a large capture's Doppler rows
-(`delay_doppler`).
+`--threads` manifest entries (`harness`).
 
-`one_blas_thread()` sets the BLAS library numpy carries to one thread on its
-outermost entry and restores the caller's count on its outermost exit. The
-CLI, `classifier.train`, `classifier.forward`, `harness.run_loso`,
-`harness.featurize_manifest` and every fan-out enter it: the program's own
-threads own the CPUs, and a matrix product sums in one fixed order, so the
-bits do not depend on the host's BLAS thread count either. Where numpy's
-BLAS exports no thread-count call, `BLAS_PINNED` is False and the context
-does nothing.
+`one_blas_thread()` sets the BLAS library numpy links to one thread on its
+outermost entry and restores the caller's count on its outermost exit.
+`classifier.train`, `classifier.forward`, `harness.featurize_manifest` and
+every fan-out enter it: the program's own threads own the CPUs, and a matrix
+product sums in one fixed order, so the bits do not depend on the host's
+BLAS thread count either. Where numpy's BLAS exports no known thread-count
+call, `BLAS_PINNED` is False and the context does nothing.
 """
 
 from __future__ import annotations
 
 import contextvars
 import ctypes
+import importlib
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
@@ -80,19 +79,38 @@ def in_lanes(fn: Callable[[range], object], n: int, lanes: Optional[int] = None)
         return [first] + [f.result() for f in futures]
 
 
+# thread-count calls of the OpenBLAS builds numpy links: the scipy-openblas
+# wheels' ILP64 and LP64 names, then a plain OpenBLAS's ILP64 and LP64 names
+_BLAS_CALLS = (
+    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+    ("scipy_openblas_set_num_threads", "scipy_openblas_get_num_threads"),
+    ("openblas_set_num_threads64_", "openblas_get_num_threads64_"),
+    ("openblas_set_num_threads", "openblas_get_num_threads"),
+)
+
+
 def _blas_thread_calls():
-    """The (set, get) thread-count functions of the OpenBLAS in numpy's wheel,
-    or None."""
-    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
-    for path in sorted(libs.glob("libscipy_openblas64_*")):
+    """The (set, get) thread-count functions of the OpenBLAS numpy has loaded,
+    or None. Symbols looked up through numpy's own extension module resolve
+    in the libraries it links too, wherever the installation put them (a
+    wheel's numpy.libs or .dylibs, conda, the system); on Windows, where a
+    lookup does not search those, the wheel's numpy.libs is searched itself."""
+    try:
+        umath = importlib.import_module("numpy._core._multiarray_umath")
+    except ImportError:  # numpy 1.x
+        umath = importlib.import_module("numpy.core._multiarray_umath")
+    wheel_libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in [umath.__file__, *sorted(map(str, wheel_libs.glob("*openblas*")))]:
         try:
-            lib = ctypes.CDLL(str(path))
-            set_threads, get_threads = lib.scipy_openblas_set_num_threads64_, lib.scipy_openblas_get_num_threads64_
-        except (OSError, AttributeError):
+            lib = ctypes.CDLL(path)
+        except OSError:
             continue
-        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
-        get_threads.argtypes, get_threads.restype = [], ctypes.c_int
-        return set_threads, get_threads
+        for set_name, get_name in _BLAS_CALLS:
+            set_threads, get_threads = getattr(lib, set_name, None), getattr(lib, get_name, None)
+            if set_threads is not None and get_threads is not None:
+                set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+                get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+                return set_threads, get_threads
     return None
 
 

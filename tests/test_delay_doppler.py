@@ -441,22 +441,6 @@ def test_estimate_velocity_psd_is_one_row_of_the_set():
                 assert v.tobytes() == _reference_psd(series[row], frame.config, params).tobytes()
 
 
-def test_psd_fan_out_floor_and_bits_do_not_depend_on_the_pool(monkeypatch):
-    from moric import delay_doppler, lanes
-
-    # 16x400 captures stay serial; 16x1000 and 156x400 ones fan out
-    assert 16 * 400 < delay_doppler.PSD_FANOUT_FLOOR <= 16 * 1000
-    rng = np.random.default_rng(12)
-    series = rng.normal(size=(16, 1000)) + 1j * rng.normal(size=(16, 1000))
-    radio = make_radio(n_subcarriers=16)
-    outputs = []
-    for pool_size in (1, 0):  # two lanes whatever the host, then none
-        monkeypatch.setattr(lanes, "POOL_SIZE", pool_size)
-        outputs.append(estimate_velocity_psd(series, radio, DopplerParams()).tobytes())
-    assert outputs[0] == outputs[1]
-    assert outputs[0] == np.stack([_reference_psd(x, radio, DopplerParams()) for x in series]).tobytes()
-
-
 # ---------------------------------------------------------------------------
 # End-to-end velocity extraction on simulator output
 # ---------------------------------------------------------------------------

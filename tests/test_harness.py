@@ -213,6 +213,64 @@ def test_feature_table_threads_are_capped_by_the_usable_cpus(corpus, monkeypatch
     assert len({ident for _, ident in seen}) <= min(4, lanes.usable_cpus())
 
 
+def _patched_reads(monkeypatch, corpus, n, read):
+    """featurize_manifest over the corpus's first n entries on two lanes, with
+    read(index, path, read_csit) in place of each capture's read_csit."""
+    from moric import harness
+
+    manifest, _ = corpus
+    sub = Manifest(entries=manifest.entries[:n])
+    bank = kernel_bank(sub, SMALL_PIPELINE)
+    paths = [e.path for e in sub.entries]
+    original = harness.read_csit
+    monkeypatch.setattr(lanes, "POOL_SIZE", 1)  # two lanes whatever the host
+    monkeypatch.setattr(harness, "read_csit", lambda path: read(paths.index(path), path, original))
+    return harness.featurize_manifest(sub, SMALL_PIPELINE, bank, threads=2)
+
+
+def test_feature_table_lanes_take_entries_one_at_a_time(corpus, monkeypatch):
+    # a slow first capture must not hold back the ones after it: in contiguous
+    # parts the second entry would wait for the lane that holds the first
+    import threading
+
+    second_read = threading.Event()
+    waited = []
+
+    def read(index, path, original):
+        if index == 0:
+            waited.append(second_read.wait(timeout=20))
+        elif index == 1:
+            second_read.set()
+        return original(path)
+
+    samples = _patched_reads(monkeypatch, corpus, 4, read)
+    assert waited == [True]
+    assert [s.sample_id for s in samples] == [e.meta.sample_id for e in corpus[0].entries[:4]]
+
+
+def test_feature_table_lanes_raise_the_first_bad_entrys_error(corpus, monkeypatch):
+    # entry 1 fails first in time, entry 0 later: a serial loop raises entry
+    # 0's, and takes no entry after a failing one
+    import threading
+
+    failed = threading.Event()
+    reads = []
+
+    def read(index, path, original):
+        reads.append(index)
+        if index == 0:
+            failed.wait(timeout=20)
+            raise ValueError("entry 0 is bad")
+        if index == 1:
+            failed.set()
+            raise ValueError("entry 1 is bad")
+        return original(path)
+
+    with pytest.raises(ValueError, match="entry 0 is bad"):
+        _patched_reads(monkeypatch, corpus, 4, read)
+    assert sorted(reads) == [0, 1]
+
+
 def test_loso_two_subjects_separable(corpus, corpus_samples):
     manifest, _ = corpus
     report = run_loso(manifest, SMALL_PIPELINE, FAST_TRAIN, samples=corpus_samples)

@@ -65,6 +65,16 @@ def test_a_failing_part_raises_after_every_part_has_finished(monkeypatch):
 
 
 @pytest.mark.skipif(not lanes.BLAS_PINNED, reason="numpy's BLAS exports no thread-count call")
+def test_blas_calls_are_found_through_the_libraries_numpy_links(monkeypatch, tmp_path):
+    # no wheel library directory beside numpy, as with conda, a macOS wheel or
+    # a distro numpy: the calls resolve through numpy's extension module
+    monkeypatch.setattr(np, "__file__", str(tmp_path / "site-packages" / "numpy" / "__init__.py"))
+    calls = lanes._blas_thread_calls()
+    assert calls is not None
+    assert calls[1]() == lanes._blas[1]()
+
+
+@pytest.mark.skipif(not lanes.BLAS_PINNED, reason="numpy's BLAS exports no thread-count call")
 def test_train_holds_blas_at_one_thread_and_restores_the_callers_count(monkeypatch):
     set_threads, get_threads = lanes._blas
     inside = []
@@ -139,6 +149,7 @@ samples = [harness.PipelineSample(fs, label, "s", str(i), {}) for i, (fs, label)
 """
 
 
+@pytest.mark.skipif(not lanes.BLAS_PINNED, reason="numpy's BLAS exports no thread-count call")
 def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
     # the thread count must be set before numpy loads, so each count runs in
     # its own process; sets of up to 156 rows of 750 features trained and
