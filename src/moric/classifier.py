@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -149,9 +149,6 @@ class MoricModel:
         for name, value in self.params.items():
             if not np.all(np.isfinite(value)):
                 raise ValueError(f"parameter {name} contains non-finite values")
-
-    def with_calibration(self, calibration: Calibration) -> "MoricModel":
-        return replace(self, calibration=calibration)
 
 
 def param_names(n_heads: int) -> List[str]:
@@ -673,7 +670,7 @@ def load_model(path) -> MoricModel:
     meta = r.trailer(_ModelMeta)
     if meta is None:
         raise FormatError(f"{path}: missing the model trailer")
-    with format_errors(path):
+    with format_errors(path), np.errstate(invalid="ignore"):  # MoricModel rejects a signaling NaN as quiet
         if n_weights != _weight_count(meta.dims):
             raise FormatError(f"{path}: {n_weights} weights where the dims need {_weight_count(meta.dims)}")
         params = _param_views(meta.dims, weights.astype(np.float64))

@@ -110,7 +110,7 @@ def cmd_train(args) -> int:
     pcfg = _pipeline_config(args)
     tcfg = _train_config(args)
     bank = harness.kernel_bank(manifest, pcfg)
-    samples = harness.featurize_manifest(manifest, pcfg, bank, threads=args.threads)
+    samples = harness.featurize_manifest(manifest, pcfg, bank)
     model, tr_idx = harness.train_on_split(samples, tcfg, "split")
     model = replace(model, kernel_bank=bank, pipeline=pcfg)
     classifier.save_model(model, args.out)
@@ -128,7 +128,7 @@ def _model_feature_table(model: classifier.MoricModel, args):
     for what, value in (("kernel bank", model.kernel_bank), ("pipeline config", model.pipeline)):
         if value is None:
             raise FormatError(f"{args.model}: the model carries no {what}; train it with `moric train`")
-    return harness.featurize_manifest(manifest, model.pipeline, model.kernel_bank, threads=args.threads)
+    return harness.featurize_manifest(manifest, model.pipeline, model.kernel_bank)
 
 
 def cmd_eval(args) -> int:
@@ -180,8 +180,7 @@ def cmd_calibrate(args) -> int:
     truth = classifier.label_indices(model, [s.label for s in samples])
     logits = harness.sample_logits(model, samples)
     (calibration,) = classifier.calibrate(logits[None], truth[None], steps=args.steps, lr=args.lr)
-    calibrated = model.with_calibration(calibration)
-    classifier.save_model(calibrated, args.out)
+    classifier.save_model(replace(model, calibration=calibration), args.out)
     print(f"wrote {args.out}: T={calibration.temperature:.4f}")
     return 0
 
@@ -190,7 +189,7 @@ def cmd_loso(args) -> int:
     manifest = Manifest.load(args.manifest)
     pcfg = _pipeline_config(args)
     tcfg = _train_config(args)
-    report = harness.run_loso(manifest, pcfg, tcfg, threads=args.threads)
+    report = harness.run_loso(manifest, pcfg, tcfg)
     files = harness.report_emit(report, args.report)
     print(
         f"LOSO accuracy {100 * report.mean_accuracy:.1f}% +- {100 * report.sd_accuracy:.1f}% "
@@ -215,7 +214,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="CSI delay-Doppler decomposition and activity classification pipeline",
     )
     parser.add_argument("--seed", type=int, default=0, help="root random seed")
-    parser.add_argument("--threads", type=int, default=1, help="lanes for a manifest's captures, at most the CPUs")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="synthesize CSI from a scene description")
@@ -281,8 +279,6 @@ def main(argv=None) -> int:
         # before any command reads a file
         if args.seed < 0:
             raise ValueError(f"seed must be >= 0, got {args.seed}")
-        if args.threads < 1:
-            raise ValueError(f"threads must be >= 1, got {args.threads}")
         return args.func(args)
     except (FormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

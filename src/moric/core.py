@@ -392,6 +392,8 @@ class VelocitySet:
         _frozen_rows(
             self, values.shape[0], delay_bins=np.int64, streams=np.int64, snr_db=np.float64, gated=bool
         )
+        if not np.all(np.isfinite(self.snr_db)):
+            raise ValueError("velocity SNRs contain non-finite entries")
         if np.any(values[self.gated] != 0.0):
             raise ValueError("gated velocity rows must be all zeros")
         values.flags.writeable = False
@@ -468,7 +470,8 @@ def read_csit(path) -> CsiFrame:
     """Inverse of write_csit. Raises FormatError on bad magic/version/truncation
     and on a header, payload or metadata trailer the constructors reject."""
     r, (s, n, t, fs, fc, df) = read_framed(path, _CSIT_HEADER, CSIT_MAGIC, FORMAT_VERSION)
-    pairs = r.array("<f4", s * n * t * 2).reshape(s, n, t, 2).astype(np.float64)
+    with np.errstate(invalid="ignore"):  # a signaling NaN casts to a quiet one, which CsiFrame rejects
+        pairs = r.array("<f4", s * n * t * 2).reshape(s, n, t, 2).astype(np.float64)
     meta = r.trailer(SampleMeta)
     with format_errors(path):
         config = RadioConfig(
@@ -521,7 +524,7 @@ def read_dvel(path) -> VelocitySet:
     if bad.size:
         raise FormatError(f"{path}: gated flag other than 0/1 in row {bad[0]}")
     trailer = r.trailer(_DvelTrailer)
-    with format_errors(path):
+    with format_errors(path), np.errstate(invalid="ignore"):  # VelocitySet rejects a signaling NaN as quiet
         return VelocitySet(
             values=records["values"],
             delay_bins=records["bin"],

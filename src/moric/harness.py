@@ -138,7 +138,7 @@ def kernel_bank(manifest: Manifest, cfg: PipelineConfig) -> KernelBank:
 
 
 def build_feature_table(
-    manifest: Manifest, cfg: PipelineConfig, threads: int = 1
+    manifest: Manifest, cfg: PipelineConfig, threads: Optional[int] = None
 ) -> List[PipelineSample]:
     """featurize_manifest with the kernel bank `cfg` draws for the manifest."""
     return featurize_manifest(manifest, cfg, kernel_bank(manifest, cfg), threads=threads)
@@ -146,12 +146,13 @@ def build_feature_table(
 
 @one_blas_thread()
 def featurize_manifest(
-    manifest: Manifest, cfg: PipelineConfig, bank: KernelBank, threads: int = 1
+    manifest: Manifest, cfg: PipelineConfig, bank: KernelBank, threads: Optional[int] = None
 ) -> List[PipelineSample]:
     """Run the per-sample pipeline over a manifest, its entries handed one at
-    a time to up to `threads` lanes (at most one per usable CPU); output order
-    follows the manifest. Fewer than 1 thread is a ValueError."""
-    if threads < 1:
+    a time to one lane per usable CPU, or to at most `threads` lanes; output
+    order follows the manifest and no bit depends on the lanes. Fewer than 1
+    thread is a ValueError."""
+    if threads is not None and threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
 
     def one(entry: ManifestEntry) -> PipelineSample:
@@ -290,7 +291,6 @@ def run_loso(
     manifest: Manifest,
     pipeline_cfg: PipelineConfig,
     train_cfg: TrainConfig,
-    threads: int = 1,
     samples: Optional[List[PipelineSample]] = None,
 ) -> Report:
     """Leave-one-subject-out cross-validation over a manifest.
@@ -315,7 +315,7 @@ def run_loso(
                 "LOSO needs every gesture in at least 2 subjects"
             )
     if samples is None:
-        samples = build_feature_table(manifest, pipeline_cfg, threads=threads)
+        samples = build_feature_table(manifest, pipeline_cfg)
     per_subject: Dict[str, List[PipelineSample]] = {s: [] for s in subjects}
     for s in samples:
         if s.subject not in per_subject:

@@ -8,8 +8,8 @@ Each part must write memory that no other part touches; then the bits do not
 depend on the number of parts. A part never fans out again: `in_lanes`
 called inside a part runs inline, so at most one thread per usable CPU
 computes and the pool never waits on itself. What fans out: training's
-heads and AdamW update (`classifier`), an evaluation's samples and
-`--threads` manifest entries (`harness`).
+heads and AdamW update (`classifier`), an evaluation's samples and a
+manifest's entries, handed out one at a time (`harness`).
 
 `one_blas_thread()` sets the BLAS library numpy links to one thread on its
 outermost entry and restores the caller's count on its outermost exit.

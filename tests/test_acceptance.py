@@ -367,6 +367,6 @@ def test_criterion_10_real_data_reproduction():
         manifest = manifest.filter(orientation_deg=180)
         pcfg = PipelineConfig(doppler=DopplerParams(), n_kernels=250, n_biases=3)
         tcfg = TrainConfig()
-        report = run_loso(manifest, pcfg, tcfg, threads=2)
+        report = run_loso(manifest, pcfg, tcfg)
         print(f"  real-data LOSO mean {100 * report.mean_accuracy:.1f}%")
         assert report.mean_accuracy >= 0.45

@@ -672,7 +672,7 @@ def test_calibrate_rejects_empty_set():
 def test_predict_calibrated_b0_same_argmax():
     rng = np.random.default_rng(71)
     model = small_model()
-    cal_model = model.with_calibration(Calibration(temperature=3.7, bias=np.zeros(3)))
+    cal_model = replace(model, calibration=Calibration(temperature=3.7, bias=np.zeros(3)))
     for _ in range(10):
         fs = make_feature_set(rng)
         plain, _ = predict(model, fs)
@@ -731,7 +731,7 @@ def test_model_file_keeps_weights_and_calibration_bitwise(tmp_path):
     model, _, _ = _model_with_bank_and_calibration()
     rng = np.random.default_rng(12)
     calibration = Calibration(temperature=1.0 / 3.0 + 1e-17, bias=rng.normal(size=3) * 1e-5)
-    model = model.with_calibration(calibration)
+    model = replace(model, calibration=calibration)
     path = tmp_path / "model.morm"
     save_model(model, path)
     loaded = load_model(path)
@@ -828,6 +828,7 @@ def test_load_model_rejects_fields_its_constructors_reject(tmp_path):
     corruptions = {
         "n_heads must be >= 1": join_model(weights, bank, {**meta, "dims": {**meta["dims"], "n_heads": 0}}),
         "non-finite": join_model(struct.pack("<f", np.nan) + weights[4:], bank, meta),
+        "non-finite values": join_model(struct.pack("<I", 0x7F800001) + weights[4:], bank, meta),  # signaling NaN
         "temperature must be positive": join_model(
             weights, bank, {**meta, "calibration": {**meta["calibration"], "temperature": 0.0}}
         ),

@@ -177,30 +177,6 @@ def test_loso_gesture_of_one_subject_exits_2(tmp_path, capsys):
     assert "gesture 'c' occurs only for subject 's2'" in capsys.readouterr().err
 
 
-def test_fewer_than_one_thread_exits_2(tmp_path, capsys, flagged_model, monkeypatch):
-    from moric import harness
-
-    calls = []
-    monkeypatch.setattr(harness, "velocity_set_for_frame", lambda *args: calls.append(args))
-    model_path, _, _ = flagged_model
-    _, manifest_path = write_synthetic_manifest(
-        tmp_path / "corpus", subjects=["s1", "s2"], gestures=["circle", "push_pull"],
-        samples_per_class=1, radio=make_radio(n_subcarriers=16), duration_s=5.0, seed=4, easy=True,
-    )
-    manifest = ["--manifest", str(manifest_path)]
-    for threads in ("0", "-2"):
-        for argv in (
-            ["train"] + manifest + ["--out", str(tmp_path / "out.morm")],
-            ["eval", "--model", str(model_path)] + manifest,
-            ["calibrate", "--model", str(model_path)] + manifest + ["--out", str(tmp_path / "cal.morm")],
-            ["loso"] + manifest + ["--report", str(tmp_path / "r")],
-        ):
-            assert main(["--threads", threads] + argv) == 2, (argv[0], threads)
-            assert f"threads must be >= 1, got {threads}" in capsys.readouterr().err, (argv[0], threads)
-    assert calls == []  # rejected before any capture is featurized
-    assert not (tmp_path / "out.morm").exists() and not (tmp_path / "r").exists()
-
-
 def test_validation_error_exits_2(tmp_path, scene_file):
     csit = tmp_path / "x.csit"
     assert main(["simulate", "--scene", str(scene_file), "--out", str(csit)]) == 0
@@ -629,7 +605,8 @@ LOSO_ARGV = ["loso", "--manifest", "m.json", "--report", "r"]
 def test_sanitize_takes_no_hampel_flags(tmp_path, capsys, scene_file):
     """The front end has one estimator and always filters and normalizes: no
     command takes a Hampel setting, a switch to skip a step or an estimator
-    choice, and no command writes random-kernel features."""
+    choice, no command writes random-kernel features, and the program sets
+    its own thread count."""
     csit = tmp_path / "x.csit"
     assert main(["simulate", "--scene", str(scene_file), "--out", str(csit)]) == 0
     io = ["--in", str(csit), "--out", str(tmp_path / "y")]
@@ -638,6 +615,7 @@ def test_sanitize_takes_no_hampel_flags(tmp_path, capsys, scene_file):
              ["decompose", *io, "--no-normalize"]]
     for command in TRAIN_ARGV, LOSO_ARGV:
         cases += [command + ["--skip-hampel"], command + ["--estimator", "psd"]]
+        cases += [command + ["--threads", "2"], ["--threads=2"] + command]
     cases = [(argv, "unrecognized arguments") for argv in cases]
     cases.append((["features", "--in", str(tmp_path / "v.dvel"), "--out", str(tmp_path / "f")], "invalid choice"))
     for argv, message in cases:

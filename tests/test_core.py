@@ -233,6 +233,28 @@ def test_dvel_truncation_detected(tmp_path):
         read_dvel(bad)
 
 
+def test_readers_reject_non_finite_payload_values(tmp_path):
+    """A quiet NaN, a signaling NaN or an infinity in an f32 payload is a
+    FormatError naming the file, with no warning from the cast to float64; so
+    is one in a DVEL row's SNR."""
+    csit, dvel, bad = tmp_path / "x.csit", tmp_path / "x.dvel", tmp_path / "bad"
+    _csit_with_trailer(csit)
+    _dvel_with_trailer(dvel)
+    csit_at = struct.calcsize("<4sIIIIddd")
+    dvel_row = struct.calcsize("<4sIII")  # then bin, stream, snr, gated flag, values
+    for bits in (0x7FC00000, 0x7F800001, 0x7F800000):
+        word = struct.pack("<I", bits)
+        for read, raw, at, message in (
+            (read_csit, csit.read_bytes(), csit_at, "CSI tensor contains non-finite values"),
+            (read_dvel, dvel.read_bytes(), dvel_row + 13, "velocity values contain non-finite entries"),
+            (read_dvel, dvel.read_bytes(), dvel_row + 8, "velocity SNRs contain non-finite entries"),
+        ):
+            bad.write_bytes(raw[:at] + word + raw[at + 4 :])
+            with pytest.raises(FormatError, match=message) as exc:
+                read(bad)
+            assert str(exc.value).startswith(f"{bad}: "), (hex(bits), message)
+
+
 def test_dvel_and_feat_trailers_are_strict_records(tmp_path):
     """A DVEL trailer holds exactly a string `source`; anything else names
     the file and the key."""

@@ -155,6 +155,8 @@ def test_feature_table_threads_match_serial(corpus):
     for a, b in zip(serial, threaded):
         assert a.sample_id == b.sample_id
         assert np.array_equal(a.feature_set.features, b.feature_set.features)
+    with pytest.raises(ValueError, match="threads must be >= 1"):
+        build_feature_table(sub, SMALL_PIPELINE, threads=0)
 
 
 def test_feature_table_and_logits_do_not_depend_on_the_pool(corpus, held_out, monkeypatch):
@@ -529,7 +531,7 @@ def _reference_sweep(samples, model, samples_per_class, n_draws=10, seed=0):
         draws = []
         for cal_idx in _reference_draws(samples, count, n_draws, seed):
             cal_items = [(samples[i].feature_set, samples[i].label) for i in cal_idx]
-            calibrated = model.with_calibration(_reference_calibrate(model, cal_items))
+            calibrated = replace(model, calibration=_reference_calibrate(model, cal_items))
             cal_set = set(cal_idx)
             rest = [s for i, s in enumerate(samples) if i not in cal_set]
             acc, _ = _reference_evaluate(calibrated, rest, use_calibration=True)
@@ -598,14 +600,15 @@ def test_batched_fit_equals_per_draw_fit_on_random_logits():
 def test_evaluate_samples_counts_equal_per_sample_predict(held_out):
     model, samples = held_out
     cal = classifier.Calibration(temperature=0.7, bias=np.array([0.9, -0.4]))
-    for m, use in ((model, False), (model.with_calibration(cal), True), (model.with_calibration(cal), False)):
+    calibrated = replace(model, calibration=cal)
+    for m, use in ((model, False), (calibrated, True), (calibrated, False)):
         acc, counts = evaluate_samples(m, samples, use_calibration=use)
         ref_acc, ref_counts = _reference_evaluate(m, samples, use_calibration=use)
         assert acc == ref_acc and np.array_equal(counts, ref_counts)
     # the calibrated scorer's probabilities are predict's, bit for bit
     probs = calibrated_probs(cal, sample_logits(model, samples))
     for row, s in zip(probs, samples):
-        assert row.tobytes() == predict(model.with_calibration(cal), s.feature_set, True)[1].tobytes()
+        assert row.tobytes() == predict(calibrated, s.feature_set, True)[1].tobytes()
     with pytest.raises(ValueError, match="no calibration"):
         evaluate_samples(model, samples, use_calibration=True)
 
