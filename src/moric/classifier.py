@@ -26,11 +26,11 @@ float32: weights, optimizer state, gradients and every matrix product, with
 only the softmax and the loss taken in float64. The returned model is float64
 holding the f32 values its file stores, and inference runs in float64.
 
-A training step fans its heads' forward and backward passes, and the AdamW
-update of the flat vector in contiguous parts, out over up to n_heads lanes
-(`moric.lanes`); each part writes its own memory with the arithmetic of a
-serial step. Inference (`forward`, `predict`) runs one set on the calling
-thread. `train` and `forward` hold BLAS at one thread, so their bits depend
+A training step fans its heads' forward and backward passes, one head per
+item, and the AdamW update of the flat vector, one `ADAM_BLOCK` slice per
+item, out over up to n_heads lanes (`moric.lanes`); each item writes its own
+memory with the arithmetic of a serial step. Inference (`forward`,
+`predict`) runs one set on the calling thread. `train` and `forward` hold BLAS at one thread, so their bits depend
 on neither thread count. `train` holds five float32 weight vectors (weights,
 gradient, two moments, best checkpoint) and frees them before it builds the
 float64 model it returns.
@@ -275,10 +275,7 @@ def _batch_forward(params, dims: ModelDims, rows: np.ndarray, offsets: np.ndarra
     n_sets = len(offsets) - 1
     pooled = np.empty((n_sets, dims.n_heads * dims.reduced_dim), dtype=rows.dtype)
 
-    def run(heads: range):
-        return [_head_forward(params, dims, k, rows, offsets, pooled) for k in heads]
-
-    heads = [c for part in in_lanes(run, dims.n_heads, lanes) for c in part]
+    heads = in_lanes(lambda k: _head_forward(params, dims, k, rows, offsets, pooled), dims.n_heads, lanes)
     h = np.maximum(pooled @ params["cls_w1"] + params["cls_b1"], 0.0)
     logits = h @ params["cls_w2"] + params["cls_b2"]
     return logits, {"rows": rows, "offsets": offsets, "heads": heads, "pooled": pooled, "h": h}
@@ -345,12 +342,10 @@ def _loss_and_flat_grad(params, dims: ModelDims, rows, offsets, labels_idx, smoo
     grads["cls_b1"][...] = da.sum(axis=0)
     du = da @ params["cls_w1"].T  # [n_sets, K*Dr]
     dr = dims.reduced_dim
-
-    def backward(heads: range) -> None:
-        for k in heads:
-            _head_backward(params, dims, k, rows, cache["heads"][k], du[:, k * dr : (k + 1) * dr], grads)
-
-    in_lanes(backward, dims.n_heads)
+    in_lanes(
+        lambda k: _head_backward(params, dims, k, rows, cache["heads"][k], du[:, k * dr : (k + 1) * dr], grads),
+        dims.n_heads,
+    )
     return total / n
 
 
@@ -500,27 +495,25 @@ def train(
 
 
 def _adam_step(flat, grad, m, v, step: int, cfg: TrainConfig, lanes: int) -> None:
-    """One AdamW update of the flat weights and moment vectors, in place, in
-    up to `lanes` contiguous parts. The update is
-    elementwise, so the split leaves the bits alone; each part runs block by
-    block so that each block's temporaries stay in cache."""
+    """One AdamW update of the flat weights and moment vectors, in place, one
+    `ADAM_BLOCK` slice per item over up to `lanes` lanes, so that each block's
+    temporaries stay in cache. The update is elementwise, so the split leaves
+    the bits alone."""
     bc1 = 1.0 - ADAM_BETA1**step
     bc2 = 1.0 - ADAM_BETA2**step
 
-    def update_part(part: range) -> None:
-        for i in range(part.start, part.stop, ADAM_BLOCK):
-            j = min(i + ADAM_BLOCK, part.stop)
-            w, g, mb, vb = (a[i:j] for a in (flat, grad, m, v))
-            mb += (1 - ADAM_BETA1) * (g - mb)
-            vb += (1 - ADAM_BETA2) * (g * g - vb)
-            update = np.sqrt(vb / bc2)
-            update += ADAM_EPS
-            np.divide(mb / bc1, update, out=update)
-            update += cfg.weight_decay * w
-            update *= cfg.lr
-            w -= update
+    def update_block(b: int) -> None:
+        w, g, mb, vb = (a[b * ADAM_BLOCK : (b + 1) * ADAM_BLOCK] for a in (flat, grad, m, v))
+        mb += (1 - ADAM_BETA1) * (g - mb)
+        vb += (1 - ADAM_BETA2) * (g * g - vb)
+        update = np.sqrt(vb / bc2)
+        update += ADAM_EPS
+        np.divide(mb / bc1, update, out=update)
+        update += cfg.weight_decay * w
+        update *= cfg.lr
+        w -= update
 
-    in_lanes(update_part, flat.size, lanes)
+    in_lanes(update_block, -(-flat.size // ADAM_BLOCK), lanes)
 
 
 # ---------------------------------------------------------------------------

@@ -159,16 +159,18 @@ def cmd_eval(args) -> int:
 
 def cmd_calibrate(args) -> int:
     model = classifier.load_model(args.model)
-    if args.sweep:  # a non-integer count is a ValueError too, so exits 2
+    if args.sweep is not None:  # a non-integer or empty count is a ValueError too, so exits 2
         counts = harness.check_sweep_args([int(x) for x in args.sweep.split(",")], args.draws)
         if (args.steps, args.lr) != (classifier.CALIBRATE_STEPS, classifier.CALIBRATE_LR):
             raise ValueError(f"--steps and --lr set a fit only, not a sweep: got --steps {args.steps} --lr {args.lr}")
     elif not args.out:
         raise ValueError("--out is required when fitting a calibration")
+    elif args.draws != classifier.CALIBRATE_DRAWS:
+        raise ValueError(f"--draws sets a sweep only, not a fit: got --draws {args.draws}")
     else:
         classifier.check_calibrate_args(args.steps, args.lr)
     samples = _model_feature_table(model, args)
-    if args.sweep:
+    if args.sweep is not None:
         results = harness.run_calibration_sweep(
             samples, model, counts, n_draws=args.draws, seed=args.seed
         )

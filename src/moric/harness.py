@@ -2,8 +2,8 @@
 leave-one-subject-out evaluation, calibration sweeps, and report emission.
 
 Scoring has one path: `sample_logits` runs one forward pass per sample, the
-samples fanned out in contiguous parts (`moric.lanes`), and `score_logits`
-turns those logits into accuracy and confusion counts.
+samples handed out one at a time to the lanes of `moric.lanes`, and
+`score_logits` turns those logits into accuracy and confusion counts.
 `evaluate_samples` is the two in turn, and a calibration sweep computes the
 logits once and scores every draw on rows of them.
 
@@ -15,7 +15,6 @@ the manifest's directory, and `Manifest.save` writes every path that way."""
 from __future__ import annotations
 
 import csv
-import itertools
 import os
 import time
 import zlib
@@ -29,7 +28,7 @@ from . import classifier, delay_doppler, features, sanitize
 from .classifier import MoricModel, TrainConfig
 from .core import CsiFrame, FeatureSet, JsonRecord, PipelineConfig, SampleMeta, read_csit
 from .features import KernelBank
-from .lanes import in_lanes, lane_count, one_blas_thread
+from .lanes import in_lanes, one_blas_thread
 
 
 def derive_seed(root: int, label: str) -> int:
@@ -149,9 +148,11 @@ def featurize_manifest(
     manifest: Manifest, cfg: PipelineConfig, bank: KernelBank, threads: Optional[int] = None
 ) -> List[PipelineSample]:
     """Run the per-sample pipeline over a manifest, its entries handed one at
-    a time to one lane per usable CPU, or to at most `threads` lanes; output
-    order follows the manifest and no bit depends on the lanes. Fewer than 1
-    thread is a ValueError."""
+    a time to one lane per usable CPU, or to at most `threads` lanes, so
+    captures of different sizes still share the work; output order follows
+    the manifest and no bit depends on the lanes. A failing entry raises what
+    a serial loop would: the first one's error. Fewer than 1 thread is a
+    ValueError."""
     if threads is not None and threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
 
@@ -172,25 +173,8 @@ def featurize_manifest(
             snr_by_stream={int(k): vs.snr_db[vs.streams == k] for k in np.unique(vs.streams)},
         )
 
-    # lanes take the next entry as they come free, so captures of different
-    # sizes still share the lanes' work; the first failing entry's error wins,
-    # as in a serial loop
     entries = manifest.entries
-    samples: List[Optional[PipelineSample]] = [None] * len(entries)
-    errors: Dict[int, Exception] = {}
-    todo = itertools.count()  # next() on it is atomic
-
-    def run(_lanes: range) -> None:
-        while not errors and (i := next(todo)) < len(entries):
-            try:
-                samples[i] = one(entries[i])
-            except Exception as exc:
-                errors[i] = exc
-
-    in_lanes(run, lane_count(len(entries), threads))
-    if errors:
-        raise errors[min(errors)]
-    return samples
+    return in_lanes(lambda i: one(entries[i]), len(entries), threads)
 
 
 def stratified_split(labels: Sequence[str], val_fraction: float, seed: int):
@@ -248,19 +232,12 @@ class Report(JsonRecord):
 
 
 def sample_logits(model: MoricModel, samples: Sequence[PipelineSample]) -> np.ndarray:
-    """Class logits [n, C] of the samples, one forward pass each; the samples
-    fan out in contiguous parts, each writing its own rows. A failing sample
-    raises what the serial loop would: the first one's error."""
+    """Class logits [n, C] of the samples, one forward pass each; the lanes
+    take the samples one at a time. A failing sample raises what the serial
+    loop would: the first one's error."""
     if not samples:
         raise ValueError("no samples to evaluate")
-    logits = np.empty((len(samples), model.dims.n_classes))
-
-    def run(part: range) -> None:
-        for i in part:
-            logits[i] = classifier.forward(model, samples[i].feature_set)[0]
-
-    in_lanes(run, len(samples))
-    return logits
+    return np.array(in_lanes(lambda i: classifier.forward(model, samples[i].feature_set)[0], len(samples)))
 
 
 def score_logits(logits: np.ndarray, truth: np.ndarray, calibration=None):

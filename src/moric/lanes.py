@@ -1,15 +1,15 @@
 """One thread policy for the whole program: one pool, one level of fan-out,
 and the BLAS library held at one thread while the program computes.
 
-`in_lanes(fn, n, lanes)` splits range(n) into contiguous parts and runs
-fn(part) for each: the first on the calling thread, the others on the
-workers of one module-level pool, usable CPUs - 1 of them (none on one CPU).
-Each part must write memory that no other part touches; then the bits do not
-depend on the number of parts. A part never fans out again: `in_lanes`
-called inside a part runs inline, so at most one thread per usable CPU
-computes and the pool never waits on itself. What fans out: training's
-heads and AdamW update (`classifier`), an evaluation's samples and a
-manifest's entries, handed out one at a time (`harness`).
+`in_lanes(fn, n, lanes)` returns [fn(0), ..., fn(n-1)]. Its lanes, the
+calling thread and workers of one module-level pool (usable CPUs - 1 of them,
+none on one CPU), take the items one at a time as they come free, so items of
+different sizes still share the work. Each item must write memory that no
+other item touches; then the bits do not depend on the number of lanes. An
+item never fans out again: `in_lanes` called inside an item runs inline, so
+at most one thread per usable CPU computes and the pool never waits on
+itself. What fans out: training's heads and AdamW blocks (`classifier`), an
+evaluation's samples and a manifest's entries (`harness`).
 
 `one_blas_thread()` sets the BLAS library numpy links to one thread on its
 outermost entry and restores the caller's count on its outermost exit.
@@ -25,12 +25,13 @@ from __future__ import annotations
 import contextvars
 import ctypes
 import importlib
+import itertools
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable, Dict, Optional
 
 import numpy as np
 
@@ -42,41 +43,49 @@ def usable_cpus() -> int:
 
 
 # worker threads beside the caller's; read at every fan-out, so setting it to 0
-# runs every part on the calling thread. Threads start on first use
+# runs every item on the calling thread. Threads start on first use
 POOL_SIZE = usable_cpus() - 1
 _pool = ThreadPoolExecutor(max_workers=max(POOL_SIZE, 1), thread_name_prefix="moric-lane")
-_in_part = contextvars.ContextVar("moric_in_part", default=False)
+_in_lane = contextvars.ContextVar("moric_in_lane", default=False)
 
 
 def lane_count(n: int, lanes: Optional[int] = None) -> int:
-    """Parts a fan-out of n items runs in: at most `lanes` (default n), n and
-    the usable CPUs; 1 inside a part of another fan-out."""
-    if _in_part.get():
+    """Lanes a fan-out of n items runs on: at most `lanes` (default n), n and
+    the usable CPUs; 1 inside an item of another fan-out."""
+    if _in_lane.get():
         return 1
     return max(1, min(n, POOL_SIZE + 1, n if lanes is None else lanes))
 
 
-def _run_part(fn: Callable[[range], object], part: range):
-    _in_part.set(True)  # in this part's copy of the caller's context only
-    return fn(part)
-
-
-def in_lanes(fn: Callable[[range], object], n: int, lanes: Optional[int] = None) -> list:
-    """fn(part) for lane_count(n, lanes) contiguous parts of range(n), the
-    results in part order. An exception is the first failing part's, as a
-    serial loop over the parts would raise."""
+def in_lanes(fn: Callable[[int], object], n: int, lanes: Optional[int] = None) -> list:
+    """[fn(0), ..., fn(n-1)] on lane_count(n, lanes) lanes, each taking the
+    next item as it comes free. After an item fails no lane takes another,
+    and once every started item has finished the lowest failing item's
+    exception is raised: the one a serial loop would raise."""
     lanes = lane_count(n, lanes)
     if lanes == 1:
-        return [fn(range(n))]
-    parts = [range(i * n // lanes, (i + 1) * n // lanes) for i in range(lanes)]
+        return [fn(i) for i in range(n)]
+    results: list = [None] * n
+    errors: Dict[int, BaseException] = {}
+    todo = itertools.count()  # next() on it is atomic
+
+    def lane() -> None:
+        _in_lane.set(True)  # in this lane's copy of the caller's context only
+        while not errors and (i := next(todo)) < n:
+            try:
+                results[i] = fn(i)
+            except BaseException as exc:
+                errors[i] = exc
+
     with one_blas_thread():
-        # each part runs in a copy of the caller's context: numpy's error state too
-        futures = [_pool.submit(contextvars.copy_context().run, _run_part, fn, part) for part in parts[1:]]
-        try:
-            first = contextvars.copy_context().run(_run_part, fn, parts[0])
-        finally:
-            wait(futures)
-        return [first] + [f.result() for f in futures]
+        # each lane runs in a copy of the caller's context: numpy's error state too
+        futures = [_pool.submit(contextvars.copy_context().run, lane) for _ in range(lanes - 1)]
+        contextvars.copy_context().run(lane)
+        for f in futures:
+            f.result()
+    if errors:
+        raise errors[min(errors)]
+    return results
 
 
 # thread-count calls of the OpenBLAS builds numpy links: the scipy-openblas

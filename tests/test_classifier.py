@@ -867,8 +867,11 @@ def test_model_rejects_a_bank_of_another_dimension_and_duplicate_labels(tmp_path
 
 
 def test_training_bits_do_not_depend_on_the_head_pool(tmp_path, monkeypatch):
-    # the default pool spreads a step's heads and its AdamW update over the
-    # usable CPUs; with no workers every part runs on the calling thread
+    # a pool of one worker spreads a step's heads and its AdamW blocks over
+    # two lanes whatever the host; with no workers every item runs on the
+    # calling thread. A block of 97 weights, which divides no array's size,
+    # splits the 2603-weight update into many blocks
+    monkeypatch.setattr(classifier, "ADAM_BLOCK", 97)
     rng = np.random.default_rng(61)
     data = separable_dataset(rng, n_per_class=6, dim=40)
     dims = ModelDims(input_dim=40, n_heads=3, head_hidden=16, reduced_dim=8, cls_hidden=8, n_classes=3)
@@ -881,6 +884,7 @@ def test_training_bits_do_not_depend_on_the_head_pool(tmp_path, monkeypatch):
         save_model(train(data, data[:4], cfg, head_hidden=16, reduced_dim=8, cls_hidden=8), path)
         return path.read_bytes(), loss_and_grads(params, dims, rows, offsets, labels, 0.1)
 
+    monkeypatch.setattr(lanes, "POOL_SIZE", 1)
     pooled_file, (pooled_loss, pooled_grads) = outputs(tmp_path / "pooled.morm")
     monkeypatch.setattr(lanes, "POOL_SIZE", 0)
     serial_file, (serial_loss, serial_grads) = outputs(tmp_path / "serial.morm")

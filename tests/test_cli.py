@@ -676,6 +676,8 @@ def test_calibrate_rejects_bad_sweep_and_fit_arguments(tmp_path, capsys, flagged
         (out + ["--lr", "nan"], "lr must be finite and positive"),
         (["--sweep", "1", "--steps", "0"], "--steps and --lr set a fit only, not a sweep: got --steps 0 --lr 0.01"),
         (["--sweep", "1", "--lr", "nan"], "got --steps 500 --lr nan"),
+        (["--sweep", ""] + out, "invalid literal for int()"),
+        (out + ["--draws", "0"], "--draws sets a sweep only, not a fit: got --draws 0"),
     ):
         assert main(base + extra) == 2, extra
         captured = capsys.readouterr()

@@ -183,7 +183,9 @@ def test_fanned_out_evaluation_raises_the_first_bad_samples_error(held_out, monk
         rows = np.hstack([fs.features, np.zeros((fs.n_rows, extra))])
         return replace(s, feature_set=replace(fs, features=rows))
 
-    first, last = 1, len(samples) - 1  # one in each lane
+    # the later bad sample alone raises its own error; with an earlier one
+    # bad too, the earlier one's wins whichever lane fails first
+    first, last = 1, len(samples) - 1
     bad = list(samples)
     bad[last] = widened(samples[last], 2)
     with pytest.raises(ValueError, match=f"feature dimension {dim + 2} "):

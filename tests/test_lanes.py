@@ -14,31 +14,51 @@ from moric.core import FeatureSet
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-def test_parts_cover_the_range_in_order_and_a_nested_fan_out_runs_inline(monkeypatch):
+def test_items_come_back_in_order_and_a_nested_fan_out_runs_inline(monkeypatch):
     monkeypatch.setattr(lanes, "POOL_SIZE", 1)  # two lanes, whatever the host
-    seen = []
+    nested_threads = []
+    both_lanes = threading.Barrier(2, timeout=20)  # items 0 and 1 run on different lanes
 
-    def inner(part):
-        seen.append(threading.get_ident())
-        return list(part)
+    def inner(j):
+        nested_threads.append(threading.get_ident())
+        return j * j
 
-    def outer(part):
+    def outer(i):
+        if i < 2:
+            both_lanes.wait()
         nested = lanes.in_lanes(inner, 6)
-        return list(part), nested, lanes.lane_count(6), threading.get_ident()
+        return i, nested, lanes.lane_count(6), threading.get_ident()
 
-    # a part that fanned out again would wait on the one worker it occupies
+    # an item that fanned out again would wait on the one worker it occupies
     done = []
     caller = threading.Thread(target=lambda: done.append(lanes.in_lanes(outer, 5)), daemon=True)
     caller.start()
     caller.join(timeout=60)
     assert not caller.is_alive() and len(done) == 1
     results = done[0]
-    assert [r[0] for r in results] == [[0, 1], [2, 3, 4]]
+    assert [r[0] for r in results] == [0, 1, 2, 3, 4]
     for _, nested, count, ident in results:
-        assert nested == [[0, 1, 2, 3, 4, 5]] and count == 1
-        assert ident in seen  # the nested parts ran on the part's own thread
-    assert results[0][3] == caller.ident  # the first part on the caller's
+        assert nested == [0, 1, 4, 9, 16, 25] and count == 1
+        assert nested_threads.count(ident) >= 6  # the nested items ran on the item's own thread
+    assert caller.ident in {r[3] for r in results[:2]}  # the caller's thread runs items too
     assert lanes.lane_count(6) == 2  # and after the fan-out, it fans out again
+
+
+def test_a_slow_first_item_does_not_hold_back_the_others(monkeypatch):
+    monkeypatch.setattr(lanes, "POOL_SIZE", 1)
+    rest_done = threading.Event()
+    ran = []
+
+    def fn(i):
+        if i == 0:
+            return rest_done.wait(timeout=20)  # True once the other lane ran 1..n-1
+        ran.append(i)
+        if len(ran) == 5:
+            rest_done.set()
+        return i
+
+    assert lanes.in_lanes(fn, 6) == [True, 1, 2, 3, 4, 5]
+    assert sorted(ran) == [1, 2, 3, 4, 5]
 
 
 def test_lane_count_is_capped_by_items_cpus_and_the_request(monkeypatch):
@@ -49,19 +69,28 @@ def test_lane_count_is_capped_by_items_cpus_and_the_request(monkeypatch):
     assert lanes.lane_count(9, 64) == 1
 
 
-def test_a_failing_part_raises_after_every_part_has_finished(monkeypatch):
+def test_a_failing_item_stops_the_hand_out_and_raises_once_started_items_end(monkeypatch):
     monkeypatch.setattr(lanes, "POOL_SIZE", 1)
-    finished = []
+    second_started = threading.Event()
+    started, finished = [], []
 
-    def fn(part):
-        if part.start == 0:
-            raise ValueError("first part")
-        threading.Event().wait(0.05)
-        finished.append(part)
+    def fn(i):
+        started.append(i)
+        if i == 0:
+            second_started.wait(timeout=20)
+            raise ValueError("item 0")
+        if i == 1:
+            second_started.set()
+            threading.Event().wait(0.2)  # still running when item 0 fails
+            finished.append(i)
+            raise ValueError("item 1")
 
-    with pytest.raises(ValueError, match="first part"):
-        lanes.in_lanes(fn, 4)
-    assert finished == [range(2, 4)]
+    with pytest.raises(ValueError, match="item 0"):
+        lanes.in_lanes(fn, 6)
+    # item 1 started before item 0 failed and failed itself before the raise,
+    # which is still item 0's; after the first failure no lane took item 2 or
+    # any later one
+    assert sorted(started) == [0, 1] and finished == [1]
 
 
 @pytest.mark.skipif(not lanes.BLAS_PINNED, reason="numpy's BLAS exports no thread-count call")
