@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -99,15 +99,15 @@ class Calibration(JsonRecord):
 
 @dataclass(frozen=True)
 class TrainConfig:
-    lr: float = 1e-4
-    batch_size: int = 64
-    max_epochs: int = 2500
+    lr: float = field(default=1e-4, metadata={"flag": "--lr", "help": "AdamW learning rate"})
+    batch_size: int = field(default=64, metadata={"flag": "--batch", "help": "training sets per step"})
+    max_epochs: int = field(default=2500, metadata={"flag": "--epochs", "help": "most epochs to train"})
     label_smoothing: float = 0.1
-    patience: int = 200
-    weight_decay: float = 1e-4
-    seed: int = 0
-    val_fraction: float = 0.15
-    n_heads: int = ModelDims.n_heads
+    patience: int = field(default=200, metadata={"flag": "--patience", "help": "early-stopping patience in epochs"})
+    weight_decay: float = field(default=1e-4, metadata={"flag": "--weight-decay", "help": "AdamW weight decay"})
+    seed: int = 0  # the CLI's root --seed
+    val_fraction: float = field(default=0.15, metadata={"flag": "--val-frac", "help": "validation share of each class"})
+    n_heads: int = field(default=ModelDims.n_heads, metadata={"flag": "--heads", "help": "shared MLP heads"})
 
     def __post_init__(self):
         for name in ("batch_size", "max_epochs", "patience", "n_heads"):

@@ -2,9 +2,12 @@
 
 Subcommands cover the front-end stages file-to-file (simulate, sanitize,
 decompose), model lifecycle (train, eval, calibrate), and full experiments
-(loso, report). `train` and `loso` take the pipeline flags; `eval` and
-`calibrate` featurize with the pipeline and kernel bank stored in the model.
-Exit codes: 0 success, 2 validation error, 3 I/O or format error.
+(loso, report). `train` and `loso` take the pipeline and training flags;
+`eval` and `calibrate` featurize with the pipeline and kernel bank stored in
+the model. Each of those flags is declared once, on its field of
+`DopplerParams`, `PipelineConfig` or `TrainConfig` as `flag` and `help`
+metadata; the parser takes its type from the annotation and its default from
+the field. Exit codes: 0 success, 2 validation error, 3 I/O or format error.
 """
 
 from __future__ import annotations
@@ -12,9 +15,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
-
+from typing import get_type_hints
 
 from . import classifier, harness, sanitize, simulator
 from .classifier import TrainConfig
@@ -23,55 +26,34 @@ from .delay_doppler import extract_velocity_set
 from .harness import Manifest, Report, derive_seed
 
 
-def _add_doppler_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--window", type=int, default=DopplerParams.window_len, help="Doppler window length (frames)")
-    p.add_argument("--hop", type=int, default=DopplerParams.hop, help="Doppler window hop (frames)")
-    p.add_argument("--pad", type=int, default=DopplerParams.fft_pad, help="FFT length for the PSD")
-    p.add_argument("--snr-db", type=float, default=PipelineConfig.snr_threshold_db, help="SNR gate (dB)")
+def _add_flag(p: argparse.ArgumentParser, cls, name: str) -> None:
+    """Add the flag that field `name` of record `cls` declares in its
+    metadata, typed by the field's annotation and defaulting to its default."""
+    f = cls.__dataclass_fields__[name]
+    p.add_argument(f.metadata["flag"], dest=name, type=get_type_hints(cls)[name], default=f.default,
+                   help=f"{f.metadata['help']} (default: %(default)s)")
 
 
-def _doppler_params(args) -> DopplerParams:
-    return DopplerParams(window_len=args.window, hop=args.hop, fft_pad=args.pad)
+def _add_flags(p: argparse.ArgumentParser, cls) -> None:
+    """Add every flag record `cls` declares, its nested records' included."""
+    hints = get_type_hints(cls)
+    for f in fields(cls):
+        if is_dataclass(hints[f.name]):
+            _add_flags(p, hints[f.name])
+        elif "flag" in f.metadata:
+            _add_flag(p, cls, f.name)
 
 
-def _add_pipeline_args(p: argparse.ArgumentParser) -> None:
-    _add_doppler_args(p)
-    p.add_argument("--kernel-seed", type=int, default=PipelineConfig.kernel_seed, help="kernel bank seed")
-    p.add_argument("--kernels", type=int, default=PipelineConfig.n_kernels, help="number of random kernels")
-    p.add_argument("--biases", type=int, default=PipelineConfig.n_biases, help="PPV biases per kernel")
-
-
-def _pipeline_config(args) -> PipelineConfig:
-    return PipelineConfig(
-        doppler=_doppler_params(args),
-        snr_threshold_db=args.snr_db,
-        kernel_seed=args.kernel_seed,
-        n_kernels=args.kernels,
-        n_biases=args.biases,
-    )
-
-
-def _add_train_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--lr", type=float, default=TrainConfig.lr)
-    p.add_argument("--batch", type=int, default=TrainConfig.batch_size)
-    p.add_argument("--epochs", type=int, default=TrainConfig.max_epochs)
-    p.add_argument("--patience", type=int, default=TrainConfig.patience)
-    p.add_argument("--weight-decay", type=float, default=TrainConfig.weight_decay)
-    p.add_argument("--val-frac", type=float, default=TrainConfig.val_fraction)
-    p.add_argument("--heads", type=int, default=TrainConfig.n_heads)
-
-
-def _train_config(args) -> TrainConfig:
-    return TrainConfig(
-        lr=args.lr,
-        batch_size=args.batch,
-        max_epochs=args.epochs,
-        patience=args.patience,
-        weight_decay=args.weight_decay,
-        seed=args.seed,
-        val_fraction=args.val_frac,
-        n_heads=args.heads,
-    )
+def _from_flags(cls, args, **given):
+    """Record `cls` built from the flags `_add_flags` added; a field that
+    declares no flag takes its value from `given`, else its default."""
+    hints = get_type_hints(cls)
+    for f in fields(cls):
+        if is_dataclass(hints[f.name]):
+            given[f.name] = _from_flags(hints[f.name], args)
+        elif "flag" in f.metadata:
+            given[f.name] = getattr(args, f.name)
+    return cls(**given)
 
 
 def cmd_simulate(args) -> int:
@@ -98,7 +80,7 @@ def cmd_sanitize(args) -> int:
 
 def cmd_decompose(args) -> int:
     frame = read_csit(args.infile)
-    vs = extract_velocity_set(frame, params=_doppler_params(args), snr_threshold_db=args.snr_db)
+    vs = extract_velocity_set(frame, params=_from_flags(DopplerParams, args), snr_threshold_db=args.snr_threshold_db)
     write_dvel(vs, args.out)
     gated = int(vs.gated.sum())
     print(f"wrote {args.out}: {len(vs)} rows ({len(vs) - gated} kept, {gated} gated)")
@@ -107,8 +89,8 @@ def cmd_decompose(args) -> int:
 
 def cmd_train(args) -> int:
     manifest = Manifest.load(args.manifest)
-    pcfg = _pipeline_config(args)
-    tcfg = _train_config(args)
+    pcfg = _from_flags(PipelineConfig, args)
+    tcfg = _from_flags(TrainConfig, args, seed=args.seed)
     bank = harness.kernel_bank(manifest, pcfg)
     samples = harness.featurize_manifest(manifest, pcfg, bank)
     model, tr_idx = harness.train_on_split(samples, tcfg, "split")
@@ -189,8 +171,8 @@ def cmd_calibrate(args) -> int:
 
 def cmd_loso(args) -> int:
     manifest = Manifest.load(args.manifest)
-    pcfg = _pipeline_config(args)
-    tcfg = _train_config(args)
+    pcfg = _from_flags(PipelineConfig, args)
+    tcfg = _from_flags(TrainConfig, args, seed=args.seed)
     report = harness.run_loso(manifest, pcfg, tcfg)
     files = harness.report_emit(report, args.report)
     print(
@@ -232,14 +214,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decompose", help="delay decomposition and velocity estimation")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
-    _add_doppler_args(p)
+    _add_flags(p, DopplerParams)
+    _add_flag(p, PipelineConfig, "snr_threshold_db")
     p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("train", help="train a classifier from a manifest")
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True)
-    _add_pipeline_args(p)
-    _add_train_args(p)
+    _add_flags(p, PipelineConfig)
+    _add_flags(p, TrainConfig)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a model on a manifest")
@@ -262,8 +245,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("loso", help="leave-one-subject-out evaluation")
     p.add_argument("--manifest", required=True)
     p.add_argument("--report", required=True, help="report output directory")
-    _add_pipeline_args(p)
-    _add_train_args(p)
+    _add_flags(p, PipelineConfig)
+    _add_flags(p, TrainConfig)
     p.set_defaults(func=cmd_loso)
 
     p = sub.add_parser("report", help="re-emit CSV tables from a report JSON")

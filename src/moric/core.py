@@ -269,9 +269,9 @@ class DopplerParams(JsonRecord):
 
     _require_all_keys = True
 
-    window_len: int = 64
-    hop: int = 4
-    fft_pad: int = 512
+    window_len: int = field(default=64, metadata={"flag": "--window", "help": "Doppler window length in frames"})
+    hop: int = field(default=4, metadata={"flag": "--hop", "help": "Doppler window hop in frames"})
+    fft_pad: int = field(default=512, metadata={"flag": "--pad", "help": "FFT length for the PSD"})
 
     def __post_init__(self):
         if self.window_len < 2:
@@ -292,10 +292,10 @@ class PipelineConfig(JsonRecord):
     _require_all_keys = True
 
     doppler: DopplerParams = field(default_factory=DopplerParams)
-    snr_threshold_db: float = 2.0
-    kernel_seed: int = 42
-    n_kernels: int = 250
-    n_biases: int = 3
+    snr_threshold_db: float = field(default=2.0, metadata={"flag": "--snr-db", "help": "SNR gate in dB"})
+    kernel_seed: int = field(default=42, metadata={"flag": "--kernel-seed", "help": "kernel bank seed"})
+    n_kernels: int = field(default=250, metadata={"flag": "--kernels", "help": "number of random kernels"})
+    n_biases: int = field(default=3, metadata={"flag": "--biases", "help": "PPV biases per kernel"})
 
     def __post_init__(self):
         if not np.isfinite(self.snr_threshold_db):

@@ -151,20 +151,25 @@ def featurize_manifest(
     a time to one lane per usable CPU, or to at most `threads` lanes, so
     captures of different sizes still share the work; output order follows
     the manifest and no bit depends on the lanes. A failing entry raises what
-    a serial loop would: the first one's error. Fewer than 1 thread is a
-    ValueError."""
+    a serial loop would: the first one's error. A capture the pipeline
+    rejects, or whose arithmetic overflows or turns invalid, is a ValueError
+    that names its path. Fewer than 1 thread is a ValueError."""
     if threads is not None and threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
 
     def one(entry: ManifestEntry) -> PipelineSample:
         frame = read_csit(entry.path)
-        if frame.n_time != bank.input_length:
-            raise ValueError(
-                f"{entry.path}: length {frame.n_time} differs from the kernel bank's "
-                f"{bank.input_length}; all samples must share T"
-            )
-        vs = velocity_set_for_frame(frame, cfg)
-        fset = featurize_velocity_set(vs, bank, label=entry.meta.gesture)
+        try:  # numpy's error state is per thread, so each lane sets its own
+            with np.errstate(over="raise", invalid="raise"):
+                if frame.n_time != bank.input_length:
+                    raise ValueError(
+                        f"length {frame.n_time} differs from the kernel bank's "
+                        f"{bank.input_length}; all samples must share T"
+                    )
+                vs = velocity_set_for_frame(frame, cfg)
+                fset = featurize_velocity_set(vs, bank, label=entry.meta.gesture)
+        except (ValueError, FloatingPointError) as exc:
+            raise ValueError(f"{entry.path}: {exc}") from None
         return PipelineSample(
             feature_set=fset,
             label=entry.meta.gesture,

@@ -1,6 +1,7 @@
 import argparse
 import json
 import re
+import shlex
 import struct
 from pathlib import Path
 
@@ -313,13 +314,47 @@ def test_calibrate_cli_fit_and_sweep(tmp_path):
     assert set(doc) == {"0", "2"}
 
 
-def test_help_exits_zero():
+def _subcommands() -> dict:
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices
+
+
+def _help(capsys, argv) -> str:
     with pytest.raises(SystemExit) as exc:
-        main(["--help"])
-    assert exc.value.code == 0
-    with pytest.raises(SystemExit) as exc:
-        main(["simulate", "--help"])
-    assert exc.value.code == 0
+        main(argv + ["--help"])
+    assert exc.value.code == 0, argv
+    return capsys.readouterr().out
+
+
+def test_help_exits_zero(capsys):
+    # help strings go through argparse's % formatting, so a stray % would raise
+    for argv in [[]] + [[name] for name in _subcommands()]:
+        _help(capsys, argv)
+
+
+def test_train_and_loso_help_list_the_same_record_flags(capsys):
+    from moric.classifier import TrainConfig
+
+    def listed(name):
+        """{flag: its help as `name --help` prints it} for the record flags"""
+        parser = _subcommands()[name]
+        fmt = parser._get_formatter()
+        flags = {a.option_strings[0]: fmt._expand_help(a) for a in parser._actions
+                 if a.default not in (None, argparse.SUPPRESS)}
+        text = " ".join(_help(capsys, [name]).split())  # argparse wraps long lines
+        assert all(f"{flag} " in text and help in text for flag, help in flags.items()), name
+        return flags
+
+    train = listed("train")
+    assert train == listed("loso")
+    assert list(train) == PIPELINE_FLAGS + TRAINING_FLAGS
+    assert train["--window"].endswith("(default: 64)")
+    assert train["--heads"].endswith(f"(default: {TrainConfig.n_heads})")
+
+
+def test_decompose_help_lists_exactly_the_doppler_flags(capsys):
+    listed = set(re.findall(r"^\s+(--[\w-]+)", _help(capsys, ["decompose"]), flags=re.M))
+    assert listed == {"--in", "--out", "--window", "--hop", "--pad", "--snr-db"}
 
 
 def test_calibrate_fit_requires_out(tmp_path, capsys, flagged_model):
@@ -379,6 +414,7 @@ def test_model_with_corrupt_header_or_bank_exits_3(tmp_path, capsys):
 
 
 PIPELINE_FLAGS = ["--window", "--hop", "--pad", "--snr-db", "--kernel-seed", "--kernels", "--biases"]
+TRAINING_FLAGS = ["--lr", "--batch", "--epochs", "--patience", "--weight-decay", "--val-frac", "--heads"]
 
 
 @pytest.fixture(scope="module")
@@ -565,6 +601,34 @@ def test_capture_of_no_streams_exits_3(tmp_path, capsys, flagged_model):
     assert f"{empty}: need at least one stream" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("at, byte", [(35, 0x00), (35, 0x20), (27, 0x7F), (None, None)])
+def test_a_capture_the_pipeline_cannot_use_is_named_once(tmp_path, capsys, flagged_model, at, byte):
+    """A header float the reader accepts but the velocity grid cannot use (the
+    top byte of carrier_hz or of sample_rate_hz) exits 2 and a truncated
+    capture exits 3, each with one error line that names the capture once
+    and no numpy warning."""
+    from dataclasses import replace
+
+    from moric.harness import Manifest
+
+    model_path, manifest_path, _ = flagged_model
+    manifest = Manifest.load(manifest_path)
+    raw = bytearray(manifest.entries[1].path.read_bytes())
+    bad = tmp_path / "bad.csit"
+    if at is None:
+        bad.write_bytes(raw[:-5])
+    else:
+        raw[at] = byte
+        bad.write_bytes(raw)
+    entries = list(manifest.entries)
+    entries[1] = replace(entries[1], path=bad)
+    Manifest(entries=tuple(entries)).save(tmp_path / "manifest.json")
+    code = main(["eval", "--model", str(model_path), "--manifest", str(tmp_path / "manifest.json")])
+    assert code == (3 if at is None else 2)
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1 and err.count(str(bad)) == 1, err
+
+
 def test_bad_training_and_pipeline_values_exit_2_before_featurizing(tmp_path, capsys, flagged_model, monkeypatch):
     from moric import harness
 
@@ -638,17 +702,17 @@ def test_pipeline_and_training_flags_default_to_their_records():
     parser = cli.build_parser()
     for argv in TRAIN_ARGV, LOSO_ARGV:
         args = parser.parse_args(argv)
-        assert cli._pipeline_config(args) == PipelineConfig(), argv
-        assert cli._train_config(args) == TrainConfig(), argv
-        assert args.heads == TrainConfig.n_heads, argv
+        assert cli._from_flags(PipelineConfig, args) == PipelineConfig(), argv
+        assert cli._from_flags(TrainConfig, args, seed=args.seed) == TrainConfig(), argv
+        assert args.n_heads == TrainConfig.n_heads, argv
     args = parser.parse_args(["calibrate", "--model", "m.morm", "--manifest", "m.json"])
     fit = inspect.signature(classifier.calibrate).parameters
     sweep = inspect.signature(harness.run_calibration_sweep).parameters
     assert (args.steps, args.lr, args.draws) == (fit["steps"].default, fit["lr"].default, sweep["n_draws"].default)
     assert (args.steps, args.lr, args.draws) == (500, 0.01, 10)
     args = parser.parse_args(["decompose", "--in", "y.csit", "--out", "v.dvel"])
-    assert cli._doppler_params(args) == PipelineConfig().doppler
-    assert args.snr_db == PipelineConfig().snr_threshold_db
+    assert cli._from_flags(DopplerParams, args) == PipelineConfig().doppler
+    assert args.snr_threshold_db == PipelineConfig().snr_threshold_db
 
 
 def test_calibrate_sweep_counts_are_checked_before_featurizing(tmp_path, capsys, flagged_model):
@@ -777,12 +841,13 @@ def _readme_scene() -> str:
 
 def test_readme_commands_are_the_cli_commands():
     """The `moric <command>` lines of README.md's shell blocks name every
-    subcommand, and no other."""
+    subcommand, and no other, and each of them parses."""
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    documented = {word for block in re.findall(r"```sh\n(.*?)```", text, flags=re.S)
-                  for word in re.findall(r"^moric (\w+)", block, flags=re.M)}
-    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
-    assert documented == set(sub.choices)
+    lines = [line for block in re.findall(r"```sh\n(.*?)```", text, flags=re.S)
+             for line in block.replace("\\\n", " ").splitlines() if line.startswith("moric ")]
+    assert {line.split()[1] for line in lines} == set(_subcommands())
+    for line in lines:
+        build_parser().parse_args(shlex.split(line)[1:])
 
 
 def test_readme_scene_simulates(tmp_path):

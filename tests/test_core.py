@@ -167,7 +167,7 @@ def test_dvel_round_trip_bitwise(tmp_path):
         assert np.array_equal(getattr(loaded, name), getattr(vs, name)), name
 
 
-def test_dvel_and_feat_writers_match_struct_reference(tmp_path):
+def test_dvel_writer_matches_struct_reference(tmp_path):
     rng = np.random.default_rng(6)
     gated = _velocity_set(rng, n_rows=5, t=40)
     values = gated.values.copy()
@@ -255,7 +255,7 @@ def test_readers_reject_non_finite_payload_values(tmp_path):
             assert str(exc.value).startswith(f"{bad}: "), (hex(bits), message)
 
 
-def test_dvel_and_feat_trailers_are_strict_records(tmp_path):
+def test_dvel_trailers_are_strict_records(tmp_path):
     """A DVEL trailer holds exactly a string `source`; anything else names
     the file and the key."""
     path = tmp_path / "plain.dvel"
@@ -275,7 +275,7 @@ def test_dvel_and_feat_trailers_are_strict_records(tmp_path):
         assert str(exc.value).startswith(f"{bad}: "), message
 
 
-def test_feature_set_and_feat_reader_reject_non_finite_features():
+def test_feature_set_rejects_non_finite_features():
     rng = np.random.default_rng(11)
     for bad_value in (np.nan, np.inf, -np.inf):
         features = rng.normal(size=(3, 4))
