@@ -14,11 +14,16 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .core import SPEED_OF_LIGHT, CsiFrame, DopplerParams, PipelineConfig, RadioConfig, VelocitySet
+from .lanes import in_lanes
 
 VAR_FLOOR = 1e-12
 STD_FLOOR = 1e-9
 STATIC_FRAC = 0.10  # the SNR gate's static segments: this share of T at each end
 MOTION_FRAC = 0.60  # and its motion segment: this central share of T
+# Windows per PSD row block, the unit the lanes take: 24 rows of 400 frames or
+# 8 rows of 1000 frames at the default window and hop, so a 1 x 16 x 400
+# capture is one block and runs on the calling thread
+PSD_BLOCK_WINDOWS = 2048
 
 
 def decompose(frame: CsiFrame, remove_static: bool = True) -> np.ndarray:
@@ -58,10 +63,12 @@ def estimate_velocity_psd(series: np.ndarray, radio: RadioConfig, params: Dopple
     Each window is zero-padded to params.fft_pad; the two-sided frequency grid
     spans (-fs/2, fs/2]; the window estimates are linearly interpolated back to
     the input length. The gather index, window, speed table, window centres
-    and interpolation grid are built once, and every row's windows are written
-    into one zero-padded [windows, fft_pad] buffer: an FFT of the padded buffer
-    is bitwise the FFT with n=fft_pad, and faster. Buffers are per call, so
-    threads may run this concurrently.
+    and interpolation grid are built once. The rows go in blocks of about
+    PSD_BLOCK_WINDOWS windows to the lanes of `moric.lanes`, which take them
+    one at a time; a block allocates one zero-padded [windows, fft_pad]
+    buffer and one power buffer, writes each of its rows' windows into them
+    in turn and writes only its own rows of the output. An FFT of the padded
+    buffer is bitwise the FFT with n=fft_pad, and faster.
     """
     series = np.asarray(series, dtype=np.complex128)
     if series.ndim != 2:
@@ -79,14 +86,19 @@ def estimate_velocity_psd(series: np.ndarray, radio: RadioConfig, params: Dopple
     speeds = radio.wavelength_m * freqs
     centers = starts + (w - 1) / 2.0
     grid = np.arange(t, dtype=np.float64)
-    padded = np.zeros((len(starts), params.fft_pad), dtype=np.complex128)
-    power = np.empty(padded.shape)
     out = np.empty(series.shape)
-    for row, x in enumerate(series):
-        np.multiply(x[index], window, out=padded[:, :w])
-        np.abs(np.fft.fft(padded, axis=1), out=power)
-        np.square(power, out=power)
-        out[row] = np.interp(grid, centers, speeds[np.argmax(power, axis=1)])
+    block = max(1, PSD_BLOCK_WINDOWS // len(starts))
+
+    def rows_block(b: int) -> None:
+        padded = np.zeros((len(starts), params.fft_pad), dtype=np.complex128)
+        power = np.empty(padded.shape)
+        for row in range(b * block, min((b + 1) * block, len(series))):
+            np.multiply(series[row, index], window, out=padded[:, :w])
+            np.abs(np.fft.fft(padded, axis=1), out=power)
+            np.square(power, out=power)
+            out[row] = np.interp(grid, centers, speeds[np.argmax(power, axis=1)])
+
+    in_lanes(rows_block, -(-len(series) // block))
     return out
 
 

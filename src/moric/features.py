@@ -15,6 +15,7 @@ from typing import Dict, NamedTuple, Tuple
 import numpy as np
 
 from .core import ByteReader, FormatError, format_errors
+from .lanes import in_lanes
 
 KERNEL_LENGTHS = (7, 9, 11)
 BANK_MAGIC = b"KBNK"
@@ -182,7 +183,9 @@ def apply_batch(bank: KernelBank, x: np.ndarray) -> np.ndarray:
     PPV(z + b_B)] with PPV(y) = mean(y > 0). An all-zero row (an SNR-gated
     velocity row) convolves to z = 0, so its features are [b_1, b_1 > 0,
     .., b_B > 0] and it is not convolved. The other rows are convolved in
-    blocks of BLOCK_SAMPLES samples, one GEMM per kernel group and block.
+    blocks of BLOCK_SAMPLES samples, one GEMM per kernel group and block;
+    the lanes of `moric.lanes` take the blocks one at a time, and each block
+    writes only its own rows.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
@@ -198,8 +201,9 @@ def apply_batch(bank: KernelBank, x: np.ndarray) -> np.ndarray:
         out[:, g.index, 1:] = g.biases > 0
     live = np.flatnonzero(np.any(x != 0, axis=1))
     block = max(1, BLOCK_SAMPLES // bank.input_length)
-    for start in range(0, live.size, block):
-        rows = live[start : start + block]
+
+    def rows_block(b: int) -> None:
+        rows = live[b * block : (b + 1) * block]
         x_rows = x[rows]
         for g in bank.groups:
             z = _convolve_group(x_rows, g)
@@ -208,6 +212,8 @@ def apply_batch(bank: KernelBank, x: np.ndarray) -> np.ndarray:
             above = z[:, None] > -g.biases[:, :, None, None]  # [Kg, B, rows, n_out]
             feats[:, :, 1:] = (above.sum(axis=3, dtype=np.int32) / z.shape[2]).transpose(2, 0, 1)
             out[np.ix_(rows, g.index)] = feats
+
+    in_lanes(rows_block, -(-live.size // block))
     return out.reshape(x.shape[0], bank.dim)
 
 

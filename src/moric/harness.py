@@ -150,7 +150,9 @@ def featurize_manifest(
     """Run the per-sample pipeline over a manifest, its entries handed one at
     a time to one lane per usable CPU, or to at most `threads` lanes, so
     captures of different sizes still share the work; output order follows
-    the manifest and no bit depends on the lanes. A failing entry raises what
+    the manifest and no bit depends on the lanes. A capture runs its row
+    blocks on its own lane, except alone in a manifest and given no
+    `threads`, when they fan out in turn. A failing entry raises what
     a serial loop would: the first one's error. A capture the pipeline
     rejects, or whose arithmetic overflows or turns invalid, is a ValueError
     that names its path. Fewer than 1 thread is a ValueError."""
@@ -159,7 +161,7 @@ def featurize_manifest(
 
     def one(entry: ManifestEntry) -> PipelineSample:
         frame = read_csit(entry.path)
-        try:  # numpy's error state is per thread, so each lane sets its own
+        try:  # the lanes of the capture's row blocks run in this error state too
             with np.errstate(over="raise", invalid="raise"):
                 if frame.n_time != bank.input_length:
                     raise ValueError(

@@ -8,8 +8,15 @@ different sizes still share the work. Each item must write memory that no
 other item touches; then the bits do not depend on the number of lanes. An
 item never fans out again: `in_lanes` called inside an item runs inline, so
 at most one thread per usable CPU computes and the pool never waits on
-itself. What fans out: training's heads and AdamW blocks (`classifier`), an
-evaluation's samples and a manifest's entries (`harness`).
+itself. The items of a fan-out its caller caps at one lane are items too, so
+a one-lane cap holds all the way down; only the lone item of an uncapped
+one-item fan-out is the caller's own work, free to fan out. What fans out:
+training's heads and AdamW blocks (`classifier`), an evaluation's samples
+and a manifest's entries (`harness`), and within one capture the row blocks
+of the Hampel filter (`sanitize.hampel_batch`), of the Doppler PSD
+(`delay_doppler.estimate_velocity_psd`) and of the kernel transform
+(`features.apply_batch`). A capture that fits in one block of each stage
+never touches the pool.
 
 `one_blas_thread()` sets the BLAS library numpy links to one thread on its
 outermost entry and restores the caller's count on its outermost exit.
@@ -61,13 +68,22 @@ def in_lanes(fn: Callable[[int], object], n: int, lanes: Optional[int] = None) -
     """[fn(0), ..., fn(n-1)] on lane_count(n, lanes) lanes, each taking the
     next item as it comes free. After an item fails no lane takes another,
     and once every started item has finished the lowest failing item's
-    exception is raised: the one a serial loop would raise."""
-    lanes = lane_count(n, lanes)
-    if lanes == 1:
+    exception is raised: the one a serial loop would raise. Inside an item,
+    and in the lone item of a one-item fan-out given no cap, this is a plain
+    loop on the caller's thread."""
+    if _in_lane.get() or (n <= 1 and lanes is None):
         return [fn(i) for i in range(n)]
+    lanes = lane_count(n, lanes)
+    if lanes == 1:  # the items still run as items, so a one-lane cap holds in them
+        token = _in_lane.set(True)
+        try:
+            return [fn(i) for i in range(n)]
+        finally:
+            _in_lane.reset(token)
     results: list = [None] * n
     errors: Dict[int, BaseException] = {}
     todo = itertools.count()  # next() on it is atomic
+    err = np.geterr()
 
     def lane() -> None:
         _in_lane.set(True)  # in this lane's copy of the caller's context only
@@ -77,9 +93,13 @@ def in_lanes(fn: Callable[[int], object], n: int, lanes: Optional[int] = None) -
             except BaseException as exc:
                 errors[i] = exc
 
+    def worker_lane() -> None:
+        with np.errstate(**err):  # numpy 1.x keeps it per thread, not in the context
+            lane()
+
     with one_blas_thread():
-        # each lane runs in a copy of the caller's context: numpy's error state too
-        futures = [_pool.submit(contextvars.copy_context().run, lane) for _ in range(lanes - 1)]
+        # each lane runs in a copy of the caller's context and its numpy error state
+        futures = [_pool.submit(contextvars.copy_context().run, worker_lane) for _ in range(lanes - 1)]
         contextvars.copy_context().run(lane)
         for f in futures:
             f.result()

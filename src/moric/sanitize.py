@@ -20,6 +20,7 @@ import numpy as np
 
 from .core import CsiFrame
 from .delay_doppler import decompose
+from .lanes import in_lanes
 
 HAMPEL_MAD_SCALE = 1.4826  # MAD-to-sigma factor for Gaussian data
 HAMPEL_MAD_FLOOR = 1e-9
@@ -133,12 +134,17 @@ def hampel_batch(x: np.ndarray, window: int = 11, n_sigmas: float = 3.0) -> np.n
     a sample more than n_sigmas * 1.4826 * max(MAD, floor) away from the median
     of its centered window (truncated at the edges) is replaced by that median.
 
-    Columns whose centered window fits inside the series are filtered by a
-    median selection network over the `window` shifted column slices, in
-    row blocks of about MEDIAN_BLOCK_SAMPLES samples; only the truncated
-    edge columns, whose windows may have even length, are filtered one at a
-    time. On finite input the result is bitwise equal to applying the
-    per-column definition with `np.median`, up to the sign of a zero median.
+    Every median comes from the median selection network, over row blocks of
+    about MEDIAN_BLOCK_SAMPLES samples that the lanes of `moric.lanes` take
+    one at a time; each block writes only its own rows. Columns whose
+    centered window fits inside the series run the network over the
+    `window` shifted column slices. A truncated edge window is filled up to
+    `window` taps with -inf and +inf, alternating outward from the series, so
+    the network picks its median; a window of even length is run once more
+    with the infinities negated, and its median is the mean of the two
+    middle values, as np.median takes it. On finite input the result is
+    bitwise equal to applying the per-column definition with `np.median`,
+    up to the sign of a zero median.
     """
     if window < 3 or window % 2 == 0:
         raise ValueError(f"window must be odd and >= 3, got {window}")
@@ -147,30 +153,48 @@ def hampel_batch(x: np.ndarray, window: int = 11, n_sigmas: float = 3.0) -> np.n
         raise ValueError(f"expected a [rows, T] batch, got shape {x.shape}")
     rows, t = x.shape
     half = window // 2
-    out = x.copy()
-    if t >= window:
-        m = t - 2 * half
-        med = np.empty((rows, m))
-        mad = np.empty((rows, m))
-        block = max(1, MEDIAN_BLOCK_SAMPLES // m)
-        work = np.empty((window + 1, min(block, rows), m))
-        for r0 in range(0, rows, block):
-            rb = slice(r0, r0 + block)
-            xb = x[rb]
-            bufs = list(work[:, : len(xb)])
+    m = t - 2 * half  # columns whose centered window fits
+    # edge columns: [0, half) and [t - half, t), or every column when t < window
+    edges = np.r_[0 : min(half, t), max(half, t - half) : t]
+    taps = edges[:, None] + np.arange(-half, half + 1)
+    inside = (taps >= 0) & (taps < t)
+    # a truncated window's missing taps hold -inf and +inf in turn, outward
+    # from the series: -inf first on the left and +inf first on the right,
+    # so they balance whenever the window's length is odd
+    pads = np.where(taps < 0, np.where(taps % 2, -np.inf, np.inf), np.where((taps - t) % 2, -np.inf, np.inf))
+    even = np.flatnonzero((~inside).sum(axis=1) % 2)  # windows of even length
+    # each edge window, then each even one again with its infinities negated
+    runs = np.r_[np.arange(len(edges)), even]
+    gather = np.clip(taps[runs], 0, t - 1).T  # [window, runs]
+    inside = inside[runs].T[:, None]
+    pads = np.concatenate([pads, -pads[even]]).T[:, None]
+
+    def edge_median(values: np.ndarray) -> np.ndarray:
+        picked = _select_median(list(values), np.empty_like(values[0]))
+        med = picked[:, : len(edges)].copy()
+        med[:, even] = (med[:, even] + picked[:, len(edges) :]) / 2
+        return med
+
+    out = np.empty_like(x)
+    block = max(1, MEDIAN_BLOCK_SAMPLES // max(m, 1))
+
+    def filter_rows(b: int) -> None:
+        xb, ob = x[b * block : (b + 1) * block], out[b * block : (b + 1) * block]
+        if m > 0:
+            bufs = list(np.empty((window + 1, len(xb), m)))
             for k, buf in enumerate(bufs[:window]):
                 buf[...] = xb[:, k : k + m]
-            med[rb] = _select_median(bufs[:window], bufs[window])
+            med = _select_median(bufs[:window], bufs[window]).copy()
             for k, buf in enumerate(bufs[:window]):
-                np.abs(np.subtract(xb[:, k : k + m], med[rb], out=buf), out=buf)
-            mad[rb] = _select_median(bufs[:window], bufs[window])
-        _replace_outliers(x, out, slice(half, t - half), med, mad, n_sigmas)
-    # edge columns: [0, half) and [t - half, t), or every column when t < window
-    for j in [*range(min(half, t)), *range(max(half, t - half), t)]:
-        win = x[:, max(0, j - half) : min(t, j + half + 1)]
-        med = np.median(win, axis=1)
-        mad = np.median(np.abs(win - med[:, None]), axis=1)
-        _replace_outliers(x, out, j, med, mad, n_sigmas)
+                np.abs(np.subtract(xb[:, k : k + m], med, out=buf), out=buf)
+            mad = _select_median(bufs[:window], bufs[window])
+            _replace_outliers(xb, ob, slice(half, t - half), med, mad, n_sigmas)
+        near = xb[:, gather].transpose(1, 0, 2)  # [window, rows, runs]
+        med = edge_median(np.where(inside, near, pads))
+        mad = edge_median(np.where(inside, np.abs(near - med[:, runs]), pads))
+        _replace_outliers(xb, ob, edges, med, mad, n_sigmas)
+
+    in_lanes(filter_rows, -(-rows // block))
     return out
 
 

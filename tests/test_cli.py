@@ -601,12 +601,11 @@ def test_capture_of_no_streams_exits_3(tmp_path, capsys, flagged_model):
     assert f"{empty}: need at least one stream" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("at, byte", [(35, 0x00), (35, 0x20), (27, 0x7F), (None, None)])
-def test_a_capture_the_pipeline_cannot_use_is_named_once(tmp_path, capsys, flagged_model, at, byte):
-    """A header float the reader accepts but the velocity grid cannot use (the
-    top byte of carrier_hz or of sample_rate_hz) exits 2 and a truncated
-    capture exits 3, each with one error line that names the capture once
-    and no numpy warning."""
+def _eval_with_a_bad_capture(tmp_path, flagged_model, at, byte, alone=False):
+    """`moric eval` over the flagged corpus with its second capture truncated
+    by 5 bytes (at None) or with byte `at` of its header set to `byte`, and
+    with the other captures too unless `alone`; returns the exit code and the
+    bad capture's path."""
     from dataclasses import replace
 
     from moric.harness import Manifest
@@ -622,9 +621,38 @@ def test_a_capture_the_pipeline_cannot_use_is_named_once(tmp_path, capsys, flagg
         bad.write_bytes(raw)
     entries = list(manifest.entries)
     entries[1] = replace(entries[1], path=bad)
-    Manifest(entries=tuple(entries)).save(tmp_path / "manifest.json")
-    code = main(["eval", "--model", str(model_path), "--manifest", str(tmp_path / "manifest.json")])
+    Manifest(entries=tuple(entries[1:2] if alone else entries)).save(tmp_path / "manifest.json")
+    return main(["eval", "--model", str(model_path), "--manifest", str(tmp_path / "manifest.json")]), bad
+
+
+@pytest.mark.parametrize("at, byte", [(35, 0x00), (35, 0x20), (27, 0x7F), (None, None)])
+def test_a_capture_the_pipeline_cannot_use_is_named_once(tmp_path, capsys, flagged_model, at, byte):
+    """A header float the reader accepts but the velocity grid cannot use (the
+    top byte of carrier_hz or of sample_rate_hz) exits 2 and a truncated
+    capture exits 3, each with one error line that names the capture once
+    and no numpy warning."""
+    code, bad = _eval_with_a_bad_capture(tmp_path, flagged_model, at, byte)
     assert code == (3 if at is None else 2)
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1 and err.count(str(bad)) == 1, err
+
+
+@pytest.mark.parametrize("at, byte", [(35, 0x00), (35, 0x20), (27, 0x7F)])
+def test_a_capture_alone_in_its_manifest_fans_out_its_rows_and_is_named_once(
+    tmp_path, capsys, monkeypatch, flagged_model, at, byte
+):
+    """A one-capture manifest hands the capture's row blocks to the lanes, and
+    the capture is still named once, with no numpy warning."""
+    from moric import delay_doppler, features, lanes, sanitize
+
+    monkeypatch.setattr(lanes, "POOL_SIZE", 1)
+    monkeypatch.setattr(sanitize, "MEDIAN_BLOCK_SAMPLES", 4000)  # 32 rows in 4 blocks
+    monkeypatch.setattr(delay_doppler, "PSD_BLOCK_WINDOWS", 400)  # 16 rows in 6 blocks
+    monkeypatch.setattr(features, "BLOCK_SAMPLES", 1500)
+    submitted, submit = [], lanes._pool.submit
+    monkeypatch.setattr(lanes._pool, "submit", lambda *a: submitted.append(1) or submit(*a))
+    code, bad = _eval_with_a_bad_capture(tmp_path, flagged_model, at, byte, alone=True)
+    assert code == 2 and submitted
     err = capsys.readouterr().err
     assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1 and err.count(str(bad)) == 1, err
 

@@ -44,6 +44,30 @@ def test_items_come_back_in_order_and_a_nested_fan_out_runs_inline(monkeypatch):
     assert lanes.lane_count(6) == 2  # and after the fan-out, it fans out again
 
 
+def test_a_one_lane_cap_holds_all_the_way_down_and_a_lone_item_fans_out(monkeypatch):
+    monkeypatch.setattr(lanes, "POOL_SIZE", 1)
+    # items of a fan-out capped at one lane are lane items: what they fan
+    # out runs inline; the lone item of an uncapped fan-out may fan out
+    assert lanes.in_lanes(lambda i: lanes.lane_count(6), 3, 1) == [1, 1, 1]
+    assert lanes.in_lanes(lambda i: lanes.lane_count(6), 1, 1) == [1]
+    assert lanes.in_lanes(lambda i: lanes.lane_count(6), 1) == [2]
+
+
+def test_numpy_error_state_reaches_every_lane(monkeypatch):
+    monkeypatch.setattr(lanes, "POOL_SIZE", 1)
+    both_lanes = threading.Barrier(2, timeout=20)  # items 0 and 1 run on different lanes
+
+    def fn(i):
+        both_lanes.wait()
+        with pytest.raises(FloatingPointError):
+            np.square(np.array([1e200]))
+        return threading.get_ident(), np.geterr()["over"]
+
+    with np.errstate(over="raise"):
+        (first, over0), (second, over1) = lanes.in_lanes(fn, 2)
+    assert first != second and over0 == over1 == "raise"
+
+
 def test_a_slow_first_item_does_not_hold_back_the_others(monkeypatch):
     monkeypatch.setattr(lanes, "POOL_SIZE", 1)
     rest_done = threading.Event()
